@@ -50,7 +50,7 @@ from .training import (
     TaskData,
     TrainPlan,
     TrainingDiverged,
-    evaluate_model,
+    apply_grid_point,
     grid_search,
     load_checkpoint,
     run_cross_validation,
@@ -350,7 +350,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
         (out / "grid.json").write_text(json.dumps(
             {"best": best, "leaderboard": leaderboard}, default=str, indent=2))
         print(f"grid best: {best}")
-        config, plan = _apply_grid_point(config, plan, best)
+        config, plan = apply_grid_point(config, plan, best)
     report, model, _ = train_from_scratch(data, config, plan,
                                           log_path=out / "metrics.tsv")
     save_checkpoint(model, model.optimizer, out / "model.ckpt")
@@ -380,11 +380,6 @@ def _parse_grid(spec: str) -> dict[str, list]:
                     parsed.append(v)
         grid[key.strip()] = parsed
     return grid
-
-
-def _apply_grid_point(config: ModelConfig, plan: TrainPlan, point: dict):
-    from .training import _apply_point
-    return _apply_point(config, plan, point)
 
 
 def cmd_cv(cfg: RunConfig, out: Path) -> int:
@@ -469,9 +464,10 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
     data = _single_task(assemble_tasks(cfg))
     encoded = encode_instances(data.instances, data.documents, model.vocab,
                                data.graphs, model.config)
-    report = evaluate_model(model, encoded)
     preds = predict(model, encoded)
-    outcomes = list(zip(preds.tolist(), [e.label for e in encoded]))
+    golds = [e.label for e in encoded]
+    report = evaluate_outcomes(preds, golds, model.label_set)
+    outcomes = list(zip(preds.tolist(), golds))
 
     def macro_f_metric(sample):
         ps = [p for p, _ in sample]

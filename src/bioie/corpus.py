@@ -872,7 +872,3 @@ def synth_corpus(counts: dict[str, int], seed: int, reports: int | None = None,
         instances.extend(inst)
     declared = dict(counts)
     return SynthCorpus(docs, instances, declared, cue_pos, cue_neg)
-
-
-def write_synth(corpus: SynthCorpus, path) -> None:
-    write_records(corpus.documents, corpus.instances, path)

@@ -1,6 +1,8 @@
 """Model layers: embedding assembly, the bidirectional LSTM encoder,
 scaled dot-product (multi-head) self-attention, and degree-normalized
-graph convolution with inter-graph state mixing.
+graph convolution with inter-graph state mixing. One graph-convolution
+layer over graph kinds k is m <- mean_k tanh(A_k m W_k + b_k):
+`gcn_propagate` per kind, then `inter_graph_mix` for the mean.
 
 The LSTM cell is a fused tape operation with a hand-derived backward
 rule (validated by finite differences); everything else composes the
@@ -10,7 +12,7 @@ primitive autodiff ops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,12 +125,6 @@ class AttentionHeadParams:
 class AttentionParams:
     heads: list[AttentionHeadParams]
     wo: Tensor
-
-
-@dataclass
-class GcnLayerParams:
-    w: dict[str, Tensor]  # per graph kind
-    b: dict[str, Tensor]
 
 
 def init_lstm_direction(rng: np.random.Generator, input_dim: int,
@@ -365,11 +361,11 @@ def gcn_propagate(h: Tensor, adj: DocumentAdjacency, w: Tensor, b: Tensor,
     return activation(add_rowvec(matmul(matmul(a_norm, h), w), b))
 
 
-def inter_graph_mix(states: list[Tensor]) -> list[Tensor]:
-    """Replace each node's per-graph states by their arithmetic mean
-    (virtual edges linking the same node across graphs)."""
+def inter_graph_mix(states: list[Tensor]) -> Tensor:
+    """Each node's arithmetic mean over its per-graph states (virtual
+    edges linking the same node across graphs)."""
     if len(states) == 1:
-        return list(states)
+        return states[0]
     shape = states[0].shape
     for s in states[1:]:
         if s.shape != shape:
@@ -377,5 +373,4 @@ def inter_graph_mix(states: list[Tensor]) -> list[Tensor]:
     total = states[0]
     for s in states[1:]:
         total = add(total, s)
-    mean = hadamard(total, 1.0 / len(states))
-    return [mean] * len(states)
+    return hadamard(total, 1.0 / len(states))

@@ -6,11 +6,19 @@ Forward path per instance: embed tokens -> bidirectional LSTM ->
 projected graphs} -> masked max-pool per branch -> concatenate ->
 affine classifier. Ablated branches are skipped and the classifier
 narrows accordingly.
+
+The graph-convolution branch keeps one node state m, starting from the
+LSTM output; each layer replaces it by mean_k tanh(A_k m W_k + b_k)
+over the graph kinds k, with A_k the degree-normalized adjacency.
+
+Encoding cuts each document to its real prefix once: ids, pad mask and
+every adjacency drop the trailing padding, so no branch sees it (the
+backward LSTM starts at the last real token).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +28,6 @@ from .corpus import Document, EmbeddingTable, PAD_ID, RelationInstance, Vocabula
 from .layers import (
     AttentionHeadParams,
     AttentionParams,
-    GcnLayerParams,
     LstmDirectionParams,
     LstmParams,
     ModelConfig,
@@ -78,11 +85,6 @@ class ModelState:
                 self.params[f"attn.head{k}.wv"],
             ))
         return AttentionParams(heads, self.params["attn.wo"])
-
-    def gcn_layer_params(self, layer: int) -> GcnLayerParams:
-        w = {kind: self.params[f"gcn.layer{layer}.{kind}.w"] for kind in GRAPH_KINDS}
-        b = {kind: self.params[f"gcn.layer{layer}.{kind}.b"] for kind in GRAPH_KINDS}
-        return GcnLayerParams(w, b)
 
 
 def make_variant(base: ModelConfig, variant: str) -> ModelConfig:
@@ -193,10 +195,9 @@ def parameter_group_counts(model: ModelState) -> dict[str, int]:
 @dataclass
 class DocEncoding:
     doc_id: str
-    ids: np.ndarray                 # token ids, PAD included
+    ids: np.ndarray                 # token ids, trailing PAD dropped
     pad: np.ndarray                 # boolean pad positions
-    adjacency: dict[str, DocumentAdjacency]
-    real_len: int = 0               # length with trailing padding stripped
+    adjacency: dict[str, DocumentAdjacency]  # len(ids) square per kind
 
 
 @dataclass
@@ -215,12 +216,16 @@ def encode_documents(docs: list[Document], vocab: Vocabulary,
     for doc in docs:
         ids = np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
         pad = np.array([t.surface == "<pad>" for t in doc.tokens], dtype=bool)
-        real_len = len(ids)
-        while real_len > 1 and pad[real_len - 1]:
-            real_len -= 1
-        adjacency = (project_adjacency(doc, graphs, vocab)
-                     if config.use_gcn and graphs is not None else {})
-        out[doc.id] = DocEncoding(doc.id, ids, pad, adjacency, real_len)
+        n = len(ids)
+        while n > 1 and pad[n - 1]:
+            n -= 1
+        adjacency = {}
+        if config.use_gcn and graphs is not None:
+            # Trailing pad nodes carry only their self-loop, so cutting
+            # them leaves the degrees of the kept nodes unchanged.
+            adjacency = {kind: DocumentAdjacency(a.matrix[:n, :n], a.degree[:n])
+                         for kind, a in project_adjacency(doc, graphs, vocab).items()}
+        out[doc.id] = DocEncoding(doc.id, ids[:n], pad[:n], adjacency)
     return out
 
 
@@ -247,24 +252,11 @@ def encode_instances(instances: list[RelationInstance],
 # ---------------------------------------------------------------------------
 # Forward
 
-def _sliced(adj: DocumentAdjacency, n: int) -> DocumentAdjacency:
-    """Restrict an adjacency to the first n nodes. Valid when the removed
-    tail nodes are isolated (their off-diagonal entries are zero), so the
-    remaining degrees are unchanged."""
-    if adj.matrix.shape[0] == n:
-        return adj
-    return DocumentAdjacency(adj.matrix[:n, :n], adj.degree[:n])
-
-
 def _instance_logits(model: ModelState, inst: EncodedInstance, mode: str) -> Tensor:
     cfg = model.config
     enc = inst.doc
-    # Trailing padding is isolated from every branch (attention mask,
-    # adjacency self-loops, pool mask), so restricting computation to the
-    # real prefix leaves the logits unchanged.
-    n = enc.real_len
-    ids = enc.ids[:n]
-    pad = enc.pad[:n]
+    ids, pad = enc.ids, enc.pad
+    n = len(ids)
     pos_head = model.params.get("embed.pos_head") if cfg.use_position else None
     pos_tail = model.params.get("embed.pos_tail") if cfg.use_position else None
     seq = embed_sequence(ids, inst.head_start, inst.tail_start,
@@ -293,18 +285,16 @@ def _instance_logits(model: ModelState, inst: EncodedInstance, mode: str) -> Ten
     branches.append(pooled)
 
     if cfg.use_gcn:
-        states = [h, h, h]
+        m = h
         for layer in range(cfg.gcn_layers):
-            lp = model.gcn_layer_params(layer)
-            states = [
-                gcn_propagate(states[g], _sliced(enc.adjacency[kind], n),
-                              lp.w[kind], lp.b[kind])
-                for g, kind in enumerate(GRAPH_KINDS)
-            ]
-            states = inter_graph_mix(states)
-        merged = inter_graph_mix(states)[0]
+            m = inter_graph_mix([
+                gcn_propagate(m, enc.adjacency[kind],
+                              model.params[f"gcn.layer{layer}.{kind}.w"],
+                              model.params[f"gcn.layer{layer}.{kind}.b"])
+                for kind in GRAPH_KINDS
+            ])
         branches.append(ad.max_pool_over_time(
-            ad.add(merged, pool_mask) if has_pad else merged))
+            ad.add(m, pool_mask) if has_pad else m))
 
     rep = ad.concat(branches, axis=0) if len(branches) > 1 else branches[0]
     row = ad.matmul(ad.reshape(rep, (1, cfg.classifier_width)),

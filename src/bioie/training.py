@@ -277,7 +277,7 @@ DEFAULT_GRID = {"lr": [1e-3, 3e-4], "hidden": [64, 128], "gcn_layers": [1, 2]}
 _PLAN_KEYS = ("epochs", "batch_size", "lr", "patience")
 
 
-def _apply_point(config: ModelConfig, plan: TrainPlan, point: dict
+def apply_grid_point(config: ModelConfig, plan: TrainPlan, point: dict
                  ) -> tuple[ModelConfig, TrainPlan]:
     cfg_kwargs = {k: v for k, v in point.items() if k not in _PLAN_KEYS}
     plan_kwargs = {k: v for k, v in point.items() if k in _PLAN_KEYS}
@@ -304,7 +304,7 @@ def grid_search(data: TaskData, grid: dict[str, list], config: ModelConfig,
         if digest in memo:
             score = memo[digest]
         else:
-            cfg, pl = _apply_point(config, plan, point)
+            cfg, pl = apply_grid_point(config, plan, point)
             model = init_model(cfg, data.vocab, data.embeddings, seed=pl.seed,
                                label_set=data.label_set)
             enc_train = encode_instances(train_i, data.documents, data.vocab,

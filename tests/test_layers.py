@@ -314,19 +314,17 @@ class TestInterGraphMix:
     def test_identical_states_unchanged(self):
         s = rand((3, 2), 1)
         out = inter_graph_mix([Tensor(s.copy()) for _ in range(3)])
-        for o in out:
-            assert np.allclose(o.data, s, atol=1e-14)
+        assert np.allclose(out.data, s, atol=1e-14)
 
     def test_mean_definition(self):
         a, b, c = (Tensor(rand((2, 2), s)) for s in (1, 2, 3))
         out = inter_graph_mix([a, b, c])
         expected = (a.data + b.data + c.data) / 3
-        for o in out:
-            assert np.allclose(o.data, expected, atol=1e-14)
+        assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_single_graph_identity(self):
         s = Tensor(rand((2, 2)))
-        assert inter_graph_mix([s])[0] is s
+        assert inter_graph_mix([s]) is s
 
     def test_shape_disagreement(self):
         with pytest.raises(ShapeError):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import bioie.autodiff as ad
-from bioie.layers import ModelConfig
+from bioie.corpus import PAD_ID
+from bioie.layers import ModelConfig, bilstm, embed_sequence, multi_head_attention
 from bioie.pipeline import (
     ABLATION_VARIANTS,
+    MASK_NEG,
     count_parameters,
     encode_instances,
     forward,
@@ -19,6 +21,7 @@ from bioie.pipeline import (
     parameter_group_counts,
     predict_proba,
 )
+from bioie.textgraph import GRAPH_KINDS, project_adjacency
 from bioie.training import make_optimizer
 
 from conftest import build_synth_task
@@ -111,6 +114,26 @@ class TestCountParameters:
         assert count_parameters(model) == count_parameters(model)
 
 
+class TestEncoding:
+    def test_documents_cut_to_real_prefix(self, tiny_task, small_config):
+        """Trailing padding is dropped once at encode time: ids, pad mask
+        and every adjacency cover the real prefix only."""
+        cut = 0
+        for e in encode_all(tiny_task, small_config):
+            doc = tiny_task.documents[e.doc.doc_id]
+            n = len(e.doc.ids)
+            assert e.doc.ids[-1] != PAD_ID
+            assert e.doc.pad.shape == (n,)
+            full = project_adjacency(doc, tiny_task.graphs, tiny_task.vocab)
+            assert set(e.doc.adjacency) == set(GRAPH_KINDS)
+            for kind, adj in e.doc.adjacency.items():
+                assert adj.matrix.shape == (n, n)
+                assert np.array_equal(adj.matrix, full[kind].matrix[:n, :n])
+                assert np.array_equal(adj.degree, full[kind].degree[:n])
+            cut += len(doc.tokens) > n
+        assert cut > 0, "fixture has no trailing padding to cut"
+
+
 class TestForward:
     def model_and_batch(self, task, config, seed=0):
         model = init_model(config, task.vocab, task.embeddings, seed=seed,
@@ -137,6 +160,42 @@ class TestForward:
             singles = np.vstack([forward(model, [e], "eval").data
                                  for e in enc[:5]])
         assert np.max(np.abs(batched - singles)) < 1e-10
+
+    def test_gcn_branch_matches_numpy_recomputation(self, tiny_task, small_config):
+        """With two layers, the GCN branch is m <- mean_k tanh(A_k m W_k + b_k)
+        from the LSTM states, A_k the row-normalized projected adjacency."""
+        cfg = replace(small_config, gcn_layers=2)
+        model, enc = self.model_and_batch(tiny_task, cfg)
+        inst = enc[0]
+        doc = tiny_task.documents[inst.doc.doc_id]
+        ids, pad = inst.doc.ids, inst.doc.pad
+        n = len(ids)
+        p = {name: t.data for name, t in model.params.items()}
+        with ad.no_grad():
+            logits = forward(model, [inst], "eval").data
+            seq = embed_sequence(ids, inst.head_start, inst.tail_start,
+                                 model.word_table(), model.params["embed.pos_head"],
+                                 model.params["embed.pos_tail"], cfg.max_dist)
+            h = bilstm(seq, model.lstm_params())
+            attn_mask = ad.Tensor(np.where(pad[None, :], MASK_NEG, 0.0)
+                                  * np.ones((n, 1)))
+            attended = multi_head_attention(h, model.attention_params(),
+                                            attn_mask).data
+        pool_mask = np.where(pad[:, None], MASK_NEG, 0.0)
+        full = project_adjacency(doc, tiny_task.graphs, tiny_task.vocab)
+        m = h.data
+        for layer in range(2):
+            outs = []
+            for kind in GRAPH_KINDS:
+                a = full[kind].matrix[:n, :n]
+                a_hat = a / a.sum(axis=1, keepdims=True)
+                outs.append(np.tanh(a_hat @ m @ p[f"gcn.layer{layer}.{kind}.w"]
+                                    + p[f"gcn.layer{layer}.{kind}.b"]))
+            m = sum(outs) / len(outs)
+        rep = np.concatenate([(attended + pool_mask).max(axis=0),
+                              (m + pool_mask).max(axis=0)])
+        expected = rep[None, :] @ p["clf.w"] + p["clf.b"]
+        assert np.max(np.abs(logits - expected)) < 1e-12
 
     def test_eval_mode_deterministic_bitwise(self, tiny_task, small_config):
         model, enc = self.model_and_batch(tiny_task, small_config)
