@@ -14,6 +14,7 @@ everything else requires exactly matching shapes.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "ShapeError",
     "NondeterministicFunction",
     "make_op",
+    "recording",
     "reset_tape",
     "tape_size",
     "no_grad",
@@ -48,6 +50,41 @@ __all__ = [
     "Adam",
     "grad_check",
 ]
+
+
+# glibc mallopt parameters (malloc.h) and the values `keep_freed_arrays`
+# sets: 32 MiB is glibc's cap on the mmap threshold.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 256 << 20
+
+
+def keep_freed_arrays() -> bool:
+    """Let glibc reuse the memory of freed arrays instead of returning it
+    to the OS; False where the C library has no `mallopt`.
+
+    Every training step and every eval forward allocates and frees the
+    same few-MB arrays. By default glibc serves arrays above a threshold
+    (128 KiB at start, raised by later frees) with a fresh mmap, and
+    trims the heap whenever more than twice that threshold lies free at
+    its top, so each pass faults its working set in again. On a 2 vCPU
+    VM that took 60k-300k minor faults per `train_long` benchmark epoch,
+    2k-17k per 80-instance inference pass, and varied with the order of
+    earlier allocations. Fixed thresholds keep arrays up to 32 MiB on
+    the heap and keep up to 256 MiB of freed heap, so the next pass
+    reuses it. Called once when this module loads."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+keep_freed_arrays()
 
 
 class ShapeError(ValueError):
@@ -148,6 +185,12 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def recording(*tensors: Tensor) -> bool:
+    """Whether an op over these inputs gets a tape record, so that a fused
+    op can skip keeping intermediates its backward rule would need."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+
+
 def make_op(data: np.ndarray, parents, rule) -> Tensor:
     """Create an op output and record its backward rule.
 
@@ -156,7 +199,7 @@ def make_op(data: np.ndarray, parents, rule) -> Tensor:
     gradient. Recording is skipped when gradients are globally disabled
     or no parent requires them.
     """
-    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    track = recording(*parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out.is_leaf = False
@@ -237,23 +280,45 @@ def hadamard(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def rule(g):
-        return [(a, _reduce_to(g * bd, a.shape)), (b, _reduce_to(g * ad, b.shape))]
+        pairs = []
+        if a.requires_grad:
+            pairs.append((a, _reduce_to(g * bd, a.shape)))
+        if b.requires_grad:
+            pairs.append((b, _reduce_to(g * ad, b.shape)))
+        return pairs
 
     return make_op(ad * bd, (a, b), rule)
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; either operand may carry a
+    leading batch axis, as with `np.matmul`. A 2-D operand is shared by
+    every batch element, so its gradient sums over the batch."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.data.ndim not in (2, 3) or b.data.ndim not in (2, 3)
+            or a.shape[-1] != b.shape[-2]
+            or (a.data.ndim == b.data.ndim == 3 and a.shape[0] != b.shape[0])):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
 
     def rule(g):
         pairs = []
         if a.requires_grad:
-            pairs.append((a, g @ bd.T))
+            ga = g @ _swap_last(bd)
+            pairs.append((a, ga.sum(axis=0) if ga.ndim > ad.ndim else ga))
         if b.requires_grad:
-            pairs.append((b, ad.T @ g))
+            if bd.ndim < ad.ndim:
+                # One product over every row of the batch.
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _swap_last(ad) @ g
+                if gb.ndim > bd.ndim:
+                    gb = gb.sum(axis=0)
+            pairs.append((b, gb))
         return pairs
 
     return make_op(ad @ bd, (a, b), rule)
@@ -274,7 +339,10 @@ def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
     def rule(g):
-        return [(x, g * (1.0 - out_data * out_data))]
+        grad = out_data * out_data
+        np.subtract(1.0, grad, out=grad)
+        grad *= g
+        return [(x, grad)]
 
     return make_op(out_data, (x,), rule)
 
@@ -353,14 +421,16 @@ def split(x: Tensor, sizes, axis: int = 0) -> list[Tensor]:
 
 
 def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes (the matrix transpose of each batch element)."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(
+            f"transpose expects a matrix or a batch of them, got shape {x.shape}")
 
     def rule(g):
-        return [(x, g.T)]
+        return [(x, _swap_last(g))]
 
-    return make_op(x.data.T.copy(), (x,), rule)
+    return make_op(_swap_last(x.data).copy(), (x,), rule)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -393,13 +463,14 @@ def take_rows(table: Tensor, indices) -> Tensor:
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a (1, d) row vector to every row of an (n, d) matrix."""
+    """Add a (1, d) row vector to every row of an (n, d) matrix or of
+    each matrix in a (B, n, d) batch."""
     x, v = as_tensor(x), as_tensor(v)
-    if x.data.ndim != 2 or v.shape != (1, x.shape[1]):
+    if x.data.ndim not in (2, 3) or v.shape != (1, x.shape[-1]):
         raise ShapeError(f"add_rowvec: shapes {x.shape} and {v.shape} do not align")
 
     def rule(g):
-        return [(x, g), (v, g.sum(axis=0, keepdims=True))]
+        return [(x, g), (v, g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True))]
 
     return make_op(x.data + v.data, (x, v), rule)
 
@@ -418,13 +489,19 @@ def sum_all(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    # Forward and backward each fill one fresh array in place: on
+    # attention-sized inputs, allocating temporaries costs more than the
+    # arithmetic.
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def rule(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        return [(x, out_data * (g - inner))]
+        grad = g * out_data
+        inner = grad.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=grad)
+        grad *= out_data
+        return [(x, grad)]
 
     return make_op(out_data, (x,), rule)
 
@@ -454,21 +531,32 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def max_pool_over_time(x: Tensor) -> Tensor:
-    """Per-dimension max over rows; gradient flows to the first argmax."""
+    """Per-dimension max over the rows (time axis) of an (n, d) matrix, or
+    of each matrix in a (B, n, d) batch; gradient flows to the first
+    argmax."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_pool_over_time expects (n, d), got {x.shape}")
-    n, d = x.shape
-    if n < 1:
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(
+            f"max_pool_over_time expects (n, d) or (B, n, d), got {x.shape}")
+    if x.shape[-2] < 1:
         raise ShapeError("max_pool_over_time: empty sequence")
-    arg = np.argmax(x.data, axis=0)
+    arg = np.expand_dims(np.argmax(x.data, axis=-2), -2)
 
     def rule(g):
         full = np.zeros_like(x.data)
-        full[arg, np.arange(d)] = g
+        np.put_along_axis(full, arg, np.expand_dims(g, -2), axis=-2)
         return [(x, full)]
 
-    return make_op(x.data[arg, np.arange(d)].copy(), (x,), rule)
+    return make_op(np.take_along_axis(x.data, arg, axis=-2).squeeze(-2), (x,), rule)
+
+
+def dropout_mask(rng: np.random.Generator, p: float,
+                 shape: tuple[int, ...]) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability p, else 1/(1-p).
+    Draws `rng.random(shape)` once."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    return (rng.random(shape) >= p) * (1.0 / (1.0 - p))
 
 
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
@@ -480,8 +568,7 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
     x = as_tensor(x)
     if mode == "eval" or p == 0.0:
         return x
-    scale = 1.0 / (1.0 - p)
-    mask = (rng.random(x.shape) >= p) * scale
+    mask = dropout_mask(rng, p, x.shape)
 
     def rule(g):
         return [(x, g * mask)]

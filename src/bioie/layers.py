@@ -4,9 +4,10 @@ graph convolution with inter-graph state mixing. One graph-convolution
 layer over graph kinds k is m <- mean_k tanh(A_k m W_k + b_k):
 `gcn_propagate` per kind, then `inter_graph_mix` for the mean.
 
-The LSTM cell is a fused tape operation with a hand-derived backward
-rule (validated by finite differences); everything else composes the
-primitive autodiff ops.
+Every layer takes one (n, .) sequence or a padded (B, n, .) batch. An
+LSTM direction and the inter-graph mean are fused tape operations with
+hand-derived backward rules (validated by finite differences);
+everything else composes the primitive autodiff ops.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .autodiff import (
     hadamard,
     make_op,
     matmul,
+    recording,
     sigmoid_values,
     softmax,
     take_rows,
@@ -138,177 +140,157 @@ def init_lstm_direction(rng: np.random.Generator, input_dim: int,
     )
 
 
-# Gate-block column layout shared by lstm_step and lstm_sequence:
-# [input, forget, output, candidate], each `hidden` wide, so the two
-# sigmoid blocks are contiguous.
-
-
 # ---------------------------------------------------------------------------
 # Embedding assembly
 
-def embed_sequence(token_ids, head_start: int, tail_start: int,
+def embed_sequence(token_ids, head_start, tail_start,
                    word_table: Tensor, pos_head_table: Tensor | None,
                    pos_tail_table: Tensor | None, max_dist: int) -> Tensor:
     """Per-token feature rows: word vector, then (optionally) clipped
-    relative-distance vectors to the head and tail mention starts."""
+    relative-distance vectors to the head and tail mention starts.
+
+    `token_ids` is one (n,) sequence with scalar mention starts, giving
+    (n, width), or a (B, n) batch with (B,) starts, giving (B, n, width).
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
     parts = [take_rows(word_table, ids)]
     if pos_head_table is not None:
-        rel = np.arange(len(ids))
-        h_idx = np.clip(rel - head_start, -max_dist, max_dist) + max_dist
-        t_idx = np.clip(rel - tail_start, -max_dist, max_dist) + max_dist
+        rel = np.arange(ids.shape[-1])
+        h_rel = rel - np.expand_dims(head_start, -1)
+        t_rel = rel - np.expand_dims(tail_start, -1)
+        h_idx = np.clip(h_rel, -max_dist, max_dist) + max_dist
+        t_idx = np.clip(t_rel, -max_dist, max_dist) + max_dist
         parts.append(take_rows(pos_head_table, h_idx))
         parts.append(take_rows(pos_tail_table, t_idx))
-    return concat(parts, axis=1) if len(parts) > 1 else parts[0]
+    return concat(parts, axis=-1) if len(parts) > 1 else parts[0]
 
 
 # ---------------------------------------------------------------------------
 # LSTM
 
-def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              params: LstmDirectionParams) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update on a (1, input) row; returns (h_t, c_t).
-
-    Sigmoid input/forget/output gates, tanh candidate. The cell state and
-    the output gate are two fused tape records sharing the forward
-    intermediates.
-    """
-    hid = params.wh.shape[0]
-    if x.shape != (1, params.wx.shape[0]) or h_prev.shape != (1, hid):
-        raise ShapeError(
-            f"lstm_step: x {x.shape} / h {h_prev.shape} do not match parameters "
-            f"{params.wx.shape} / {params.wh.shape}")
-    xd, hd, cd = x.data, h_prev.data, c_prev.data
-    wx, wh, b = params.wx, params.wh, params.b
-    z = xd @ wx.data + hd @ wh.data + b.data
-    gates = sigmoid_values(z[:, :3 * hid])
-    i_g = gates[:, :hid]
-    f_g = gates[:, hid:2 * hid]
-    o_g = gates[:, 2 * hid:]
-    g_g = np.tanh(z[:, 3 * hid:])
-    c_new = f_g * cd + i_g * g_g
-
-    def _propagate(dz, g_c_prev=None):
-        pairs = []
-        if x.requires_grad:
-            pairs.append((x, dz @ wx.data.T))
-        if h_prev.requires_grad:
-            pairs.append((h_prev, dz @ wh.data.T))
-        if c_prev.requires_grad and g_c_prev is not None:
-            pairs.append((c_prev, g_c_prev))
-        if wx.requires_grad:
-            pairs.append((wx, xd.T @ dz))
-        if wh.requires_grad:
-            pairs.append((wh, hd.T @ dz))
-        if b.requires_grad:
-            pairs.append((b, dz))
-        return pairs
-
-    def c_rule(g):
-        dz = np.zeros_like(z)
-        dz[:, :hid] = (g * g_g) * i_g * (1.0 - i_g)
-        dz[:, hid:2 * hid] = (g * cd) * f_g * (1.0 - f_g)
-        dz[:, 3 * hid:] = (g * i_g) * (1.0 - g_g * g_g)
-        return _propagate(dz, g_c_prev=g * f_g)
-
-    def o_rule(g):
-        dz = np.zeros_like(z)
-        dz[:, 2 * hid:3 * hid] = g * o_g * (1.0 - o_g)
-        return _propagate(dz)
-
-    c_t = make_op(c_new, (x, h_prev, c_prev, wx, wh, b), c_rule)
-    o_t = make_op(o_g, (x, h_prev, wx, wh, b), o_rule)
-    h_t = hadamard(o_t, tanh(c_t))
-    return h_t, c_t
-
-
 def lstm_sequence(seq: Tensor, params: LstmDirectionParams,
-                  reverse: bool = False) -> Tensor:
-    """Run one LSTM direction over a whole (n, input) sequence as a
-    single fused tape record.
+                  reverse: bool = False, lengths=None) -> Tensor:
+    """Run one LSTM direction over an (n, input) sequence or a padded
+    (B, n, input) batch as a single fused tape record.
 
-    The forward pass batches the input projection into one matmul and the
+    Gate blocks are laid out [input, forget, output, candidate], each
+    `hidden` wide, so the two sigmoid blocks are contiguous. `lengths`
+    gives each batch row's real length (default: all n). Steps past a
+    row's length hold a zero state and output zero, so the reverse
+    direction of every row starts at its own last real token.
+
+    The forward pass runs one (B, input) @ (input, 4*hidden) and one
+    (B, hidden) @ (hidden, 4*hidden) product per step. The
     backward rule runs truncation-free BPTT, collecting per-step gate
-    gradients so the weight gradients reduce to single matmuls. Value- and
-    gradient-equivalent to chaining `lstm_step` (checked in tests).
+    gradients so the weight gradients reduce to single matmuls.
+    Value- and gradient-equivalent to chaining single LSTM cell updates
+    over each row's real prefix (checked in tests).
     """
-    n = seq.shape[0]
+    x = seq.data if seq.data.ndim == 3 else seq.data[None]
+    bsz, n, width = x.shape
     hid = params.wh.shape[0]
     wx, wh, b = params.wx, params.wh, params.b
-    if seq.shape[1] != wx.shape[0]:
+    if width != wx.shape[0]:
         raise ShapeError(
-            f"lstm_sequence: input width {seq.shape[1]} != {wx.shape[0]}")
+            f"lstm_sequence: input width {width} != {wx.shape[0]}")
+    lengths = np.full(bsz, n) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (bsz,) or lengths.min() < 1 or lengths.max() > n:
+        raise ShapeError(
+            f"lstm_sequence: lengths {lengths.tolist()} do not fit a "
+            f"{bsz}-row batch of {n} steps")
     order = range(n - 1, -1, -1) if reverse else range(n)
+    # keep[t] zeroes the rows whose sequence has ended by step t; steps
+    # before the shortest length need no mask.
+    keep = (np.arange(n)[:, None] < lengths[None, :])[:, :, None].astype(np.float64)
+    full = int(lengths.min())
 
-    xw = seq.data @ wx.data + b.data
-    i_s = np.empty((n, hid)); f_s = np.empty((n, hid))
-    o_s = np.empty((n, hid)); g_s = np.empty((n, hid))
-    tc_s = np.empty((n, hid))
-    h_prev_s = np.zeros((n, hid)); c_prev_s = np.zeros((n, hid))
-    h = np.zeros(hid); c = np.zeros(hid)
-    out = np.empty((n, hid))
+    # Time-major working arrays: row t holds every sequence's step t.
+    # Without a tape record the backward rule never runs, so one row of
+    # each intermediate is reused instead of keeping all n.
+    kept = n if recording(seq, wx, wh, b) else 1
+    x_t = np.ascontiguousarray(x.transpose(1, 0, 2))
+    acts = np.empty((kept, bsz, 4 * hid))   # i, f, o gates and candidate g
+    tc_s = np.empty((kept, bsz, hid))       # tanh of the unmasked cell
+    c_prev_s = np.empty((kept, bsz, hid))
+    out = np.empty((n, bsz, hid))
+    h = np.zeros((bsz, hid))
+    c = np.zeros((bsz, hid))
     for t in order:
-        h_prev_s[t] = h
-        c_prev_s[t] = c
-        z = xw[t] + h @ wh.data
-        gates = sigmoid_values(z[:3 * hid])
-        i_g = gates[:hid]
-        f_g = gates[hid:2 * hid]
-        o_g = gates[2 * hid:]
-        g_g = np.tanh(z[3 * hid:])
-        c = f_g * c + i_g * g_g
-        tc = np.tanh(c)
-        h = o_g * tc
-        i_s[t], f_s[t], o_s[t], g_s[t], tc_s[t] = i_g, f_g, o_g, g_g, tc
+        s = t if kept == n else 0
+        c_prev_s[s] = c
+        z = x_t[t] @ wx.data + b.data + h @ wh.data
+        a = acts[s]
+        a[:, :3 * hid] = sigmoid_values(z[:, :3 * hid])
+        np.tanh(z[:, 3 * hid:], out=a[:, 3 * hid:])
+        c = a[:, hid:2 * hid] * c + a[:, :hid] * a[:, 3 * hid:]
+        np.tanh(c, out=tc_s[s])
+        h = a[:, 2 * hid:3 * hid] * tc_s[s]
+        if t >= full:
+            c = c * keep[t]
+            h = h * keep[t]
         out[t] = h
 
     def rule(g):
         # Per-step products vectorized up front; the reverse loop only
         # carries the two recurrent gradients and writes gate gradients
         # straight into the dz rows.
+        g = np.swapaxes(g.reshape(bsz, n, hid), 0, 1)
+        i_s, f_s = acts[..., :hid], acts[..., hid:2 * hid]
+        o_s, g_s = acts[..., 2 * hid:3 * hid], acts[..., 3 * hid:]
         pre_i = g_s * i_s * (1.0 - i_s)
         pre_f = c_prev_s * f_s * (1.0 - f_s)
         pre_o = tc_s * o_s * (1.0 - o_s)
         pre_g = i_s * (1.0 - g_s * g_s)
         pre_c = o_s * (1.0 - tc_s * tc_s)
+        h_prev_s = np.zeros_like(out)  # the state each step started from
+        if reverse:
+            h_prev_s[:-1] = out[1:]
+        else:
+            h_prev_s[1:] = out[:-1]
         wh_t = np.ascontiguousarray(wh.data.T)
-        dz = np.empty((n, 4 * hid))
-        dh = np.empty(hid)
-        dc = np.zeros(hid)  # holds the incoming cell-state carry
-        dh_carry = np.zeros(hid)
+        dz = np.empty((n, bsz, 4 * hid))
+        dh = np.empty((bsz, hid))
+        dc = np.zeros((bsz, hid))  # holds the incoming cell-state carry
+        dh_carry = np.zeros((bsz, hid))
         for t in reversed(order):
             np.add(g[t], dh_carry, out=dh)
+            if t >= full:
+                dh *= keep[t]
+                dc *= keep[t]
             dc += dh * pre_c[t]
             row = dz[t]
-            np.multiply(dc, pre_i[t], out=row[:hid])
-            np.multiply(dc, pre_f[t], out=row[hid:2 * hid])
-            np.multiply(dh, pre_o[t], out=row[2 * hid:3 * hid])
-            np.multiply(dc, pre_g[t], out=row[3 * hid:])
+            np.multiply(dc, pre_i[t], out=row[:, :hid])
+            np.multiply(dc, pre_f[t], out=row[:, hid:2 * hid])
+            np.multiply(dh, pre_o[t], out=row[:, 2 * hid:3 * hid])
+            np.multiply(dc, pre_g[t], out=row[:, 3 * hid:])
             dc *= f_s[t]  # becomes the carry entering the previous step
-            np.dot(row, wh_t, out=dh_carry)
+            np.matmul(row, wh_t, out=dh_carry)
+        dz_rows = dz.reshape(-1, 4 * hid)
         pairs = []
         if seq.requires_grad:
-            pairs.append((seq, dz @ wx.data.T))
+            gx = np.swapaxes(dz @ wx.data.T, 0, 1)
+            pairs.append((seq, gx.reshape(seq.shape)))
         if wx.requires_grad:
-            pairs.append((wx, seq.data.T @ dz))
+            pairs.append((wx, x_t.reshape(-1, width).T @ dz_rows))
         if wh.requires_grad:
-            pairs.append((wh, h_prev_s.T @ dz))
+            pairs.append((wh, h_prev_s.reshape(-1, hid).T @ dz_rows))
         if b.requires_grad:
-            pairs.append((b, dz.sum(axis=0, keepdims=True)))
+            pairs.append((b, dz_rows.sum(axis=0, keepdims=True)))
         return pairs
 
-    return make_op(out, (seq, wx, wh, b), rule)
+    return make_op(np.swapaxes(out, 0, 1).reshape(seq.shape[:-1] + (hid,)),
+                   (seq, wx, wh, b), rule)
 
 
-def bilstm(seq: Tensor, params: LstmParams) -> Tensor:
+def bilstm(seq: Tensor, params: LstmParams, lengths=None) -> Tensor:
     """Forward and backward passes with independent parameters; the
-    per-position outputs are concatenated to width 2*hidden."""
-    n = seq.shape[0]
-    if n < 1:
+    per-position outputs are concatenated to width 2*hidden. `seq` is
+    (n, input) or a padded (B, n, input) batch with per-row `lengths`."""
+    if seq.shape[-2] < 1:
         raise ShapeError("bilstm: empty sequence")
-    forward_block = lstm_sequence(seq, params.fw, reverse=False)
-    backward_block = lstm_sequence(seq, params.bw, reverse=True)
-    return concat([forward_block, backward_block], axis=1)
+    forward_block = lstm_sequence(seq, params.fw, reverse=False, lengths=lengths)
+    backward_block = lstm_sequence(seq, params.bw, reverse=True, lengths=lengths)
+    return concat([forward_block, backward_block], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +299,37 @@ def bilstm(seq: Tensor, params: LstmParams) -> Tensor:
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          mask_bias: Tensor | None = None) -> Tensor:
     """softmax(q kT / sqrt(width)) v, with an optional additive mask on
-    the raw scores (large negative entries silence padded keys)."""
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention: query width {q.shape[1]} != key width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention: {k.shape[0]} keys but {v.shape[0]} values")
-    scores = hadamard(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    the raw scores (large negative entries silence padded keys). Inputs
+    are (n, width) matrices or (B, n, width) batches of them."""
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(
+            f"attention: query width {q.shape[-1]} != key width {k.shape[-1]}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention: {k.shape[-2]} keys but {v.shape[-2]} values")
+    # Scaling the (n, width) queries rather than the (n, n) scores keeps
+    # one fewer score-sized array on the tape.
+    scores = matmul(hadamard(q, 1.0 / math.sqrt(q.shape[-1])), transpose(k))
     if mask_bias is not None:
         scores = add(scores, mask_bias)
-    return matmul(softmax(scores, axis=1), v)
+    return matmul(softmax(scores, axis=-1), v)
 
 
 def multi_head_attention(x: Tensor, params: AttentionParams,
                          mask_bias: Tensor | None = None) -> Tensor:
     """Per-head projected self-attention, head concatenation, then the
-    output projection."""
-    if params.heads and x.shape[1] != params.heads[0].wq.shape[0]:
+    output projection, on an (n, d_model) sequence or a (B, n, d_model)
+    batch. Heads run one at a time, so no array holds more than one
+    head's (B, n, n) scores."""
+    if params.heads and x.shape[-1] != params.heads[0].wq.shape[0]:
         raise ShapeError(
-            f"attention: input width {x.shape[1]} != projection rows "
+            f"attention: input width {x.shape[-1]} != projection rows "
             f"{params.heads[0].wq.shape[0]}")
     head_outs = [
         scaled_dot_attention(matmul(x, hp.wq), matmul(x, hp.wk),
                              matmul(x, hp.wv), mask_bias)
         for hp in params.heads
     ]
-    stacked = concat(head_outs, axis=1) if len(head_outs) > 1 else head_outs[0]
+    stacked = concat(head_outs, axis=-1) if len(head_outs) > 1 else head_outs[0]
     return matmul(stacked, params.wo)
 
 
@@ -350,11 +338,13 @@ def multi_head_attention(x: Tensor, params: AttentionParams,
 
 def gcn_propagate(h: Tensor, adj: DocumentAdjacency, w: Tensor, b: Tensor,
                   activation=tanh) -> Tensor:
-    """Degree-normalized neighbor aggregation: f((A/d) h W + b)."""
-    if adj.matrix.shape[0] != h.shape[0]:
+    """Degree-normalized neighbor aggregation: f((A/d) h W + b), on one
+    (n, n) graph with (n, d) features or a (B, n, n) batch of graphs with
+    (B, n, d) features."""
+    if adj.matrix.shape[:-1] != h.shape[:-1]:
         raise ShapeError(
-            f"gcn: adjacency for {adj.matrix.shape[0]} nodes but "
-            f"{h.shape[0]} feature rows")
+            f"gcn: adjacency {adj.matrix.shape} does not match "
+            f"features {h.shape}")
     if np.any(adj.degree <= 0.0):
         raise ValueError("gcn: zero-degree node (self-loops missing)")
     a_norm = Tensor(adj.normalized)
@@ -370,7 +360,16 @@ def inter_graph_mix(states: list[Tensor]) -> Tensor:
     for s in states[1:]:
         if s.shape != shape:
             raise ShapeError(f"inter_graph_mix: shapes {shape} vs {s.shape}")
-    total = states[0]
-    for s in states[1:]:
-        total = add(total, s)
-    return hadamard(total, 1.0 / len(states))
+    # One fused record: the sum accumulates in place, in list order, so
+    # the mean holds one state-sized array.
+    scale = 1.0 / len(states)
+    total = states[0].data + states[1].data
+    for s in states[2:]:
+        total += s.data
+    total *= scale
+
+    def rule(g):
+        share = g * scale
+        return [(s, share) for s in states]
+
+    return make_op(total, states, rule)

@@ -1,19 +1,30 @@
 """End-to-end classifier assembly: parameter registry, ablation
 variants, instance encoding, the forward pass, and the training loss.
 
-Forward path per instance: embed tokens -> bidirectional LSTM ->
-{self-attention branch, graph-convolution branch over the three
+Forward path, one mini-batch at a time: embed tokens -> bidirectional
+LSTM -> {self-attention branch, graph-convolution branch over the three
 projected graphs} -> masked max-pool per branch -> concatenate ->
 affine classifier. Ablated branches are skipped and the classifier
 narrows accordingly.
 
+Encoding cuts each document to its real prefix once: ids, pad mask and
+every adjacency drop the trailing padding. `forward` pads each batch to
+its longest document (T steps) and carries a (B, T) validity mask that
+is false on batch padding and on any in-document `<pad>` token:
+  * the LSTM runs each row over its own length, so the backward
+    direction starts at the row's last real token;
+  * attention adds MASK_NEG to the scores of invalid keys, one head at
+    a time over (B, T, T) scores;
+  * each kind's adjacency is padded to (B, T, T), padded nodes keeping
+    only a unit self-loop, so no real node aggregates from them;
+  * max-pooling adds MASK_NEG at invalid positions.
+An instance's logits therefore do not depend on the batch it runs in,
+up to summation order. Train-mode dropout draws each instance's
+(n_i, d_model) mask in batch order, as one-at-a-time runs would.
+
 The graph-convolution branch keeps one node state m, starting from the
 LSTM output; each layer replaces it by mean_k tanh(A_k m W_k + b_k)
 over the graph kinds k, with A_k the degree-normalized adjacency.
-
-Encoding cuts each document to its real prefix once: ids, pad mask and
-every adjacency drop the trailing padding, so no branch sees it (the
-backward LSTM starts at the last real token).
 """
 
 from __future__ import annotations
@@ -252,65 +263,110 @@ def encode_instances(instances: list[RelationInstance],
 # ---------------------------------------------------------------------------
 # Forward
 
-def _instance_logits(model: ModelState, inst: EncodedInstance, mode: str) -> Tensor:
-    cfg = model.config
-    enc = inst.doc
-    ids, pad = enc.ids, enc.pad
-    n = len(ids)
-    pos_head = model.params.get("embed.pos_head") if cfg.use_position else None
-    pos_tail = model.params.get("embed.pos_tail") if cfg.use_position else None
-    seq = embed_sequence(ids, inst.head_start, inst.tail_start,
-                         model.word_table(), pos_head, pos_tail, cfg.max_dist)
-    h = bilstm(seq, model.lstm_params())
-    if mode == "train" and cfg.dropout > 0.0:
-        h = ad.dropout(h, cfg.dropout, "train", model.rng)
+def _batch_adjacency(batch: list[EncodedInstance], kind: str,
+                     steps: int) -> DocumentAdjacency:
+    """One kind's adjacency for a padded batch, (B, steps, steps). Padded
+    nodes keep only a unit self-loop, so no real node sees them."""
+    matrix = np.zeros((len(batch), steps, steps))
+    matrix[:, np.arange(steps), np.arange(steps)] = 1.0
+    degree = np.ones((len(batch), steps))
+    for i, inst in enumerate(batch):
+        adj = inst.doc.adjacency[kind]
+        n = len(adj.degree)
+        matrix[i, :n, :n] = adj.matrix
+        degree[i, :n] = adj.degree
+    return DocumentAdjacency(matrix, degree)
 
-    has_pad = bool(pad.any())
-    pool_mask = None
-    if has_pad:
-        pool_mask = Tensor(np.where(pad[:, None], MASK_NEG, 0.0)
-                           * np.ones((1, cfg.d_model)))
 
-    branches = []
-    if cfg.attention != "none":
-        attn_mask = None
-        if has_pad:
-            attn_mask = Tensor(np.where(pad[None, :], MASK_NEG, 0.0)
-                               * np.ones((n, 1)))
-        attended = multi_head_attention(h, model.attention_params(), attn_mask)
-    else:
-        attended = h
-    pooled = ad.max_pool_over_time(
-        ad.add(attended, pool_mask) if has_pad else attended)
-    branches.append(pooled)
-
-    if cfg.use_gcn:
-        m = h
-        for layer in range(cfg.gcn_layers):
-            m = inter_graph_mix([
-                gcn_propagate(m, enc.adjacency[kind],
-                              model.params[f"gcn.layer{layer}.{kind}.w"],
-                              model.params[f"gcn.layer{layer}.{kind}.b"])
-                for kind in GRAPH_KINDS
-            ])
-        branches.append(ad.max_pool_over_time(
-            ad.add(m, pool_mask) if has_pad else m))
-
-    rep = ad.concat(branches, axis=0) if len(branches) > 1 else branches[0]
-    row = ad.matmul(ad.reshape(rep, (1, cfg.classifier_width)),
-                    model.params["clf.w"])
-    return ad.add(row, model.params["clf.b"])
+def _dropout_mask(rng: np.random.Generator, p: float, lengths: np.ndarray,
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """Inverted-dropout multipliers for a padded batch. Each instance
+    draws its own (n_i, width) block in batch order, so the random
+    stream, and with it training, does not depend on batch padding."""
+    mask = np.zeros(shape)
+    for i, n in enumerate(lengths):
+        mask[i, :n] = ad.dropout_mask(rng, p, (n, shape[-1]))
+    return mask
 
 
 def forward(model: ModelState, batch: list[EncodedInstance],
             mode: str = "eval") -> Tensor:
-    """Logits for a batch, shape (len(batch), label_count). Instances are
-    processed independently, so batching never changes per-instance
-    values."""
+    """Logits for a batch, shape (len(batch), label_count).
+
+    The batch runs as one padded computation of T = the longest
+    document's length: a (B, T) validity mask (batch padding and any
+    in-document `<pad>` token) keeps padded positions out of attention
+    keys and max-pooling, the LSTM runs each row over its own length,
+    and the GCN sees padded nodes as isolated self-loops. Batching
+    therefore changes per-instance values only by summation order."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    rows = [_instance_logits(model, inst, mode) for inst in batch]
-    return ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+    cfg = model.config
+    lengths = np.array([len(inst.doc.ids) for inst in batch])
+    bsz, steps = len(batch), int(lengths.max())
+    ids = np.full((bsz, steps), PAD_ID, dtype=np.int64)
+    valid = np.zeros((bsz, steps), dtype=bool)
+    for i, inst in enumerate(batch):
+        ids[i, :lengths[i]] = inst.doc.ids
+        valid[i, :lengths[i]] = ~inst.doc.pad
+    heads = np.array([inst.head_start for inst in batch])
+    tails = np.array([inst.tail_start for inst in batch])
+
+    pos_head = model.params.get("embed.pos_head") if cfg.use_position else None
+    pos_tail = model.params.get("embed.pos_tail") if cfg.use_position else None
+    h = bilstm(embed_sequence(ids, heads, tails, model.word_table(), pos_head,
+                              pos_tail, cfg.max_dist),
+               model.lstm_params(), lengths)
+    if mode == "train" and cfg.dropout > 0.0:
+        h = ad.hadamard(h, _dropout_mask(model.rng, cfg.dropout, lengths, h.shape))
+
+    # Each branch returns its pooled (B, d_model) features, so its
+    # (B, T, .) intermediates are freed before the next branch runs.
+    key_bias = np.where(valid, 0.0, MASK_NEG)
+    branches = [_attention_features(model, h, key_bias)]
+    if cfg.use_gcn:
+        branches.append(_gcn_features(model, batch, h, key_bias))
+    rep = ad.concat(branches, axis=-1) if len(branches) > 1 else branches[0]
+    return ad.add_rowvec(ad.matmul(rep, model.params["clf.w"]),
+                         model.params["clf.b"])
+
+
+def _masked_max_pool(x: Tensor, key_bias: np.ndarray) -> Tensor:
+    """Max over the time axis of (B, T, d) states, with `key_bias`
+    (0 or MASK_NEG per position) keeping padded positions out."""
+    return ad.max_pool_over_time(
+        ad.add(x, Tensor(np.broadcast_to(key_bias[:, :, None], x.shape))))
+
+
+def _attention_features(model: ModelState, h: Tensor,
+                        key_bias: np.ndarray) -> Tensor:
+    if model.config.attention == "none":
+        return _masked_max_pool(h, key_bias)
+    bsz, steps = key_bias.shape
+    mask = Tensor(np.broadcast_to(key_bias[:, None, :], (bsz, steps, steps)))
+    return _masked_max_pool(
+        multi_head_attention(h, model.attention_params(), mask), key_bias)
+
+
+def _gcn_features(model: ModelState, batch: list[EncodedInstance], h: Tensor,
+                  key_bias: np.ndarray) -> Tensor:
+    # Each kind's padded adjacency is rebuilt in every layer, for the
+    # eval working set: under no_grad at most one is alive at a time.
+    # Building all three once before the loop raised a 64-instance
+    # `predict` chunk's tracemalloc peak from 89 to 100 MB at T = 100
+    # with the default model. In training the tape keeps every layer's
+    # normalized adjacency anyway, and the rebuild costs about 0.06 ms
+    # per kind at B = 8, T = 100.
+    steps = key_bias.shape[1]
+    m = h
+    for layer in range(model.config.gcn_layers):
+        m = inter_graph_mix([
+            gcn_propagate(m, _batch_adjacency(batch, kind, steps),
+                          model.params[f"gcn.layer{layer}.{kind}.w"],
+                          model.params[f"gcn.layer{layer}.{kind}.b"])
+            for kind in GRAPH_KINDS
+        ])
+    return _masked_max_pool(m, key_bias)
 
 
 def loss(model: ModelState, batch: list[EncodedInstance],
@@ -319,9 +375,34 @@ def loss(model: ModelState, batch: list[EncodedInstance],
     return ad.cross_entropy(forward(model, batch, mode), labels)
 
 
-def predict_proba(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray:
-    with ad.no_grad():
-        logits = forward(model, batch, "eval").data
+# Floats in the largest array of one eval forward: 2 MiB, about a
+# training step's arrays at batch 8 and T = 100 with the default model.
+EVAL_ARRAY_FLOATS = 1 << 18
+
+
+def _eval_logits(model: ModelState, batch: list[EncodedInstance],
+                 chunk: int) -> np.ndarray:
+    """Eval-mode logits, (len(batch), label_count), with gradients
+    disabled, from one forward per `chunk` instances or fewer. A padded
+    forward's largest arrays, the (B, T, T) scores and adjacency and the
+    (B, T, d_model) states, hold B * T * max(T, d_model) floats, so B is
+    cut to keep them within EVAL_ARRAY_FLOATS at the batch's longest T."""
+    steps = max((len(inst.doc.ids) for inst in batch), default=1)
+    per_instance = steps * max(steps, model.config.d_model)
+    chunk = max(1, min(chunk, EVAL_ARRAY_FLOATS // per_instance))
+    out = np.empty((len(batch), model.config.label_count))
+    for start in range(0, len(batch), chunk):
+        part = batch[start:start + chunk]
+        with ad.no_grad():
+            out[start:start + len(part)] = forward(model, part, "eval").data
+    return out
+
+
+def predict_proba(model: ModelState, batch: list[EncodedInstance],
+                  chunk: int = 64) -> np.ndarray:
+    """Softmax label probabilities, evaluated in chunks of at most
+    `chunk` instances."""
+    logits = _eval_logits(model, batch, chunk)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -329,38 +410,5 @@ def predict_proba(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray
 
 def predict(model: ModelState, batch: list[EncodedInstance],
             chunk: int = 64) -> np.ndarray:
-    """Argmax labels, evaluated in chunks with gradients disabled."""
-    out = np.empty(len(batch), dtype=np.int64)
-    for start in range(0, len(batch), chunk):
-        part = batch[start:start + chunk]
-        with ad.no_grad():
-            logits = forward(model, part, "eval").data
-        out[start:start + len(part)] = logits.argmax(axis=1)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Per-document word states (for rebuilding the semantic graph from a
-# trained encoder)
-
-def word_states_from_bilstm(model: ModelState, docs: list[Document]
-                            ) -> dict[str, dict[int, np.ndarray]]:
-    """Mean encoder state per word type per document; feeds the
-    per-document-vector mode of the semantic graph builder."""
-    out: dict[str, dict[int, np.ndarray]] = {}
-    cfg = model.config
-    pos_head = model.params.get("embed.pos_head") if cfg.use_position else None
-    pos_tail = model.params.get("embed.pos_tail") if cfg.use_position else None
-    for doc in docs:
-        ids = np.array([model.vocab.id(t.surface) for t in doc.tokens],
-                       dtype=np.int64)
-        with ad.no_grad():
-            seq = embed_sequence(ids, 0, 0, model.word_table(), pos_head,
-                                 pos_tail, cfg.max_dist)
-            h = bilstm(seq, model.lstm_params()).data
-        buckets: dict[int, list[np.ndarray]] = {}
-        for pos, tid in enumerate(ids):
-            if tid not in (PAD_ID,):
-                buckets.setdefault(int(tid), []).append(h[pos])
-        out[doc.id] = {tid: np.mean(rows, axis=0) for tid, rows in buckets.items()}
-    return out
+    """Argmax labels, evaluated in chunks of at most `chunk` instances."""
+    return _eval_logits(model, batch, chunk).argmax(axis=1)

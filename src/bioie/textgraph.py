@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -41,6 +42,15 @@ class WordPairStats:
     def weight(self, a: int, b: int) -> float:
         return self.weights.get(_pair(a, b), 0.0)
 
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero weights as parallel arrays (a ids, b ids, weights),
+        a < b, built once on first use."""
+        edges = [(a, b, w) for (a, b), w in self.weights.items() if w != 0.0]
+        a_ids = np.array([e[0] for e in edges], dtype=np.int64)
+        b_ids = np.array([e[1] for e in edges], dtype=np.int64)
+        return a_ids, b_ids, np.array([e[2] for e in edges], dtype=np.float64)
+
     def __len__(self) -> int:
         return len(self.weights)
 
@@ -59,12 +69,12 @@ class CorpusGraphs:
 
 @dataclass
 class DocumentAdjacency:
-    matrix: np.ndarray  # (n, n), symmetric, positive diagonal
-    degree: np.ndarray  # row sums
+    matrix: np.ndarray  # (n, n), symmetric, positive diagonal; or (B, n, n)
+    degree: np.ndarray  # row sums, (n,) or (B, n)
 
     @property
     def normalized(self) -> np.ndarray:
-        return self.matrix / self.degree[:, None]
+        return self.matrix / self.degree[..., None]
 
 
 def _doc_word_ids(doc: Document, vocab: Vocabulary) -> list[int]:
@@ -76,53 +86,31 @@ def _doc_word_ids(doc: Document, vocab: Vocabulary) -> list[int]:
     return list(seen)
 
 
-def build_semantic_graph(docs: list[Document], embeddings, vocab: Vocabulary,
-                         theta: float) -> WordPairStats:
-    """Count, per document, the in-document word pairs whose cosine
-    similarity reaches `theta`; weight = count / co-occurrence documents.
-
-    `embeddings` is either an EmbeddingTable (one static vector per word)
-    or a mapping doc_id -> {word_id: vector} for per-document vectors
-    (e.g. encoder states).
-    """
+def build_semantic_graph(docs: list[Document], embeddings: EmbeddingTable,
+                         vocab: Vocabulary, theta: float) -> WordPairStats:
+    """Count, per document, the in-document word pairs whose word-vector
+    cosine similarity reaches `theta`; weight = count / co-occurrence
+    documents."""
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
-    static = isinstance(embeddings, EmbeddingTable)
-    unit_rows = None
     zero_norm_logged: set[int] = set()
-    if static:
-        norms = np.linalg.norm(embeddings.vectors, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit_rows = np.where(norms[:, None] > 0.0,
-                                 embeddings.vectors / norms[:, None], 0.0)
+    norms = np.linalg.norm(embeddings.vectors, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit_rows = np.where(norms[:, None] > 0.0,
+                             embeddings.vectors / norms[:, None], 0.0)
 
     counts: dict[tuple[int, int], float] = {}
     co_docs: dict[tuple[int, int], int] = {}
     for doc in docs:
-        ids = _doc_word_ids(doc, vocab)
-        if static:
-            vecs = {}
-            for i in ids:
-                if np.linalg.norm(embeddings.vectors[i]) == 0.0:
-                    if i not in zero_norm_logged:
-                        log.warning("word id %d has a zero-norm vector; "
-                                    "skipping its semantic edges", i)
-                        zero_norm_logged.add(i)
-                    continue
-                vecs[i] = unit_rows[i]
-        else:
-            per_doc = embeddings.get(doc.id, {})
-            vecs = {}
-            for i in ids:
-                v = per_doc.get(i)
-                if v is None:
-                    continue
-                norm = np.linalg.norm(v)
-                if norm == 0.0:
-                    log.warning("word id %d has a zero-norm vector in %s; "
-                                "skipping its semantic edges", i, doc.id)
-                    continue
-                vecs[i] = np.asarray(v) / norm
+        vecs = {}
+        for i in _doc_word_ids(doc, vocab):
+            if np.linalg.norm(embeddings.vectors[i]) == 0.0:
+                if i not in zero_norm_logged:
+                    log.warning("word id %d has a zero-norm vector; "
+                                "skipping its semantic edges", i)
+                    zero_norm_logged.add(i)
+                continue
+            vecs[i] = unit_rows[i]
         usable = sorted(vecs)
         for a, b in combinations(usable, 2):
             key = _pair(a, b)
@@ -202,8 +190,9 @@ def build_sequence_graph(docs: list[Document], vocab: Vocabulary,
     return WordPairStats(counts, weights)
 
 
-def build_corpus_graphs(docs: list[Document], embeddings, vocab: Vocabulary,
-                        theta: float = 0.9, window: int = 20) -> CorpusGraphs:
+def build_corpus_graphs(docs: list[Document], embeddings: EmbeddingTable,
+                        vocab: Vocabulary, theta: float = 0.9,
+                        window: int = 20) -> CorpusGraphs:
     return CorpusGraphs(
         semantic=build_semantic_graph(docs, embeddings, vocab, theta),
         syntactic=build_syntactic_graph(docs, vocab),
@@ -218,23 +207,26 @@ def project_adjacency(doc: Document, graphs: CorpusGraphs, vocab: Vocabulary
     """Per-graph token adjacency for one document: corpus weights looked
     up by word-type pair, unit self-loops, PAD/UNK isolated."""
     ids = np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
-    n = len(ids)
-    real = [(pos, tid) for pos, tid in enumerate(ids)
-            if tid not in (PAD_ID, UNK_ID)]
+    special = (ids == PAD_ID) | (ids == UNK_ID)
+    uniq, inv = np.unique(ids, return_inverse=True)
+    probe = np.append(uniq, -1)  # past-the-end slot that matches no id
     out: dict[str, DocumentAdjacency] = {}
     for kind in GRAPH_KINDS:
-        stats = graphs.by_kind(kind)
-        a = np.eye(n)
-        for x in range(len(real)):
-            pos_x, id_x = real[x]
-            for y in range(x + 1, len(real)):
-                pos_y, id_y = real[y]
-                if id_x == id_y:
-                    continue
-                w = stats.weight(id_x, id_y)
-                if w != 0.0:
-                    a[pos_x, pos_y] = w
-                    a[pos_y, pos_x] = w
+        a_ids, b_ids, w = graphs.by_kind(kind).edge_arrays
+        # Corpus edges whose two word types both occur in the document,
+        # as a weight matrix over the document's word types.
+        ia = np.searchsorted(uniq, a_ids)
+        ib = np.searchsorted(uniq, b_ids)
+        hit = (probe[ia] == a_ids) & (probe[ib] == b_ids)
+        types = np.zeros((len(uniq), len(uniq)))
+        types[ia[hit], ib[hit]] = w[hit]
+        types[ib[hit], ia[hit]] = w[hit]
+        # Row sums below must see the same memory layout as a fresh
+        # matrix, or the degrees can differ in the last bit.
+        a = np.ascontiguousarray(types[inv][:, inv])
+        a[special, :] = 0.0
+        a[:, special] = 0.0
+        np.fill_diagonal(a, 1.0)
         out[kind] = DocumentAdjacency(a, a.sum(axis=1))
     return out
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the tensor engine."""
 
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ class TestDropout:
         b = ad.dropout(x, 0.5, "train", np.random.default_rng(42)).data
         assert np.array_equal(a, b)
 
+    def test_dropout_multiplies_by_dropout_mask(self):
+        x = Tensor(rand((6, 5)))
+        out = ad.dropout(x, 0.3, "train", np.random.default_rng(4)).data
+        mask = ad.dropout_mask(np.random.default_rng(4), 0.3, (6, 5))
+        assert np.array_equal(out, x.data * mask)
+        assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
+
+    def test_mask_invalid_probability(self):
+        with pytest.raises(ValueError):
+            ad.dropout_mask(np.random.default_rng(0), 1.0, (2,))
+
 
 class TestMaxPool:
     def test_single_row(self):
@@ -222,6 +234,69 @@ class TestMaxPool:
         reset_tape()
         backward(ad.max_pool_over_time(x).sum())
         assert np.array_equal(x.grad, [[1.0], [0.0]])
+
+
+class TestBatchAxis:
+    """Ops that take a leading batch axis: each batch element gets the
+    value of the 2-D call, and gradients pass finite differences."""
+
+    def weights(self, shape, seed):
+        # Fixed weights make the checked scalar depend on every output
+        # element with a distinct factor.
+        return Tensor(rand(shape, seed=seed))
+
+    def test_matmul_batch_values(self):
+        a, b, w = rand((3, 4, 5), 1), rand((3, 5, 2), 2), rand((5, 2), 3)
+        batched = ad.matmul(Tensor(a), Tensor(b)).data
+        shared = ad.matmul(Tensor(a), Tensor(w)).data
+        for i in range(3):
+            assert np.array_equal(batched[i], ad.matmul(Tensor(a[i]), Tensor(b[i])).data)
+            assert np.allclose(shared[i], a[i] @ w, atol=1e-15)
+
+    def test_matmul_batch_gradients(self):
+        cases = [((3, 4, 5), (5, 2)), ((3, 4, 5), (3, 5, 2)), ((4, 5), (3, 5, 2))]
+        for k, (sa, sb) in enumerate(cases):
+            a, b = Tensor(rand(sa, 10 + k)), Tensor(rand(sb, 20 + k))
+            out_shape = np.matmul(a.data, b.data).shape
+            w = self.weights(out_shape, 30 + k)
+            f = lambda _: ad.hadamard(ad.matmul(a, b), w).sum()
+            assert grad_check(f, a, epsilon=1e-5) <= 1e-6, (sa, sb)
+            assert grad_check(f, b, epsilon=1e-5) <= 1e-6, (sa, sb)
+
+    def test_matmul_batch_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+        with pytest.raises(ShapeError):
+            ad.matmul(Tensor(np.ones((2, 2, 3, 4))), Tensor(np.ones((4, 2))))
+
+    def test_transpose_swaps_last_axes(self):
+        x = rand((2, 3, 4), 4)
+        assert np.array_equal(ad.transpose(Tensor(x)).data, x.transpose(0, 2, 1))
+        w = self.weights((2, 4, 3), 5)
+        err = grad_check(lambda t: ad.hadamard(ad.transpose(t), w).sum(),
+                         Tensor(x), epsilon=1e-5)
+        assert err <= 1e-6
+
+    def test_add_rowvec_batch(self):
+        x, v = Tensor(rand((2, 3, 4), 6)), Tensor(rand((1, 4), 7))
+        assert np.array_equal(ad.add_rowvec(x, v).data, x.data + v.data)
+        w = self.weights((2, 3, 4), 8)
+        f = lambda _: ad.hadamard(ad.add_rowvec(x, v), w).sum()
+        assert grad_check(f, x, epsilon=1e-5) <= 1e-6
+        assert grad_check(f, v, epsilon=1e-5) <= 1e-6
+        with pytest.raises(ShapeError):
+            ad.add_rowvec(x, Tensor(np.ones((1, 3))))
+
+    def test_max_pool_batch(self):
+        x = rand((3, 5, 4), 9)
+        out = ad.max_pool_over_time(Tensor(x)).data
+        assert out.shape == (3, 4)
+        for i in range(3):
+            assert np.array_equal(out[i], ad.max_pool_over_time(Tensor(x[i])).data)
+        w = self.weights((3, 4), 11)
+        err = grad_check(lambda t: ad.hadamard(ad.max_pool_over_time(t), w).sum(),
+                         Tensor(x), epsilon=1e-5)
+        assert err <= 1e-6
 
 
 class TestCrossEntropy:
@@ -403,3 +478,21 @@ def test_forward_outputs_finite_on_finite_inputs():
     for out in (ad.tanh(x), ad.sigmoid(x), ad.softmax(x, axis=1),
                 ad.matmul(x, x), ad.hadamard(x, x)):
         assert np.all(np.isfinite(out.data))
+
+
+def test_freed_arrays_are_reused_without_page_faults():
+    # Allocating and freeing 8 MiB of 1 MiB arrays, as a forward pass
+    # does, would under glibc's default thresholds return the freed heap
+    # top to the OS and fault all ~2048 pages in again on every round.
+    if not ad.keep_freed_arrays():
+        pytest.skip("the C library has no mallopt")
+
+    def one_round():
+        arrays = [np.ones(1 << 17) for _ in range(8)]
+        del arrays
+
+    one_round()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        one_round()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bioie.autodiff as ad
-from bioie.autodiff import ShapeError, Tensor, grad_check
+from bioie.autodiff import ShapeError, Tensor, grad_check, make_op, sigmoid_values
 from bioie.layers import (
     AttentionHeadParams,
     AttentionParams,
@@ -18,7 +18,6 @@ from bioie.layers import (
     init_lstm_direction,
     inter_graph_mix,
     lstm_sequence,
-    lstm_step,
     multi_head_attention,
     scaled_dot_attention,
 )
@@ -27,6 +26,76 @@ from bioie.textgraph import DocumentAdjacency
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, shape)
+
+
+def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
+              params: LstmDirectionParams) -> tuple[Tensor, Tensor]:
+    """One LSTM cell update on a (1, input) row; returns (h_t, c_t). The
+    step-by-step oracle for the fused `lstm_sequence`.
+
+    Sigmoid input/forget/output gates, tanh candidate; gate blocks are
+    ordered [input, forget, output, candidate]. The cell state and the
+    output gate are two fused tape records sharing the forward
+    intermediates.
+    """
+    hid = params.wh.shape[0]
+    if x.shape != (1, params.wx.shape[0]) or h_prev.shape != (1, hid):
+        raise ShapeError(
+            f"lstm_step: x {x.shape} / h {h_prev.shape} do not match parameters "
+            f"{params.wx.shape} / {params.wh.shape}")
+    xd, hd, cd = x.data, h_prev.data, c_prev.data
+    wx, wh, b = params.wx, params.wh, params.b
+    z = xd @ wx.data + hd @ wh.data + b.data
+    gates = sigmoid_values(z[:, :3 * hid])
+    i_g = gates[:, :hid]
+    f_g = gates[:, hid:2 * hid]
+    o_g = gates[:, 2 * hid:]
+    g_g = np.tanh(z[:, 3 * hid:])
+    c_new = f_g * cd + i_g * g_g
+
+    def _propagate(dz, g_c_prev=None):
+        pairs = []
+        if x.requires_grad:
+            pairs.append((x, dz @ wx.data.T))
+        if h_prev.requires_grad:
+            pairs.append((h_prev, dz @ wh.data.T))
+        if c_prev.requires_grad and g_c_prev is not None:
+            pairs.append((c_prev, g_c_prev))
+        if wx.requires_grad:
+            pairs.append((wx, xd.T @ dz))
+        if wh.requires_grad:
+            pairs.append((wh, hd.T @ dz))
+        if b.requires_grad:
+            pairs.append((b, dz))
+        return pairs
+
+    def c_rule(g):
+        dz = np.zeros_like(z)
+        dz[:, :hid] = (g * g_g) * i_g * (1.0 - i_g)
+        dz[:, hid:2 * hid] = (g * cd) * f_g * (1.0 - f_g)
+        dz[:, 3 * hid:] = (g * i_g) * (1.0 - g_g * g_g)
+        return _propagate(dz, g_c_prev=g * f_g)
+
+    def o_rule(g):
+        dz = np.zeros_like(z)
+        dz[:, 2 * hid:3 * hid] = g * o_g * (1.0 - o_g)
+        return _propagate(dz)
+
+    c_t = make_op(c_new, (x, h_prev, c_prev, wx, wh, b), c_rule)
+    o_t = make_op(o_g, (x, h_prev, wx, wh, b), o_rule)
+    h_t = ad.hadamard(o_t, ad.tanh(c_t))
+    return h_t, c_t
+
+
+def stepwise(seq: np.ndarray, p: LstmDirectionParams, reverse=False) -> np.ndarray:
+    """Chain `lstm_step` over an (n, input) sequence; (n, hidden) outputs."""
+    n, hid = seq.shape[0], p.wh.shape[0]
+    h, c = Tensor(np.zeros((1, hid))), Tensor(np.zeros((1, hid)))
+    rows = np.empty((n, hid))
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        h, c = lstm_step(Tensor(seq[t:t + 1]), h, c, p)
+        rows[t] = h.data[0]
+    return rows
 
 
 class TestModelConfig:
@@ -71,6 +140,16 @@ class TestEmbedSequence:
         word, _, _ = self.tables()
         out = embed_sequence([0, 1], 0, 1, word, None, None, 60)
         assert out.shape == (2, 100)
+
+    def test_batch_rows_match_single_sequences(self):
+        word, ph, pt = self.tables()
+        ids = np.array([[0, 1, 2, 3], [4, 5, 0, 0]])
+        out = embed_sequence(ids, np.array([1, 0]), np.array([3, 1]),
+                             word, ph, pt, 60)
+        assert out.shape == (2, 4, 140)
+        for i, (hs, ts) in enumerate([(1, 3), (0, 1)]):
+            single = embed_sequence(ids[i], hs, ts, word, ph, pt, 60)
+            assert np.array_equal(out.data[i], single.data)
 
     def test_id_out_of_range(self):
         word, ph, pt = self.tables(vocab=3)
@@ -149,6 +228,42 @@ class TestLstm:
         assert grad_check(lambda s: f(None), seq, epsilon=1e-5, samples=20) <= 1e-4
 
 
+    def test_batch_rows_match_stepwise_over_own_length(self):
+        """Each row of a padded batch equals the step-by-step oracle on its
+        real prefix, in both directions; padded positions output zero."""
+        p = init_lstm_direction(np.random.default_rng(14), 5, 4)
+        lengths = np.array([7, 2, 5])
+        seq = rand((3, 7, 5), 15)
+        for reverse in (False, True):
+            out = lstm_sequence(Tensor(seq), p, reverse=reverse, lengths=lengths).data
+            assert out.shape == (3, 7, 4)
+            for i, n in enumerate(lengths):
+                expected = stepwise(seq[i, :n], p, reverse=reverse)
+                assert np.max(np.abs(out[i, :n] - expected)) < 1e-12
+                assert np.array_equal(out[i, n:], np.zeros((7 - n, 4)))
+
+    def test_batch_gradients_unequal_lengths(self):
+        p = init_lstm_direction(np.random.default_rng(16), 4, 3)
+        seq = Tensor(rand((3, 6, 4), 17))
+        weights = Tensor(rand((3, 6, 3), 18))
+        lengths = np.array([6, 2, 4])
+        for reverse in (False, True):
+            def f(_):
+                out = lstm_sequence(seq, p, reverse=reverse, lengths=lengths)
+                return ad.hadamard(out, weights).sum()
+
+            for param in (p.wx, p.wh, p.b):
+                assert grad_check(f, param, epsilon=1e-5, samples=20) <= 1e-4
+            assert grad_check(f, seq, epsilon=1e-5, samples=30) <= 1e-4
+
+    def test_lengths_must_fit_batch(self):
+        p = init_lstm_direction(np.random.default_rng(0), 4, 3)
+        seq = Tensor(np.zeros((2, 5, 4)))
+        for bad in ([5, 6], [0, 3], [5]):
+            with pytest.raises(ShapeError, match="lengths"):
+                lstm_sequence(seq, p, lengths=np.array(bad))
+
+
 class TestBilstm:
     def params(self, width=5, hidden=4, shared=False, seed=1):
         rng = np.random.default_rng(seed)
@@ -167,6 +282,16 @@ class TestBilstm:
     def test_single_position_symmetric_params(self):
         out = bilstm(Tensor(rand((1, 5), 2)), self.params(shared=True))
         assert np.allclose(out.data[:, :4], out.data[:, 4:], atol=1e-14)
+
+    def test_batch_matches_single_sequences(self):
+        params = self.params(seed=5)
+        seq = rand((2, 6, 5), 6)
+        lengths = np.array([3, 6])
+        out = bilstm(Tensor(seq), params, lengths).data
+        assert out.shape == (2, 6, 8)
+        for i, n in enumerate(lengths):
+            single = bilstm(Tensor(seq[i, :n]), params).data
+            assert np.max(np.abs(out[i, :n] - single)) < 1e-12
 
     def test_reversal_symmetry_with_shared_params(self):
         params = self.params(shared=True, seed=3)
@@ -252,6 +377,42 @@ class TestAttention:
         assert np.allclose(masked, trimmed, atol=1e-12)
 
 
+class TestBatchedAttention:
+    """(B, n, d) attention with padded keys masked by a large negative
+    bias: real query rows equal the unpadded per-sequence result."""
+
+    def setup_batch(self):
+        lengths = np.array([5, 3])
+        x = rand((2, 5, 8), 30)
+        bias = np.where(np.arange(5)[None, :] < lengths[:, None], 0.0, -1e30)
+        mask = Tensor(np.broadcast_to(bias[:, None, :], (2, 5, 5)))
+        rng = np.random.default_rng(31)
+        heads = [AttentionHeadParams(*(Tensor(glorot(rng, 8, 4), requires_grad=True)
+                                       for _ in range(3))) for _ in range(2)]
+        params = AttentionParams(heads, Tensor(glorot(rng, 8, 8), requires_grad=True))
+        return lengths, x, mask, params
+
+    def test_rows_match_unpadded(self):
+        lengths, x, mask, params = self.setup_batch()
+        out = multi_head_attention(Tensor(x), params, mask).data
+        for i, n in enumerate(lengths):
+            single = multi_head_attention(Tensor(x[i, :n]), params).data
+            assert np.max(np.abs(out[i, :n] - single)) < 1e-12
+
+    def test_masked_gradients(self):
+        lengths, x, mask, params = self.setup_batch()
+        xt = Tensor(x)
+        weights = Tensor(rand((2, 5, 8), 32))
+
+        def f(_):
+            return ad.hadamard(multi_head_attention(xt, params, mask), weights).sum()
+
+        for param in (params.heads[0].wq, params.heads[1].wk,
+                      params.heads[1].wv, params.wo):
+            assert grad_check(f, param, epsilon=1e-5, samples=12) <= 1e-4
+        assert grad_check(f, xt, epsilon=1e-5, samples=20) <= 1e-4
+
+
 def adjacency(matrix):
     m = np.asarray(matrix, dtype=float)
     return DocumentAdjacency(m, m.sum(axis=1))
@@ -290,6 +451,37 @@ class TestGcn:
         permuted = gcn_propagate(Tensor(h[perm]), adjacency(a[np.ix_(perm, perm)]),
                                  w, b).data
         assert np.max(np.abs(permuted - base[perm])) < 1e-12
+
+    def test_batched_graphs_match_single(self):
+        """A (B, n, n) batch whose padded nodes keep only a self-loop gives
+        each real node its single-graph value; gradients pass."""
+        rng = np.random.default_rng(12)
+        sizes, steps = (4, 2), 4
+        mats = []
+        for n in sizes:
+            a = rng.uniform(0, 1, (n, n))
+            mats.append((a + a.T) / 2 + np.eye(n))
+        matrix = np.tile(np.eye(steps), (2, 1, 1))
+        for i, (n, a) in enumerate(zip(sizes, mats)):
+            matrix[i, :n, :n] = a
+        batch_adj = adjacency(matrix)
+        h = Tensor(rand((2, steps, 3), 13))
+        w, b = Tensor(rand((3, 3), 14)), Tensor(rand((1, 3), 15))
+        out = gcn_propagate(h, batch_adj, w, b).data
+        for i, (n, a) in enumerate(zip(sizes, mats)):
+            single = gcn_propagate(Tensor(h.data[i, :n]), adjacency(a), w, b).data
+            assert np.max(np.abs(out[i, :n] - single)) < 1e-12
+
+        def f(_):
+            return gcn_propagate(h, batch_adj, w, b).sum()
+
+        for param in (h, w, b):
+            assert grad_check(f, param, epsilon=1e-5) <= 1e-4
+
+    def test_batch_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            gcn_propagate(Tensor(np.ones((2, 3, 2))), adjacency(np.ones((3, 3))),
+                          Tensor(np.eye(2)), Tensor(np.zeros((1, 2))))
 
     def test_zero_degree_rejected(self):
         bad = DocumentAdjacency(np.zeros((2, 2)), np.zeros(2))

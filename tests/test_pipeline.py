@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import bioie.autodiff as ad
+import bioie.pipeline as pipeline
 from bioie.corpus import PAD_ID
 from bioie.layers import ModelConfig, bilstm, embed_sequence, multi_head_attention
 from bioie.pipeline import (
     ABLATION_VARIANTS,
     MASK_NEG,
+    DocEncoding,
     count_parameters,
     encode_instances,
     forward,
@@ -21,7 +23,7 @@ from bioie.pipeline import (
     parameter_group_counts,
     predict_proba,
 )
-from bioie.textgraph import GRAPH_KINDS, project_adjacency
+from bioie.textgraph import GRAPH_KINDS, DocumentAdjacency, project_adjacency
 from bioie.training import make_optimizer
 
 from conftest import build_synth_task
@@ -30,6 +32,26 @@ from conftest import build_synth_task
 def encode_all(task, config):
     return encode_instances(task.instances, task.documents, task.vocab,
                             task.graphs, config)
+
+
+def cut(inst, n, pad_at=()):
+    """The instance with its document cut to its first n tokens, and the
+    positions in `pad_at` marked as in-document padding."""
+    doc = inst.doc
+    pad = doc.pad[:n].copy()
+    pad[list(pad_at)] = True
+    adjacency = {}
+    for kind, a in doc.adjacency.items():
+        matrix = a.matrix[:n, :n]
+        adjacency[kind] = DocumentAdjacency(matrix, matrix.sum(axis=1))
+    return replace(inst, doc=DocEncoding(doc.doc_id, doc.ids[:n], pad, adjacency))
+
+
+def uneven_batch(enc):
+    """Five instances whose documents have clearly different lengths,
+    one with an in-document pad position."""
+    return [enc[0], cut(enc[1], 3), cut(enc[2], 17, pad_at=(4,)), enc[3],
+            cut(enc[4], 9)]
 
 
 class TestInitModel:
@@ -161,6 +183,54 @@ class TestForward:
                                  for e in enc[:5]])
         assert np.max(np.abs(batched - singles)) < 1e-10
 
+    def test_padded_batch_matches_single_instances(self, tiny_task, small_config):
+        model, enc = self.model_and_batch(tiny_task, small_config)
+        batch = uneven_batch(enc)
+        assert len({len(e.doc.ids) for e in batch}) >= 4
+        with ad.no_grad():
+            batched = forward(model, batch, "eval").data
+            singles = np.vstack([forward(model, [e], "eval").data for e in batch])
+        assert np.max(np.abs(batched - singles)) < 1e-10
+
+    def test_train_mode_dropout_draws_per_instance_in_batch_order(
+            self, tiny_task, small_config):
+        """From one RNG state, a padded train-mode batch gives the logits
+        of its instances run one at a time in order."""
+        model, enc = self.model_and_batch(tiny_task, small_config)
+        batch = uneven_batch(enc)
+        state = model.rng.bit_generator.state
+        with ad.no_grad():
+            batched = forward(model, batch, "train").data
+            after = model.rng.bit_generator.state
+            model.rng.bit_generator.state = state
+            singles = np.vstack([forward(model, [e], "train").data for e in batch])
+        assert model.rng.bit_generator.state == after
+        assert np.max(np.abs(batched - singles)) < 1e-10
+
+    def test_in_document_pad_masked_in_attention_and_pooling(
+            self, tiny_task, small_config):
+        """An in-document pad position is kept out of attention keys and
+        max-pooling, as recomputed from the single-sequence layers."""
+        cfg = make_variant(small_config, "no_gcn")
+        model, enc = self.model_and_batch(tiny_task, cfg)
+        batch = uneven_batch(enc)
+        inst = batch[2]
+        ids, pad = inst.doc.ids, inst.doc.pad
+        assert pad.any() and not pad[-1]
+        with ad.no_grad():
+            logits = forward(model, batch, "eval").data[2]
+            seq = embed_sequence(ids, inst.head_start, inst.tail_start,
+                                 model.word_table(), model.params["embed.pos_head"],
+                                 model.params["embed.pos_tail"], cfg.max_dist)
+            h = bilstm(seq, model.lstm_params())
+            key_mask = ad.Tensor(np.where(pad[None, :], MASK_NEG, 0.0)
+                                 * np.ones((len(ids), 1)))
+            attended = multi_head_attention(h, model.attention_params(),
+                                            key_mask).data
+        rep = (attended + np.where(pad[:, None], MASK_NEG, 0.0)).max(axis=0)
+        expected = rep @ model.params["clf.w"].data + model.params["clf.b"].data[0]
+        assert np.max(np.abs(logits - expected)) < 1e-12
+
     def test_gcn_branch_matches_numpy_recomputation(self, tiny_task, small_config):
         """With two layers, the GCN branch is m <- mean_k tanh(A_k m W_k + b_k)
         from the LSTM states, A_k the row-normalized projected adjacency."""
@@ -209,6 +279,51 @@ class TestForward:
         probs = predict_proba(model, enc[:6])
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(probs >= 0)
+
+    def test_predict_proba_runs_in_chunks(self, tiny_task, small_config,
+                                          monkeypatch):
+        """Over more than one chunk, each forward sees at most `chunk`
+        instances and the rows equal per-chunk results."""
+        model, enc = self.model_and_batch(tiny_task, small_config)
+        batch = (enc * (70 // len(enc) + 1))[:70]
+        expected = np.vstack([pipeline.predict_proba(model, batch[:64]),
+                              pipeline.predict_proba(model, batch[64:])])
+        sizes = []
+        real_forward = pipeline.forward
+
+        def counting_forward(m, part, mode="eval"):
+            sizes.append(len(part))
+            return real_forward(m, part, mode)
+
+        monkeypatch.setattr(pipeline, "forward", counting_forward)
+        probs = pipeline.predict_proba(model, batch)
+        assert sizes == [64, 6]
+        assert np.array_equal(probs, expected)
+        assert np.array_equal(pipeline.predict(model, batch),
+                              expected.argmax(axis=1))
+
+    def test_eval_chunks_bounded_by_array_budget(self, tiny_task, small_config,
+                                                 monkeypatch):
+        """Long documents cut each eval forward below `chunk` instances, so
+        that no array exceeds EVAL_ARRAY_FLOATS; rows stay within the
+        batch-invariance tolerance."""
+        model, enc = self.model_and_batch(tiny_task, small_config)
+        batch = (enc * (20 // len(enc) + 1))[:20]
+        expected = pipeline.predict_proba(model, batch)
+        steps = max(len(inst.doc.ids) for inst in batch)
+        monkeypatch.setattr(pipeline, "EVAL_ARRAY_FLOATS",
+                            6 * steps * max(steps, model.config.d_model))
+        sizes = []
+        real_forward = pipeline.forward
+
+        def counting_forward(m, part, mode="eval"):
+            sizes.append(len(part))
+            return real_forward(m, part, mode)
+
+        monkeypatch.setattr(pipeline, "forward", counting_forward)
+        probs = pipeline.predict_proba(model, batch)
+        assert sizes == [6, 6, 6, 2]
+        assert np.max(np.abs(probs - expected)) <= 1e-10
 
     def test_every_variant_trains_one_step(self, tiny_task, small_config):
         for variant in ABLATION_VARIANTS:
@@ -267,21 +382,3 @@ class TestLoss:
             err = ad.grad_check(f, model.params[name], epsilon=1e-5,
                                 samples=4, rng=rng)
             assert err <= 1e-4, f"{name}: {err}"
-
-
-class TestSemanticRebuild:
-    def test_encoder_states_feed_semantic_graph(self, tiny_task, small_config):
-        """Second-pass mode: per-document encoder states replace the
-        static table when rebuilding the semantic graph."""
-        from bioie.pipeline import word_states_from_bilstm
-        from bioie.textgraph import build_semantic_graph
-
-        model = init_model(small_config, tiny_task.vocab, tiny_task.embeddings,
-                           seed=0, label_set=tiny_task.label_set)
-        docs = list(tiny_task.documents.values())[:4]
-        states = word_states_from_bilstm(model, docs)
-        assert set(states) == {d.id for d in docs}
-        stats = build_semantic_graph(docs, states, tiny_task.vocab, theta=0.95)
-        for (a, b), w in stats.weights.items():
-            assert 0.0 < w <= 1.0
-            assert a < b

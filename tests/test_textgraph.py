@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioie.corpus import (
+    PAD_ID,
+    UNK_ID,
     Document,
     EmbeddingTable,
     attach_dependencies,
     build_vocabulary,
+    normalize_length,
+    random_embeddings,
     tokenize,
 )
 from bioie.textgraph import (
@@ -71,6 +75,31 @@ def brute_force_pmi(docs, vocab, window):
     return weights
 
 
+def brute_force_projection(doc, graphs, vocab):
+    """Pair-by-pair lookup oracle for `project_adjacency`: kind ->
+    (matrix, degree)."""
+    ids = np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
+    n = len(ids)
+    real = [(pos, tid) for pos, tid in enumerate(ids)
+            if tid not in (PAD_ID, UNK_ID)]
+    out = {}
+    for kind in ("semantic", "syntactic", "sequence"):
+        stats = graphs.by_kind(kind)
+        a = np.eye(n)
+        for x in range(len(real)):
+            pos_x, id_x = real[x]
+            for y in range(x + 1, len(real)):
+                pos_y, id_y = real[y]
+                if id_x == id_y:
+                    continue
+                w = stats.weight(id_x, id_y)
+                if w != 0.0:
+                    a[pos_x, pos_y] = w
+                    a[pos_y, pos_x] = w
+        out[kind] = (a, a.sum(axis=1))
+    return out
+
+
 class TestSemanticGraph:
     def test_identical_vectors_make_edge(self):
         docs = [doc_from(["alpha", "beta"])]
@@ -85,17 +114,6 @@ class TestSemanticGraph:
         table = table_for(vocab, {"alpha": [1.0, 0.0], "beta": [0.0, 1.0]})
         stats = build_semantic_graph(docs, table, vocab, theta=0.5)
         assert len(stats) == 0
-
-    def test_per_document_vectors_fractional_weight(self):
-        docs = [doc_from(["alpha", "beta"], "d0"), doc_from(["alpha", "beta"], "d1")]
-        vocab = build_vocabulary(docs)
-        a, b = vocab.id("alpha"), vocab.id("beta")
-        per_doc = {
-            "d0": {a: np.array([1.0, 0.0]), b: np.array([1.0, 0.0])},
-            "d1": {a: np.array([1.0, 0.0]), b: np.array([0.0, 1.0])},
-        }
-        stats = build_semantic_graph(docs, per_doc, vocab, theta=0.9)
-        assert stats.weight(a, b) == pytest.approx(0.5)
 
     def test_zero_norm_vector_skipped(self, caplog):
         docs = [doc_from(["alpha", "beta"])]
@@ -242,6 +260,48 @@ class TestProjection:
                 assert np.array_equal(adj.matrix, adj.matrix.T)
                 assert np.all(np.diag(adj.matrix) > 0)
                 assert np.all(adj.degree >= 1.0)
+
+
+    @given(st.integers(0, 300))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_brute_force_bitwise(self, seed):
+        """Matrices and degrees equal the pair-by-pair lookup bit for bit,
+        with repeated words, unknown words and trailing padding."""
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(8)]
+        docs = [doc_from(list(rng.choice(words, size=int(rng.integers(2, 25)))),
+                         f"d{k}") for k in range(4)]
+        docs = [attach_dependencies(d, None) for d in docs]
+        vocab = build_vocabulary(docs)
+        graphs = build_corpus_graphs(docs, random_embeddings(vocab, 4, seed=seed),
+                                     vocab, theta=0.3, window=3)
+        mixed = list(rng.choice(words + ["other"], size=30)) + ["unseen", "w0"]
+        probes = docs + [normalize_length(doc_from(mixed, "mixed"))]
+        for doc in probes:
+            got = project_adjacency(doc, graphs, vocab)
+            oracle = brute_force_projection(doc, graphs, vocab)
+            for kind, (matrix, degree) in oracle.items():
+                assert np.array_equal(got[kind].matrix, matrix)
+                assert np.array_equal(got[kind].degree, degree)
+        assert any(vocab.id(t.surface) == UNK_ID for t in probes[-1].tokens)
+        assert any(vocab.id(t.surface) == PAD_ID for t in probes[-1].tokens)
+
+
+    def test_pad_and_unk_isolated_even_with_corpus_edges(self):
+        """PAD and UNK positions keep only their self-loop even when the
+        corpus statistics carry an edge for their ids."""
+        docs = [doc_from(["a", "b", "c"])]
+        vocab = build_vocabulary(docs)
+        graphs = self.graphs_for(docs, vocab)
+        a_id = vocab.id("a")
+        graphs.sequence.weights[(UNK_ID, a_id)] = 0.5
+        graphs.sequence.weights[(PAD_ID, a_id)] = 0.25
+        probe = normalize_length(doc_from(["a", "unseen", "b"], "probe"))
+        adj = project_adjacency(probe, graphs, vocab)["sequence"]
+        matrix, degree = brute_force_projection(probe, graphs, vocab)["sequence"]
+        assert np.array_equal(adj.matrix, matrix)
+        assert np.array_equal(adj.degree, degree)
+        assert np.array_equal(adj.matrix[1], np.eye(len(probe.tokens))[1])
 
 
 class TestWordPairStatsInvariants:
