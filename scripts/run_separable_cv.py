@@ -1,29 +1,22 @@
 #!/usr/bin/env python3
-"""Generate the 200-instance planted-cue corpus and run 10-fold
-cross-validation on it, printing per-fold and aggregate scores.
+"""Run 10-fold cross-validation on the 200-instance planted-cue corpus
+with `bioie cv`, printing per-fold and aggregate scores.
 
 A depth-1 cue-lookup classifier scores 100 on this fixture; the trained
-model is expected to reach an aggregate macro-F of at least 95.
+model is expected to reach an aggregate macro-F of at least 95. Exits
+non-zero when it does not.
 
 Usage: python scripts/run_separable_cv.py [--seed N] [--folds K]
 """
 
 import argparse
+import re
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bioie.corpus import (
-    build_vocabulary,
-    normalize_corpus,
-    random_embeddings,
-    synth_corpus,
-)
-from bioie.layers import ModelConfig
-from bioie.textgraph import build_corpus_graphs
-from bioie.training import TaskData, TrainPlan, run_cross_validation
+from bioie.cli import main as cli_main
 
 
 def main() -> int:
@@ -31,31 +24,26 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--folds", type=int, default=10)
     parser.add_argument("--positives", type=int, default=100)
+    parser.add_argument("--outdir", default="runs/separable_cv")
     args = parser.parse_args()
-
-    corpus = synth_corpus({"Size": args.positives}, seed=args.seed)
-    docs, instances = normalize_corpus(corpus.documents, corpus.instances)
-    vocab = build_vocabulary(docs)
-    embeddings = random_embeddings(vocab, 24, seed=args.seed)
-    graphs = build_corpus_graphs(docs, embeddings, vocab, theta=0.9, window=5)
-    task = TaskData({d.id: d for d in docs}, instances,
-                    instances[0].label_set, vocab, embeddings, graphs,
-                    instances[0].task)
-    print(f"{len(docs)} reports, {len(instances)} candidate instances "
-          f"({sum(i.label for i in instances)} positive)")
-
-    config = ModelConfig(d_w=24, d_p=8, hidden=16, heads=4, gcn_layers=1,
-                         dropout=0.2, label_count=2)
-    plan = TrainPlan(epochs=25, batch_size=16, seed=args.seed, patience=3)
-    start = time.time()
-    result = run_cross_validation(task, config, plan, k=args.folds)
-    for i, rep in enumerate(result.fold_reports):
-        print(f"fold {i}: P={rep.macro_p:.1f} R={rep.macro_r:.1f} "
-              f"F={rep.macro_f:.1f} (n={rep.n})")
-    print(f"aggregate: P={result.mean_p:.1f} R={result.mean_r:.1f} "
-          f"F={result.mean_f:.1f} +/- {result.std_f:.1f} "
-          f"({time.time() - start:.0f}s)")
-    return 0 if result.mean_f >= 95.0 else 1
+    status = cli_main([
+        "cv",
+        "--outdir", args.outdir,
+        "--dataset", "synthetic",
+        "--synth_counts", f"Size={args.positives}",
+        "--seed", str(args.seed),
+        "--folds", str(args.folds),
+        "--epochs", "25",
+        "--patience", "3",
+        "--d_w", "24", "--d_p", "8", "--hidden", "16", "--heads", "4",
+        "--gcn_layers", "1", "--theta", "0.9", "--window", "5",
+        "--batch_size", "16", "--dropout", "0.2",
+    ])
+    if status:
+        return status
+    metrics = (Path(args.outdir) / "cv_metrics.txt").read_text()
+    mean_f = float(re.search(r"^task \S+: .* F=([\d.]+)", metrics, re.M).group(1))
+    return 0 if mean_f >= 95.0 else 1
 
 
 if __name__ == "__main__":

@@ -230,12 +230,14 @@ def backward(loss: Tensor) -> None:
                     parent.grad = np.zeros_like(parent.data)
                 parent.grad += contrib
             else:
+                # No buffer is written in place, so a rule may return its
+                # `g` or a view of it, and one array may feed two buffers.
                 key = id(parent)
                 buf = buffers.get(key)
                 if buf is None:
-                    buffers[key] = np.array(contrib, dtype=np.float64)
+                    buffers[key] = np.asarray(contrib, dtype=np.float64)
                 else:
-                    buf += contrib
+                    buffers[key] = buf + contrib
 
 
 # ---------------------------------------------------------------------------

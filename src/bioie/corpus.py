@@ -570,18 +570,30 @@ def attach_dependencies(doc: Document, parse_file=None) -> Document:
             if len(cols) < 8:
                 raise CorpusFormatError(
                     f"{parse_file}: expected 10-column rows, got {len(cols)}")
+            try:
+                head = int(cols[6])
+            except ValueError:
+                raise CorpusFormatError(
+                    f"{parse_file}: token {cols[0]} has non-integer head "
+                    f"{cols[6]!r}") from None
             in_block = True
-            heads.append((int(cols[6]), cols[7]))
+            heads.append((head, cols[7]))
             offsets.append(offset)
             count += 1
     if count != len(doc.tokens):
         raise CorpusFormatError(
             f"{parse_file}: parse has {count} tokens but document "
             f"{doc.id} has {len(doc.tokens)}")
+    sentence_len = Counter(offsets)  # sentence start -> token count
     edges = []
     for i, ((head, rel), base) in enumerate(zip(heads, offsets)):
         if head == 0:
             continue
+        if not 0 < head <= sentence_len[base]:
+            raise CorpusFormatError(
+                f"{parse_file}: token {i - base + 1} of the sentence starting "
+                f"at token {base + 1} has head {head} outside its "
+                f"{sentence_len[base]}-token sentence")
         edges.append((i, base + head - 1, rel))
     return replace_edges(doc, edges)
 

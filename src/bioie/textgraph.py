@@ -1,9 +1,8 @@
 """Corpus-level word-pair graphs and their per-document projection.
 
 Three graphs share one vocabulary:
-  * semantic:  word pairs whose vector cosine passes a threshold,
-               weighted by the fraction of co-occurrence documents in
-               which the pair passed;
+  * semantic:  word pairs that share a document and whose vector cosine
+               reaches a threshold, each with weight 1.0;
   * syntactic: word pairs linked by a dependency edge, weighted by the
                fraction of co-occurrence documents with such a link;
   * sequence:  sliding-window PMI, negative values clipped to zero.
@@ -18,11 +17,18 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain
 
 import numpy as np
 
-from .corpus import Document, EmbeddingTable, PAD_ID, UNK_ID, Vocabulary
+from .corpus import (
+    PAD_ID,
+    UNK_ID,
+    CorpusFormatError,
+    Document,
+    EmbeddingTable,
+    Vocabulary,
+)
 
 log = logging.getLogger(__name__)
 
@@ -77,77 +83,163 @@ class DocumentAdjacency:
         return self.matrix / self.degree[..., None]
 
 
-def _doc_word_ids(doc: Document, vocab: Vocabulary) -> list[int]:
-    seen: dict[int, None] = {}
-    for t in doc.tokens:
-        tid = vocab.id(t.surface)
-        if tid not in (PAD_ID, UNK_ID):
-            seen.setdefault(tid, None)
-    return list(seen)
+def _token_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:
+    """The vocabulary id of every token, PAD and UNK included."""
+    return np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
+
+
+def _is_word(ids: np.ndarray) -> np.ndarray:
+    return (ids != PAD_ID) & (ids != UNK_ID)
+
+
+def _word_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:
+    """Token ids in document order with PAD and UNK dropped."""
+    ids = _token_ids(doc, vocab)
+    return ids[_is_word(ids)]
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of `ids`. Sorts rather than calling
+    `np.unique`, whose hash-table path adds about 1.6 MB of resident
+    memory to the process on first use (numpy 2.4)."""
+    ids = np.sort(ids)
+    return ids[np.concatenate(([True], ids[1:] != ids[:-1]))] if len(ids) else ids
+
+
+# Documents whose pair keys are held before they are merged into the
+# running counts; keeps peak memory near the size of the result.
+MERGE_EVERY = 32
+
+
+class _PairCounter:
+    """Counts per word-pair key `a * base + b` (a < b), added one document
+    at a time and merged every `MERGE_EVERY` documents."""
+
+    def __init__(self):
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, keys: np.ndarray, counts: np.ndarray | None = None) -> None:
+        self._pending.append(
+            (keys, np.ones(len(keys)) if counts is None else counts))
+        if len(self._pending) == MERGE_EVERY:
+            self._merge()
+
+    def _merge(self) -> None:
+        keys = np.concatenate([self.keys] + [k for k, _ in self._pending])
+        counts = np.concatenate([self.counts] + [c for _, c in self._pending])
+        self.keys, inv = np.unique(keys, return_inverse=True)
+        self.counts = np.bincount(inv, weights=counts, minlength=len(self.keys))
+        self._pending = []
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted unique keys and their summed counts (exact integers)."""
+        self._merge()
+        return self.keys, self.counts
+
+
+def _pair_keys(u: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The key `a * base + b` of every pair of the sorted unique ids `u`,
+    as a matrix, and the mask of its entries with a < b."""
+    return u[:, None] * base + u, u[:, None] < u
+
+
+def _key_pairs(keys: np.ndarray, base: int) -> list[tuple[int, int]]:
+    return list(zip((keys // base).tolist(), (keys % base).tolist()))
 
 
 def build_semantic_graph(docs: list[Document], embeddings: EmbeddingTable,
                          vocab: Vocabulary, theta: float) -> WordPairStats:
-    """Count, per document, the in-document word pairs whose word-vector
-    cosine similarity reaches `theta`; weight = count / co-occurrence
-    documents."""
+    """Edges between word types that share a document and whose vector
+    cosine similarity reaches `theta`. A vector belongs to its word type,
+    so a pair passes in every document it shares or in none: every edge
+    weighs 1.0, and its count is the number of documents the pair shares.
+    Words with a zero-norm vector get no edge."""
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
-    zero_norm_logged: set[int] = set()
-    norms = np.linalg.norm(embeddings.vectors, axis=1)
+    vectors = embeddings.vectors
+    norms = np.linalg.norm(vectors, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        unit_rows = np.where(norms[:, None] > 0.0,
-                             embeddings.vectors / norms[:, None], 0.0)
-
-    counts: dict[tuple[int, int], float] = {}
-    co_docs: dict[tuple[int, int], int] = {}
+        unit_rows = np.where(norms[:, None] > 0.0, vectors / norms[:, None], 0.0)
+    base = vocab.size
+    checked = np.zeros(len(vectors), dtype=bool)
+    passed = _PairCounter()
     for doc in docs:
-        vecs = {}
-        for i in _doc_word_ids(doc, vocab):
-            if np.linalg.norm(embeddings.vectors[i]) == 0.0:
-                if i not in zero_norm_logged:
-                    log.warning("word id %d has a zero-norm vector; "
-                                "skipping its semantic edges", i)
-                    zero_norm_logged.add(i)
-                continue
-            vecs[i] = unit_rows[i]
-        usable = sorted(vecs)
-        for a, b in combinations(usable, 2):
-            key = _pair(a, b)
-            co_docs[key] = co_docs.get(key, 0) + 1
-            if float(vecs[a] @ vecs[b]) >= theta:
-                counts[key] = counts.get(key, 0.0) + 1.0
-    weights = {key: c / co_docs[key] for key, c in counts.items()}
-    return WordPairStats(counts, weights)
+        u = _distinct(_word_ids(doc, vocab))
+        for w in u[~checked[u]].tolist():
+            checked[w] = True
+            if np.linalg.norm(vectors[w]) == 0.0:
+                log.warning("word id %d has a zero-norm vector; "
+                            "skipping its semantic edges", w)
+        # A zero-norm word has a zero unit row: cosine 0 < theta.
+        keys, upper = _pair_keys(u, base)
+        rows = unit_rows[u]
+        cos = rows @ rows.T
+        ok = (cos >= theta) & upper
+        # A matrix product can round differently from a 1-D dot product;
+        # pairs this close to theta are decided by the dot product.
+        for i, j in zip(*np.nonzero((np.abs(cos - theta) <= 1e-9) & upper)):
+            ok[i, j] = float(unit_rows[u[i]] @ unit_rows[u[j]]) >= theta
+        passed.add(keys[ok])
+    keys, counts = passed.result()
+    pairs = _key_pairs(keys, base)
+    return WordPairStats(dict(zip(pairs, counts.tolist())),
+                         dict.fromkeys(pairs, 1.0))
 
 
 def build_syntactic_graph(docs: list[Document], vocab: Vocabulary
                           ) -> WordPairStats:
     """Count documents in which a word pair is linked by a dependency
-    edge; weight = count / documents where the pair co-occurs."""
-    counts: dict[tuple[int, int], float] = {}
-    co_docs: dict[tuple[int, int], int] = {}
-    linked_pairs: set[tuple[int, int]] = set()
-    per_doc_links: list[tuple[list[int], set[tuple[int, int]]]] = []
+    edge; weight = count / documents where the pair co-occurs. A
+    dependency edge index outside the document raises
+    `CorpusFormatError`."""
+    base = vocab.size
+    linked = _PairCounter()
+    doc_words: list[np.ndarray] = []
     for doc in docs:
-        links: set[tuple[int, int]] = set()
-        for i, j, _rel in doc.dep_edges:
-            a = vocab.id(doc.tokens[i].surface)
-            b = vocab.id(doc.tokens[j].surface)
-            if a in (PAD_ID, UNK_ID) or b in (PAD_ID, UNK_ID) or a == b:
-                continue
-            links.add(_pair(a, b))
-        for key in links:
-            counts[key] = counts.get(key, 0.0) + 1.0
-        linked_pairs.update(links)
-        per_doc_links.append((_doc_word_ids(doc, vocab), links))
-    for ids, _links in per_doc_links:
-        present = set(ids)
-        for key in linked_pairs:
-            if key[0] in present and key[1] in present:
-                co_docs[key] = co_docs.get(key, 0) + 1
-    weights = {key: c / co_docs[key] for key, c in counts.items()}
-    return WordPairStats(counts, weights)
+        ids = _token_ids(doc, vocab)
+        edges = np.fromiter(chain.from_iterable(e[:2] for e in doc.dep_edges),
+                            np.int64).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= len(ids)):
+            raise CorpusFormatError(
+                f"document {doc.id}: dependency edge index outside "
+                f"[0, {len(ids)})")
+        a, b = ids[edges[:, 0]], ids[edges[:, 1]]
+        keep = (a != b) & _is_word(a) & _is_word(b)
+        a, b = a[keep], b[keep]
+        linked.add(_distinct(np.minimum(a, b) * base + np.maximum(a, b)))
+        doc_words.append(_distinct(ids[_is_word(ids)]))
+    keys, counts = linked.result()
+    if not len(keys):
+        return WordPairStats({}, {})
+    co_docs = np.zeros(len(keys))
+    for u in doc_words:
+        # The linked pairs among the document's own pairs; each pair key
+        # occurs once per document.
+        pair_keys, upper = _pair_keys(u, base)
+        pair_keys = pair_keys[upper]
+        slot = np.minimum(np.searchsorted(keys, pair_keys), len(keys) - 1)
+        co_docs[slot[keys[slot] == pair_keys]] += 1.0
+    pairs = _key_pairs(keys, base)
+    return WordPairStats(dict(zip(pairs, counts.tolist())),
+                         dict(zip(pairs, (counts / co_docs).tolist())))
+
+
+def _window_gram(inv: np.ndarray, types: int, window: int
+                 ) -> tuple[np.ndarray, int]:
+    """The Gram matrix of a document's (windows x types) presence matrix,
+    and its window count. The document is given as type indices `inv`.
+    Entry (x, y) counts the windows holding both types, and the diagonal
+    the windows holding each. A document no longer than `window` is one
+    window."""
+    if len(inv) <= window:
+        return np.ones((types, types)), 1
+    seen = np.zeros((len(inv) + 1, types))  # row s: occurrences before s
+    seen[np.arange(1, len(inv) + 1), inv] = 1.0
+    np.cumsum(seen, axis=0, out=seen)
+    present = (seen[window:] > seen[:-window]).astype(np.float64)
+    return present.T @ present, len(present)
 
 
 def build_sequence_graph(docs: list[Document], vocab: Vocabulary,
@@ -157,37 +249,34 @@ def build_sequence_graph(docs: list[Document], vocab: Vocabulary,
     PMI is clipped to zero."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
+    base = vocab.size
     total_windows = 0
-    word_windows: dict[int, int] = {}
-    pair_windows: dict[tuple[int, int], int] = {}
+    word_windows = np.zeros(base)
+    pair_windows = _PairCounter()
     for doc in docs:
-        ids = [vocab.id(t.surface) for t in doc.tokens
-               if vocab.id(t.surface) not in (PAD_ID, UNK_ID)]
-        if not ids:
+        ids = _word_ids(doc, vocab)
+        if not len(ids):
             continue
-        spans = [(0, len(ids))] if len(ids) <= window else [
-            (s, s + window) for s in range(len(ids) - window + 1)]
-        for s, e in spans:
-            total_windows += 1
-            uniq = sorted(set(ids[s:e]))
-            for w in uniq:
-                word_windows[w] = word_windows.get(w, 0) + 1
-            for a, b in combinations(uniq, 2):
-                key = (a, b)
-                pair_windows[key] = pair_windows.get(key, 0) + 1
-    counts: dict[tuple[int, int], float] = {}
-    weights: dict[tuple[int, int], float] = {}
+        u, inv = np.unique(ids, return_inverse=True)
+        gram, windows = _window_gram(inv, len(u), window)
+        total_windows += windows
+        word_windows[u] += np.diagonal(gram)
+        keys, upper = _pair_keys(u, base)
+        hit = (gram > 0.0) & upper
+        pair_windows.add(keys[hit], gram[hit])
     if total_windows == 0:
-        return WordPairStats(counts, weights)
-    for key, n_ab in pair_windows.items():
-        p_ab = n_ab / total_windows
-        p_a = word_windows[key[0]] / total_windows
-        p_b = word_windows[key[1]] / total_windows
-        pmi = math.log(p_ab / (p_a * p_b))
-        counts[key] = float(n_ab)
-        if pmi > 0.0:
-            weights[key] = pmi
-    return WordPairStats(counts, weights)
+        return WordPairStats({}, {})
+    keys, n_ab = pair_windows.result()
+    # Each float operation of `math.log(p_ab / (p_a * p_b))` on exact
+    # integer counts, elementwise; `np.log` could differ in the last bit.
+    p_ab = n_ab / total_windows
+    p_a = word_windows[keys // base] / total_windows
+    p_b = word_windows[keys % base] / total_windows
+    pmi = [math.log(r) for r in (p_ab / (p_a * p_b)).tolist()]
+    pairs = _key_pairs(keys, base)
+    return WordPairStats(
+        dict(zip(pairs, n_ab.tolist())),
+        {pair: v for pair, v in zip(pairs, pmi) if v > 0.0})
 
 
 def build_corpus_graphs(docs: list[Document], embeddings: EmbeddingTable,
@@ -206,8 +295,8 @@ def project_adjacency(doc: Document, graphs: CorpusGraphs, vocab: Vocabulary
                       ) -> dict[str, DocumentAdjacency]:
     """Per-graph token adjacency for one document: corpus weights looked
     up by word-type pair, unit self-loops, PAD/UNK isolated."""
-    ids = np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
-    special = (ids == PAD_ID) | (ids == UNK_ID)
+    ids = _token_ids(doc, vocab)
+    special = ~_is_word(ids)
     uniq, inv = np.unique(ids, return_inverse=True)
     probe = np.append(uniq, -1)  # past-the-end slot that matches no id
     out: dict[str, DocumentAdjacency] = {}

@@ -371,6 +371,79 @@ class TestBackward:
         assert np.allclose(x.grad, [6.0])
 
 
+def copying_backward(loss):
+    """`backward` as it was before buffers could alias: every first
+    contribution to a non-leaf is copied and later ones added in place."""
+    buffers = {id(loss): np.ones_like(loss.data)}
+    for rec in reversed(ad._TAPE):
+        g = buffers.pop(id(rec.out), None)
+        if g is None:
+            continue
+        for parent, contrib in rec.rule(g):
+            if not parent.requires_grad:
+                continue
+            if parent.is_leaf:
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += contrib
+            elif id(parent) in buffers:
+                buffers[id(parent)] += contrib
+            else:
+                buffers[id(parent)] = np.array(contrib, dtype=np.float64)
+
+
+# In each function below, an `add` hands one gradient array to two
+# parents, and a later rule would write into that array if buffers were
+# accumulated in place without a copy.
+
+def _shared_operands(x):
+    """One tensor feeds both operands: h + h and k * k."""
+    h, k = ad.tanh(x), ad.sigmoid(x)
+    squares = ad.hadamard(k, k)
+    return ad.add(ad.add(h, h), squares).sum()
+
+
+def _diamond(x):
+    """h feeds two branches that meet again in one sum."""
+    h = ad.tanh(x)
+    right = ad.sigmoid(h)
+    left = ad.add(h, h)
+    return ad.add(left, right).sum()
+
+
+def _transpose_two_consumers(x):
+    """h feeds a product and a transpose; the transpose hands h a view of
+    a gradient array that k also receives."""
+    h, k = ad.tanh(x), ad.sigmoid(x)
+    squares = ad.hadamard(h, h)
+    t = ad.transpose(h)
+    return ad.add(ad.add(t, k).sum(), squares.sum())
+
+
+class TestGradientBuffersMayAlias:
+    """Rules that return their `g`, or a view of it, to several parents
+    (add, transpose, hadamard with itself) give the same gradients as a
+    backward pass that copies every buffer."""
+
+    @pytest.mark.parametrize("f", [_shared_operands, _diamond,
+                                   _transpose_two_consumers])
+    def test_bitwise_equal_to_copying_backward(self, f):
+        x = Tensor(rand((4, 4), seed=21), requires_grad=True)
+        reset_tape()
+        backward(f(x))
+        got = x.grad
+        x.grad = None
+        reset_tape()
+        copying_backward(f(x))
+        assert np.array_equal(got, x.grad)
+
+    @pytest.mark.parametrize("f", [_shared_operands, _diamond,
+                                   _transpose_two_consumers])
+    def test_grad_check(self, f):
+        x = Tensor(rand((4, 4), seed=22), requires_grad=True)
+        assert grad_check(f, x, epsilon=1e-6) <= 1e-6
+
+
 class TestAdam:
     def _param(self, seed=0):
         return Tensor(rand((4, 3), seed=seed), requires_grad=True)

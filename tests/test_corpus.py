@@ -266,6 +266,38 @@ class TestAttachDependencies:
         with pytest.raises(CorpusFormatError, match="1.*3"):
             attach_dependencies(doc, parse)
 
+    def test_non_integer_head_rejected(self, tmp_path):
+        doc = make_doc("wa wb", [])
+        parse = self.conllu(tmp_path, [(0, "root"), ("_", "dep")])
+        with pytest.raises(CorpusFormatError, match="token 2 has non-integer head"):
+            attach_dependencies(doc, parse)
+
+    def two_sentences(self, tmp_path, first_heads, second_heads):
+        path = tmp_path / "two.conllu"
+        blocks = []
+        for heads in (first_heads, second_heads):
+            blocks.append("\n".join(
+                "\t".join([str(i), f"w{i}", "_", "_", "_", "_", str(h), "dep",
+                           "_", "_"])
+                for i, h in enumerate(heads, start=1)))
+        path.write_text("\n\n".join(blocks) + "\n")
+        return path
+
+    def test_heads_resolve_within_each_sentence(self, tmp_path):
+        doc = make_doc("wa wb wc wd", [])
+        parse = self.two_sentences(tmp_path, [0, 1], [2, 0])
+        out = attach_dependencies(doc, parse)
+        assert [(i, j) for i, j, _ in out.dep_edges] == [(1, 0), (2, 3)]
+
+    @pytest.mark.parametrize("head", [3, -1])
+    def test_head_outside_its_sentence_rejected(self, tmp_path, head):
+        # Read without the check, head 3 of the first two-token sentence
+        # would link into the second sentence, and -1 before the document.
+        doc = make_doc("wa wb wc wd", [])
+        parse = self.two_sentences(tmp_path, [0, head], [2, 0])
+        with pytest.raises(CorpusFormatError, match=f"head {head} outside"):
+            attach_dependencies(doc, parse)
+
 
 class TestVocabulary:
     def test_threshold_boundary(self):

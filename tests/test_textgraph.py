@@ -1,6 +1,8 @@
 """Graph-construction tests against brute-force oracles."""
 
+import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 
 from bioie.corpus import (
     PAD_ID,
+    PAD_TOKEN,
     UNK_ID,
+    CorpusFormatError,
     Document,
+    Token,
     EmbeddingTable,
     attach_dependencies,
     build_vocabulary,
@@ -75,6 +80,99 @@ def brute_force_pmi(docs, vocab, window):
     return weights
 
 
+def _doc_word_ids(doc, vocab):
+    """Distinct word ids in first-occurrence order, PAD and UNK dropped."""
+    seen = {}
+    for t in doc.tokens:
+        tid = vocab.id(t.surface)
+        if tid not in (PAD_ID, UNK_ID):
+            seen.setdefault(tid, None)
+    return list(seen)
+
+
+def brute_force_semantic(docs, embeddings, vocab, theta):
+    """Pair-by-pair loop over each document's word pairs: count the
+    documents in which the pair's cosine reaches theta; weight = count /
+    co-occurrence documents."""
+    norms = np.linalg.norm(embeddings.vectors, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit_rows = np.where(norms[:, None] > 0.0,
+                             embeddings.vectors / norms[:, None], 0.0)
+    counts, co_docs = {}, {}
+    for doc in docs:
+        usable = sorted(i for i in _doc_word_ids(doc, vocab)
+                        if np.linalg.norm(embeddings.vectors[i]) != 0.0)
+        for a, b in combinations(usable, 2):
+            co_docs[(a, b)] = co_docs.get((a, b), 0) + 1
+            if float(unit_rows[a] @ unit_rows[b]) >= theta:
+                counts[(a, b)] = counts.get((a, b), 0.0) + 1.0
+    return WordPairStats(counts, {k: c / co_docs[k] for k, c in counts.items()})
+
+
+def brute_force_syntactic(docs, vocab):
+    """Count the documents linking each word pair by a dependency edge,
+    then scan every linked pair against every document for the
+    co-occurrence count."""
+    counts, co_docs = {}, {}
+    linked, per_doc = set(), []
+    for doc in docs:
+        links = set()
+        for i, j, _rel in doc.dep_edges:
+            a = vocab.id(doc.tokens[i].surface)
+            b = vocab.id(doc.tokens[j].surface)
+            if a in (PAD_ID, UNK_ID) or b in (PAD_ID, UNK_ID) or a == b:
+                continue
+            links.add((min(a, b), max(a, b)))
+        for key in links:
+            counts[key] = counts.get(key, 0.0) + 1.0
+        linked.update(links)
+        per_doc.append(set(_doc_word_ids(doc, vocab)))
+    for present in per_doc:
+        for key in linked:
+            if key[0] in present and key[1] in present:
+                co_docs[key] = co_docs.get(key, 0) + 1
+    return WordPairStats(counts, {k: c / co_docs[k] for k, c in counts.items()})
+
+
+def brute_force_window_counts(docs, vocab, window):
+    """Windows holding each word pair, by the same window enumeration as
+    `brute_force_pmi`."""
+    counts = {}
+    for doc in docs:
+        ids = [vocab.id(t.surface) for t in doc.tokens if vocab.id(t.surface) > 1]
+        starts = range(max(1, len(ids) - window + 1)) if ids else ()
+        for s in starts:
+            for pair in combinations(sorted(set(ids[s:s + window])), 2):
+                counts[pair] = counts.get(pair, 0.0) + 1.0
+    return counts
+
+
+def doc_of(surfaces, doc_id="d0", edges=()):
+    """A document with exactly these token surfaces, `<pad>` included."""
+    tokens = [Token(s, 0, 0, i) for i, s in enumerate(surfaces)]
+    return Document(doc_id, "synthetic", " ".join(surfaces), tokens, [],
+                    [(i, j, "dep") for i, j in edges])
+
+
+@st.composite
+def corpora(draw):
+    """Documents over a small word pool with repeats, `<pad>` tokens,
+    words left out of the vocabulary (UNK), documents shorter than the
+    window and empty documents; dependency edges include self-links and
+    duplicates. Returns (docs, vocab)."""
+    pool = [f"w{i}" for i in range(draw(st.integers(1, 7)))]
+    words = st.sampled_from(pool + [PAD_TOKEN, "rare"])
+    docs = []
+    for k in range(draw(st.integers(1, 5))):
+        surfaces = draw(st.lists(words, max_size=30))
+        pos = st.integers(0, max(0, len(surfaces) - 1))
+        edges = draw(st.lists(st.tuples(pos, pos), max_size=12)) if surfaces else []
+        docs.append(doc_of(surfaces, f"d{k}", edges + edges[:2]))
+    # "rare" stays out of the vocabulary, so it maps to UNK.
+    vocab = build_vocabulary([doc_of([w for w in pool + [PAD_TOKEN]])])
+    return docs, vocab
+
+
 def brute_force_projection(doc, graphs, vocab):
     """Pair-by-pair lookup oracle for `project_adjacency`: kind ->
     (matrix, degree)."""
@@ -129,6 +227,88 @@ class TestSemanticGraph:
             build_semantic_graph([], EmbeddingTable(2, np.zeros((2, 2)), 0.0),
                                  build_vocabulary([]), theta=1.5)
 
+    @pytest.mark.parametrize("beta, theta", [([1.0, math.sqrt(3.0)], 0.5),
+                                             ([3.0, 4.0], 0.6)])
+    def test_cosine_at_theta_makes_edge(self, beta, theta):
+        docs = [doc_from(["alpha", "beta"])]
+        vocab = build_vocabulary(docs)
+        table = table_for(vocab, {"alpha": [1.0, 0.0], "beta": beta})
+        stats = build_semantic_graph(docs, table, vocab, theta=theta)
+        assert stats.weights == {(vocab.id("alpha"), vocab.id("beta")): 1.0}
+        assert stats.weights == brute_force_semantic(docs, table, vocab, theta).weights
+
+    def test_cosine_exactly_theta_is_an_edge(self):
+        docs = [doc_from(["alpha", "beta"])]
+        vocab = build_vocabulary(docs)
+        table = table_for(vocab, {"alpha": [1.0, 0.0], "beta": [3.0, 4.0]})
+        rows = table.vectors[[vocab.id("alpha"), vocab.id("beta")]]
+        unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+        assert float(unit[0] @ unit[1]) == 0.6
+        assert len(build_semantic_graph(docs, table, vocab, theta=0.6)) == 1
+
+    def test_zero_norm_warning_logged_once_per_word(self, caplog):
+        docs = [doc_from(["alpha", "beta"], f"d{k}") for k in range(3)]
+        vocab = build_vocabulary(docs)
+        table = table_for(vocab, {"alpha": [0.0, 0.0], "beta": [1.0, 0.0]})
+        with caplog.at_level("WARNING"):
+            build_semantic_graph(docs, table, vocab, theta=0.5)
+        assert caplog.text.count("zero-norm") == 1
+
+    def test_pairs_at_theta_decided_as_by_dot_product(self):
+        """With 40 words in one document, the (40, 40) cosine matrix
+        rounds differently from the 1-D dot product for many pairs; with
+        theta set to a pair's dot-product cosine, the builder must still
+        make that edge, and agree with the loop on every other pair."""
+        words = [f"w{i}" for i in range(40)]
+        docs = [doc_from(words)]
+        vocab = build_vocabulary(docs)
+        rng = np.random.default_rng(12)
+        table = EmbeddingTable(24, rng.normal(size=(vocab.size, 24)), 1.0)
+        ids = [vocab.id(w) for w in words]
+        unit = table.vectors / np.linalg.norm(table.vectors, axis=1)[:, None]
+        gram = unit[ids] @ unit[ids].T
+        checked = 0
+        for x, y in combinations(range(40), 2):
+            a, b = sorted((ids[x], ids[y]))
+            theta = float(unit[a] @ unit[b])
+            if 0.0 < theta < 1.0 and gram[x, y] < theta:
+                stats = build_semantic_graph(docs, table, vocab, theta)
+                assert (a, b) in stats.weights
+                assert stats.counts == brute_force_semantic(
+                    docs, table, vocab, theta).counts
+                checked += 1
+            if checked == 5:
+                break
+        assert checked == 5
+
+    @given(corpora(), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_exactly(self, corpus, seed, data):
+        """Counts and weights equal the pair-by-pair loop's. Some vectors
+        are zero, and theta is often the cosine of one pair as the loop
+        computes it, so that pair sits exactly at theta where a matrix
+        product may round either way."""
+        docs, vocab = corpus
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(vocab.size, 8))
+        vectors[rng.random(vocab.size) < 0.2] = 0.0
+        table = EmbeddingTable(8, vectors, 1.0)
+        norms = np.linalg.norm(vectors, axis=1)[:, None]
+        unit = np.divide(vectors, norms, out=np.zeros_like(vectors),
+                         where=norms > 0.0)
+        a, b = data.draw(st.tuples(st.integers(0, vocab.size - 1),
+                                   st.integers(0, vocab.size - 1)))
+        cos = float(unit[a] @ unit[b])
+        theta = cos if 0.0 < cos < 1.0 else 0.5
+        logging.disable(logging.WARNING)
+        try:
+            got = build_semantic_graph(docs, table, vocab, theta)
+        finally:
+            logging.disable(logging.NOTSET)
+        oracle = brute_force_semantic(docs, table, vocab, theta)
+        assert got.counts == oracle.counts
+        assert got.weights == oracle.weights
+
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_raising_theta_never_adds_edges(self, seed):
@@ -166,6 +346,23 @@ class TestSyntacticGraph:
         vocab = build_vocabulary(docs)
         stats = build_syntactic_graph(docs, vocab)
         assert stats.weight(vocab.id("x"), vocab.id("y")) == pytest.approx(0.75)
+
+    @given(corpora())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_exactly(self, corpus):
+        docs, vocab = corpus
+        got = build_syntactic_graph(docs, vocab)
+        oracle = brute_force_syntactic(docs, vocab)
+        assert got.counts == oracle.counts
+        assert got.weights == oracle.weights
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 1)])
+    def test_edge_index_outside_document_names_it(self, edge):
+        # NumPy indexing would wrap -1 to the last token without the check.
+        docs = [doc_of(["a", "b", "c"], "ok", [(0, 1)]),
+                doc_of(["a", "b", "c"], "doc-7", [edge])]
+        with pytest.raises(CorpusFormatError, match="doc-7"):
+            build_syntactic_graph(docs, build_vocabulary(docs))
 
 
 class TestSequenceGraph:
@@ -205,6 +402,25 @@ class TestSequenceGraph:
         vocab = build_vocabulary(docs)
         stats = build_sequence_graph(docs, vocab, window)
         assert stats.weights == brute_force_pmi(docs, vocab, window)
+
+    @given(corpora(), st.integers(2, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_and_weights_match_brute_force(self, corpus, window):
+        docs, vocab = corpus
+        stats = build_sequence_graph(docs, vocab, window)
+        assert stats.counts == brute_force_window_counts(docs, vocab, window)
+        assert stats.weights == brute_force_pmi(docs, vocab, window)
+
+    def test_counts_merged_across_many_documents(self):
+        """More documents than one merge block of pair counts."""
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(12)]
+        docs = [doc_from(list(rng.choice(words, size=int(rng.integers(1, 15)))),
+                         f"d{k}") for k in range(100)]
+        vocab = build_vocabulary(docs)
+        stats = build_sequence_graph(docs, vocab, 4)
+        assert stats.counts == brute_force_window_counts(docs, vocab, 4)
+        assert stats.weights == brute_force_pmi(docs, vocab, 4)
 
 
 class TestProjection:
