@@ -37,7 +37,6 @@ __all__ = [
     "sigmoid",
     "identity",
     "concat",
-    "split",
     "softmax",
     "dropout",
     "max_pool_over_time",
@@ -397,29 +396,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return [(t, piece) for t, piece in zip(tensors, pieces)]
 
     return make_op(np.concatenate([t.data for t in tensors], axis=ax), tensors, rule)
-
-
-def split(x: Tensor, sizes, axis: int = 0) -> list[Tensor]:
-    """Inverse of concat: cut `x` into consecutive blocks along `axis`."""
-    x = as_tensor(x)
-    ax = axis % x.data.ndim
-    if sum(sizes) != x.shape[ax]:
-        raise ShapeError(f"split: sizes {list(sizes)} do not cover extent {x.shape[ax]}")
-    outs = []
-    start = 0
-    for size in sizes:
-        sl = [slice(None)] * x.data.ndim
-        sl[ax] = slice(start, start + size)
-        sl = tuple(sl)
-
-        def rule(g, sl=sl):
-            full = np.zeros_like(x.data)
-            full[sl] = g
-            return [(x, full)]
-
-        outs.append(make_op(x.data[sl].copy(), (x,), rule))
-        start += size
-    return outs
 
 
 def transpose(x: Tensor) -> Tensor:

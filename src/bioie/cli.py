@@ -351,8 +351,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
             {"best": best, "leaderboard": leaderboard}, default=str, indent=2))
         print(f"grid best: {best}")
         config, plan = apply_grid_point(config, plan, best)
-    report, model, _ = train_from_scratch(data, config, plan,
-                                          log_path=out / "metrics.tsv")
+    report, model = train_from_scratch(data, config, plan,
+                                       log_path=out / "metrics.tsv")
     save_checkpoint(model, model.optimizer, out / "model.ckpt")
     table = report_table([(cfg.variant, report)], title=f"task {data.task}")
     (out / "report.txt").write_text(table + "\n")
@@ -362,23 +362,19 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 
 def _parse_grid(spec: str) -> dict[str, list]:
+    """Parse a grid spec such as "lr=0.001|0.0003;use_gcn=False|True".
+    Each value is coerced as its key's config field is, so booleans come
+    out as booleans."""
     grid = {}
     for part in spec.split(";"):
         part = part.strip()
         if not part:
             continue
-        key, values = part.split("=", 1)
-        parsed = []
-        for v in values.split("|"):
-            v = v.strip()
-            try:
-                parsed.append(int(v))
-            except ValueError:
-                try:
-                    parsed.append(float(v))
-                except ValueError:
-                    parsed.append(v)
-        grid[key.strip()] = parsed
+        if "=" not in part:
+            raise ConfigError(f"grid entry {part!r} is not key=v1|v2")
+        key, values = (p.strip() for p in part.split("=", 1))
+        _reject_unknown(key)
+        grid[key] = [_coerce(key, v) for v in values.split("|")]
     return grid
 
 
@@ -420,7 +416,7 @@ def cmd_ablate(cfg: RunConfig, out: Path) -> int:
     rows, lines = [], []
     for variant in ABLATION_VARIANTS:
         config = make_variant(base, variant)
-        report, model, _ = train_from_scratch(data, config, plan)
+        report, model = train_from_scratch(data, config, plan)
         rows.append((variant, report))
         lines.append(f"{variant}\t{count_parameters(model)}"
                      f"\t{report.macro_p:.1f}\t{report.macro_r:.1f}"
@@ -446,7 +442,7 @@ def cmd_transfer(cfg: RunConfig, out: Path) -> int:
         target = _single_task(assemble_tasks(cfg, data_path=dst))
         config = make_variant(model_config_from(cfg, len(source.label_set)),
                               cfg.variant)
-        _, model, _ = train_from_scratch(source, config, plan)
+        _, model = train_from_scratch(source, config, plan)
         ckpt = out / f"{direction.replace('->', '_to_')}.ckpt"
         save_checkpoint(model, model.optimizer, ckpt)
         report, _ = transfer_finetune(ckpt, target, freeze, plan)

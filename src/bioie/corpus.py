@@ -97,9 +97,6 @@ class Vocabulary:
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def tokens_in_order(self) -> list[str]:
-        return sorted(self.token_to_id, key=self.token_to_id.get)
-
 
 @dataclass
 class EmbeddingTable:

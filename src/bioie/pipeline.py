@@ -7,10 +7,12 @@ projected graphs} -> masked max-pool per branch -> concatenate ->
 affine classifier. Ablated branches are skipped and the classifier
 narrows accordingly.
 
-Encoding cuts each document to its real prefix once: ids, pad mask and
-every adjacency drop the trailing padding. `forward` pads each batch to
-its longest document (T steps) and carries a (B, T) validity mask that
-is false on batch padding and on any in-document `<pad>` token:
+Encoding maps each document's tokens to ids once, cuts the trailing
+`<pad>` run and projects the corpus graphs onto the cut ids. Tokenizers
+never emit `<pad>` and length normalization only appends it, so an
+encoded document holds no padding. `forward` pads each batch to its
+longest document (T steps) and carries a (B, T) validity mask that is
+false on batch padding:
   * the LSTM runs each row over its own length, so the backward
     direction starts at the row's last real token;
   * attention adds MASK_NEG to the scores of invalid keys, one head at
@@ -51,7 +53,13 @@ from .layers import (
     inter_graph_mix,
     multi_head_attention,
 )
-from .textgraph import GRAPH_KINDS, CorpusGraphs, DocumentAdjacency, project_adjacency
+from .textgraph import (
+    GRAPH_KINDS,
+    CorpusGraphs,
+    DocumentAdjacency,
+    project_adjacency,
+    token_ids,
+)
 
 MASK_NEG = -1e30
 
@@ -207,7 +215,6 @@ def parameter_group_counts(model: ModelState) -> dict[str, int]:
 class DocEncoding:
     doc_id: str
     ids: np.ndarray                 # token ids, trailing PAD dropped
-    pad: np.ndarray                 # boolean pad positions
     adjacency: dict[str, DocumentAdjacency]  # len(ids) square per kind
 
 
@@ -225,18 +232,14 @@ def encode_documents(docs: list[Document], vocab: Vocabulary,
                      config: ModelConfig) -> dict[str, DocEncoding]:
     out = {}
     for doc in docs:
-        ids = np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
-        pad = np.array([t.surface == "<pad>" for t in doc.tokens], dtype=bool)
+        ids = token_ids(doc, vocab)
         n = len(ids)
-        while n > 1 and pad[n - 1]:
+        while n > 1 and ids[n - 1] == PAD_ID:
             n -= 1
-        adjacency = {}
-        if config.use_gcn and graphs is not None:
-            # Trailing pad nodes carry only their self-loop, so cutting
-            # them leaves the degrees of the kept nodes unchanged.
-            adjacency = {kind: DocumentAdjacency(a.matrix[:n, :n], a.degree[:n])
-                         for kind, a in project_adjacency(doc, graphs, vocab).items()}
-        out[doc.id] = DocEncoding(doc.id, ids[:n], pad[:n], adjacency)
+        ids = ids[:n]
+        adjacency = (project_adjacency(ids, graphs)
+                     if config.use_gcn and graphs is not None else {})
+        out[doc.id] = DocEncoding(doc.id, ids, adjacency)
     return out
 
 
@@ -294,21 +297,20 @@ def forward(model: ModelState, batch: list[EncodedInstance],
     """Logits for a batch, shape (len(batch), label_count).
 
     The batch runs as one padded computation of T = the longest
-    document's length: a (B, T) validity mask (batch padding and any
-    in-document `<pad>` token) keeps padded positions out of attention
-    keys and max-pooling, the LSTM runs each row over its own length,
-    and the GCN sees padded nodes as isolated self-loops. Batching
-    therefore changes per-instance values only by summation order."""
+    document's length: a (B, T) validity mask keeps batch padding out
+    of attention keys and max-pooling, the LSTM runs each row over its
+    own length, and the GCN sees padded nodes as isolated self-loops.
+    Batching therefore changes per-instance values only by summation
+    order."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = model.config
     lengths = np.array([len(inst.doc.ids) for inst in batch])
     bsz, steps = len(batch), int(lengths.max())
     ids = np.full((bsz, steps), PAD_ID, dtype=np.int64)
-    valid = np.zeros((bsz, steps), dtype=bool)
     for i, inst in enumerate(batch):
         ids[i, :lengths[i]] = inst.doc.ids
-        valid[i, :lengths[i]] = ~inst.doc.pad
+    valid = np.arange(steps) < lengths[:, None]
     heads = np.array([inst.head_start for inst in batch])
     tails = np.array([inst.tail_start for inst in batch])
 
@@ -380,16 +382,15 @@ def loss(model: ModelState, batch: list[EncodedInstance],
 EVAL_ARRAY_FLOATS = 1 << 18
 
 
-def _eval_logits(model: ModelState, batch: list[EncodedInstance],
-                 chunk: int) -> np.ndarray:
+def eval_logits(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray:
     """Eval-mode logits, (len(batch), label_count), with gradients
-    disabled, from one forward per `chunk` instances or fewer. A padded
+    disabled, from one forward per chunk of instances. A padded
     forward's largest arrays, the (B, T, T) scores and adjacency and the
     (B, T, d_model) states, hold B * T * max(T, d_model) floats, so B is
     cut to keep them within EVAL_ARRAY_FLOATS at the batch's longest T."""
     steps = max((len(inst.doc.ids) for inst in batch), default=1)
     per_instance = steps * max(steps, model.config.d_model)
-    chunk = max(1, min(chunk, EVAL_ARRAY_FLOATS // per_instance))
+    chunk = max(1, EVAL_ARRAY_FLOATS // per_instance)
     out = np.empty((len(batch), model.config.label_count))
     for start in range(0, len(batch), chunk):
         part = batch[start:start + chunk]
@@ -398,17 +399,14 @@ def _eval_logits(model: ModelState, batch: list[EncodedInstance],
     return out
 
 
-def predict_proba(model: ModelState, batch: list[EncodedInstance],
-                  chunk: int = 64) -> np.ndarray:
-    """Softmax label probabilities, evaluated in chunks of at most
-    `chunk` instances."""
-    logits = _eval_logits(model, batch, chunk)
+def predict_proba(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray:
+    """Softmax label probabilities."""
+    logits = eval_logits(model, batch)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict(model: ModelState, batch: list[EncodedInstance],
-            chunk: int = 64) -> np.ndarray:
-    """Argmax labels, evaluated in chunks of at most `chunk` instances."""
-    return _eval_logits(model, batch, chunk).argmax(axis=1)
+def predict(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray:
+    """Argmax labels."""
+    return eval_logits(model, batch).argmax(axis=1)

@@ -83,7 +83,7 @@ class DocumentAdjacency:
         return self.matrix / self.degree[..., None]
 
 
-def _token_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:
+def token_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:
     """The vocabulary id of every token, PAD and UNK included."""
     return np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
 
@@ -94,7 +94,7 @@ def _is_word(ids: np.ndarray) -> np.ndarray:
 
 def _word_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:
     """Token ids in document order with PAD and UNK dropped."""
-    ids = _token_ids(doc, vocab)
+    ids = token_ids(doc, vocab)
     return ids[_is_word(ids)]
 
 
@@ -198,7 +198,7 @@ def build_syntactic_graph(docs: list[Document], vocab: Vocabulary
     linked = _PairCounter()
     doc_words: list[np.ndarray] = []
     for doc in docs:
-        ids = _token_ids(doc, vocab)
+        ids = token_ids(doc, vocab)
         edges = np.fromiter(chain.from_iterable(e[:2] for e in doc.dep_edges),
                             np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= len(ids)):
@@ -291,11 +291,11 @@ def build_corpus_graphs(docs: list[Document], embeddings: EmbeddingTable,
     )
 
 
-def project_adjacency(doc: Document, graphs: CorpusGraphs, vocab: Vocabulary
+def project_adjacency(ids: np.ndarray, graphs: CorpusGraphs
                       ) -> dict[str, DocumentAdjacency]:
-    """Per-graph token adjacency for one document: corpus weights looked
-    up by word-type pair, unit self-loops, PAD/UNK isolated."""
-    ids = _token_ids(doc, vocab)
+    """Per-graph token adjacency for one document's token ids: corpus
+    weights looked up by word-type pair, unit self-loops, PAD/UNK
+    isolated."""
     special = ~_is_word(ids)
     uniq, inv = np.unique(ids, return_inverse=True)
     probe = np.append(uniq, -1)  # past-the-end slot that matches no id
@@ -310,9 +310,9 @@ def project_adjacency(doc: Document, graphs: CorpusGraphs, vocab: Vocabulary
         types = np.zeros((len(uniq), len(uniq)))
         types[ia[hit], ib[hit]] = w[hit]
         types[ib[hit], ia[hit]] = w[hit]
-        # Row sums below must see the same memory layout as a fresh
-        # matrix, or the degrees can differ in the last bit.
-        a = np.ascontiguousarray(types[inv][:, inv])
+        # One gather makes a fresh C-contiguous (n, n) matrix; row sums
+        # over another memory layout can differ in the last bit.
+        a = types[inv[:, None], inv]
         a[special, :] = 0.0
         a[:, special] = 0.0
         np.fill_diagonal(a, 1.0)

@@ -8,7 +8,7 @@ import itertools
 import json
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .pipeline import (
     EncodedInstance,
     ModelState,
     encode_instances,
+    eval_logits,
     init_model,
     loss as model_loss,
     predict,
@@ -131,17 +132,6 @@ def train_epoch(model: ModelState, instances: list[EncodedInstance],
     return float(np.mean(losses))
 
 
-def mean_loss(model: ModelState, instances: list[EncodedInstance],
-              chunk: int = 64) -> float:
-    total, count = 0.0, 0
-    for start in range(0, len(instances), chunk):
-        part = instances[start:start + chunk]
-        with ad.no_grad():
-            total += model_loss(model, part, "eval").item() * len(part)
-        count += len(part)
-    return total / max(count, 1)
-
-
 def evaluate_model(model: ModelState, instances: list[EncodedInstance]
                    ) -> EvalReport:
     preds = predict(model, instances)
@@ -149,41 +139,34 @@ def evaluate_model(model: ModelState, instances: list[EncodedInstance]
     return evaluate_outcomes(preds, golds, model.label_set)
 
 
-@dataclass
-class FitResult:
-    best_dev_f: float
-    epochs_run: int
-    history: list[dict] = field(default_factory=list)
-
-
 def fit(model: ModelState, train: list[EncodedInstance],
         dev: list[EncodedInstance] | None, plan: TrainPlan,
         freeze_prefixes: tuple[str, ...] = (),
-        log_path=None) -> FitResult:
-    """Train with early stopping on dev macro-F (restore-best-weights).
-    Without a dev set, runs all epochs."""
+        log_path=None) -> float:
+    """Train with early stopping on dev macro-F (restore-best-weights) and
+    return the best dev macro-F. Without a dev set, runs all epochs."""
     optimizer = make_optimizer(model, plan.lr, freeze_prefixes)
     model.optimizer = optimizer
     best_f = -1.0
     best_snapshot = None
     since_best = 0
-    history = []
+    dev_labels = np.array([inst.label for inst in dev or ()], dtype=np.int64)
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
-        epoch = 0
         for epoch in range(1, plan.epochs + 1):
             train_loss = train_epoch(model, train, optimizer, model.rng,
                                      plan.batch_size)
-            entry = {"epoch": epoch, "train_loss": train_loss}
             if log_fh:
                 rep = evaluate_model(model, train)
                 log_fh.write(f"{epoch}\ttrain\t{train_loss:.6f}\t{rep.macro_p:.1f}"
                              f"\t{rep.macro_r:.1f}\t{rep.macro_f:.1f}\n")
             if dev:
-                dev_rep = evaluate_model(model, dev)
-                entry["dev_f"] = dev_rep.macro_f
+                logits = eval_logits(model, dev)
+                dev_rep = evaluate_outcomes(logits.argmax(axis=1), dev_labels,
+                                            model.label_set)
                 if log_fh:
-                    dev_loss = mean_loss(model, dev)
+                    dev_loss = ad.cross_entropy(ad.Tensor(logits),
+                                                dev_labels).item()
                     log_fh.write(f"{epoch}\tdev\t{dev_loss:.6f}\t{dev_rep.macro_p:.1f}"
                                  f"\t{dev_rep.macro_r:.1f}\t{dev_rep.macro_f:.1f}\n")
                 if dev_rep.macro_f > best_f:
@@ -193,13 +176,12 @@ def fit(model: ModelState, train: list[EncodedInstance],
                     since_best = 0
                 else:
                     since_best += 1
-            history.append(entry)
             if dev and since_best > plan.patience:
                 break
         if best_snapshot is not None:
             for name, data in best_snapshot.items():
                 model.params[name].data = data
-        return FitResult(best_f, epoch, history)
+        return best_f
     finally:
         if log_fh:
             log_fh.close()
@@ -251,11 +233,12 @@ def run_cross_validation(data: TaskData, config: ModelConfig, plan: TrainPlan,
                     float(np.std(fs)), fold_plan)
 
 
-def split_train_dev_test(instances: list[RelationInstance], seed: int,
+def split_train_dev_test(instances: list, seed: int,
                          dev_fraction: float = 0.1, test_fraction: float = 0.1
                          ) -> tuple[list, list, list]:
     """Seeded single split used by plain training, grid search, and the
-    transfer protocol."""
+    transfer protocol. The partition depends only on the list's length
+    and the seed, so raw and encoded instances split alike."""
     rng = np.random.default_rng([seed, 0x5EED])
     order = rng.permutation(len(instances))
     n_test = max(1, round(test_fraction * len(instances)))
@@ -291,27 +274,29 @@ def grid_search(data: TaskData, grid: dict[str, list], config: ModelConfig,
     ties keep the earliest point in declaration order."""
     if not grid or not all(grid.values()):
         raise ValueError("grid must be non-empty with non-empty value lists")
-    train_i, dev_i, _ = split_train_dev_test(data.instances, plan.seed,
-                                             plan.dev_fraction, 0.1)
     keys = list(grid)
+    points = [dict(zip(keys, combo))
+              for combo in itertools.product(*(grid[k] for k in keys))]
+    settings = [apply_grid_point(config, plan, point) for point in points]
+    # One encoding serves every point; it carries the adjacency if any
+    # point runs the GCN branch.
+    encoded = encode_instances(
+        data.instances, data.documents, data.vocab, data.graphs,
+        replace(config, use_gcn=any(cfg.use_gcn for cfg, _ in settings)))
+    train, dev, _ = split_train_dev_test(encoded, plan.seed,
+                                         plan.dev_fraction, 0.1)
     leaderboard: list[tuple[dict, float]] = []
     memo: dict[str, float] = {}
     best_point, best_f = None, -1.0
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        point = dict(zip(keys, combo))
+    for point, (cfg, pl) in zip(points, settings):
         digest = hashlib.sha256(
             json.dumps(point, sort_keys=True, default=str).encode()).hexdigest()
         if digest in memo:
             score = memo[digest]
         else:
-            cfg, pl = apply_grid_point(config, plan, point)
             model = init_model(cfg, data.vocab, data.embeddings, seed=pl.seed,
                                label_set=data.label_set)
-            enc_train = encode_instances(train_i, data.documents, data.vocab,
-                                         data.graphs, cfg)
-            enc_dev = encode_instances(dev_i, data.documents, data.vocab,
-                                       data.graphs, cfg)
-            score = fit(model, enc_train, enc_dev, pl).best_dev_f
+            score = fit(model, train, dev, pl)
             memo[digest] = score
             leaderboard.append((point, score))
         if score > best_f:
@@ -395,23 +380,7 @@ def save_checkpoint(model: ModelState, optimizer: Adam | None, path) -> None:
                 _write_block(fh, name.encode())
                 _write_array(fh, m)
                 _write_array(fh, v)
-        _write_block(fh, json.dumps(_rng_state(model.rng)).encode())
-
-
-def _rng_state(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state, default=str))
-
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    fixed = json.loads(json.dumps(state))
-    inner = fixed.get("state", {})
-    for key, value in list(inner.items()):
-        if isinstance(value, str) and value.isdigit():
-            inner[key] = int(value)
-    rng.bit_generator.state = fixed
-    return rng
+        _write_block(fh, json.dumps(model.rng.bit_generator.state).encode())
 
 
 def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
@@ -458,7 +427,8 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
                 vs.append(_read_array(fh))
             opt = Adam([params[n] for n in names], names=names)
             opt.load_state(t, ms, vs)
-        rng = _restore_rng(json.loads(_read_block(fh)))
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = json.loads(_read_block(fh))
 
     counts = {tok: 1 for tok in vocab_map}
     vocab = Vocabulary(dict(vocab_map), counts)
@@ -517,23 +487,22 @@ def transfer_finetune(checkpoint_path, target: TaskData,
     model = load_checkpoint(checkpoint_path)
     remap_word_rows(model, target.vocab)
     remap_classifier(model, target.label_set)
-    train_i, dev_i, test_i = split_train_dev_test(target.instances, plan.seed)
-    enc = lambda insts: encode_instances(insts, target.documents, target.vocab,
-                                         target.graphs, model.config)
-    fit(model, enc(train_i), enc(dev_i), plan, freeze_prefixes=freeze_prefixes,
+    train, dev, test = split_train_dev_test(
+        encode_instances(target.instances, target.documents, target.vocab,
+                         target.graphs, model.config), plan.seed)
+    fit(model, train, dev, plan, freeze_prefixes=freeze_prefixes,
         log_path=log_path)
-    return evaluate_model(model, enc(test_i)), model
+    return evaluate_model(model, test), model
 
 
 def train_from_scratch(data: TaskData, config: ModelConfig, plan: TrainPlan,
-                       log_path=None) -> tuple[EvalReport, ModelState, FitResult]:
+                       log_path=None) -> tuple[EvalReport, ModelState]:
     """Single-split training used by the CLI train command and as the
     source stage of the transfer protocol."""
-    train_i, dev_i, test_i = split_train_dev_test(data.instances, plan.seed)
+    train, dev, test = split_train_dev_test(
+        encode_instances(data.instances, data.documents, data.vocab,
+                         data.graphs, config), plan.seed)
     model = init_model(config, data.vocab, data.embeddings, seed=plan.seed,
                        label_set=data.label_set)
-    enc = lambda insts: encode_instances(insts, data.documents, data.vocab,
-                                         data.graphs, config)
-    result = fit(model, enc(train_i), enc(dev_i), plan, log_path=log_path)
-    report = evaluate_model(model, enc(test_i))
-    return report, model, result
+    fit(model, train, dev, plan, log_path=log_path)
+    return evaluate_model(model, test), model

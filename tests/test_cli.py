@@ -9,11 +9,14 @@ import pytest
 from bioie.cli import (
     ConfigError,
     RunConfig,
+    _parse_grid,
     config_text,
     main,
     parse_config_file,
     resolve_config,
 )
+from bioie.layers import ModelConfig
+from bioie.training import TrainPlan, apply_grid_point
 
 FAST = {
     "dataset": "synthetic",
@@ -41,6 +44,29 @@ def flags(outdir, extra=None, base=FAST):
     for key, value in merged.items():
         out.extend([f"--{key}", value])
     return out
+
+
+class TestParseGrid:
+    def test_values_coerced_as_their_config_field(self):
+        grid = _parse_grid("use_gcn=False|True; lr=0.001|1; hidden=64")
+        assert grid == {"use_gcn": [False, True], "lr": [0.001, 1.0],
+                        "hidden": [64]}
+        assert [type(v) for v in grid["lr"]] == [float, float]
+
+    def test_boolean_grid_toggles_the_gcn_branch(self):
+        config = ModelConfig(label_count=2)
+        widths = [apply_grid_point(config, TrainPlan(), {"use_gcn": v})[0]
+                  .classifier_width
+                  for v in _parse_grid("use_gcn=False|True")["use_gcn"]]
+        assert widths == [config.d_model, 2 * config.d_model]
+
+    def test_malformed_entries_rejected(self):
+        with pytest.raises(ConfigError, match="closest known key: 'hidden'"):
+            _parse_grid("hiden=8|16")
+        with pytest.raises(ConfigError, match="use_gcn"):
+            _parse_grid("use_gcn=maybe")
+        with pytest.raises(ConfigError, match="is not key="):
+            _parse_grid("lr=0.001; hidden")
 
 
 class TestResolveConfig:

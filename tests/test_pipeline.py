@@ -12,7 +12,6 @@ from bioie.corpus import PAD_ID
 from bioie.layers import ModelConfig, bilstm, embed_sequence, multi_head_attention
 from bioie.pipeline import (
     ABLATION_VARIANTS,
-    MASK_NEG,
     DocEncoding,
     count_parameters,
     encode_instances,
@@ -23,7 +22,12 @@ from bioie.pipeline import (
     parameter_group_counts,
     predict_proba,
 )
-from bioie.textgraph import GRAPH_KINDS, DocumentAdjacency, project_adjacency
+from bioie.textgraph import (
+    GRAPH_KINDS,
+    DocumentAdjacency,
+    project_adjacency,
+    token_ids,
+)
 from bioie.training import make_optimizer
 
 from conftest import build_synth_task
@@ -34,24 +38,19 @@ def encode_all(task, config):
                             task.graphs, config)
 
 
-def cut(inst, n, pad_at=()):
-    """The instance with its document cut to its first n tokens, and the
-    positions in `pad_at` marked as in-document padding."""
+def cut(inst, n):
+    """The instance with its document cut to its first n tokens."""
     doc = inst.doc
-    pad = doc.pad[:n].copy()
-    pad[list(pad_at)] = True
     adjacency = {}
     for kind, a in doc.adjacency.items():
         matrix = a.matrix[:n, :n]
         adjacency[kind] = DocumentAdjacency(matrix, matrix.sum(axis=1))
-    return replace(inst, doc=DocEncoding(doc.doc_id, doc.ids[:n], pad, adjacency))
+    return replace(inst, doc=DocEncoding(doc.doc_id, doc.ids[:n], adjacency))
 
 
 def uneven_batch(enc):
-    """Five instances whose documents have clearly different lengths,
-    one with an in-document pad position."""
-    return [enc[0], cut(enc[1], 3), cut(enc[2], 17, pad_at=(4,)), enc[3],
-            cut(enc[4], 9)]
+    """Five instances whose documents have clearly different lengths."""
+    return [enc[0], cut(enc[1], 3), cut(enc[2], 17), enc[3], cut(enc[4], 9)]
 
 
 class TestInitModel:
@@ -138,22 +137,40 @@ class TestCountParameters:
 
 class TestEncoding:
     def test_documents_cut_to_real_prefix(self, tiny_task, small_config):
-        """Trailing padding is dropped once at encode time: ids, pad mask
-        and every adjacency cover the real prefix only."""
+        """Trailing padding is dropped once at encode time: the ids are
+        the real prefix, and every adjacency is the projection of those
+        ids, equal to the padded projection's leading block."""
         cut = 0
         for e in encode_all(tiny_task, small_config):
-            doc = tiny_task.documents[e.doc.doc_id]
+            all_ids = token_ids(tiny_task.documents[e.doc.doc_id], tiny_task.vocab)
             n = len(e.doc.ids)
             assert e.doc.ids[-1] != PAD_ID
-            assert e.doc.pad.shape == (n,)
-            full = project_adjacency(doc, tiny_task.graphs, tiny_task.vocab)
+            assert np.array_equal(e.doc.ids, all_ids[:n])
+            assert np.all(all_ids[n:] == PAD_ID)
+            own = project_adjacency(e.doc.ids, tiny_task.graphs)
+            full = project_adjacency(all_ids, tiny_task.graphs)
             assert set(e.doc.adjacency) == set(GRAPH_KINDS)
             for kind, adj in e.doc.adjacency.items():
-                assert adj.matrix.shape == (n, n)
+                assert np.array_equal(adj.matrix, own[kind].matrix)
+                assert np.array_equal(adj.degree, own[kind].degree)
                 assert np.array_equal(adj.matrix, full[kind].matrix[:n, :n])
-                assert np.array_equal(adj.degree, full[kind].degree[:n])
-            cut += len(doc.tokens) > n
+                # Row sums over n and over the padded length may group
+                # their terms differently.
+                assert np.allclose(adj.degree, full[kind].degree[:n],
+                                   rtol=1e-14, atol=0.0)
+            cut += len(all_ids) > n
         assert cut > 0, "fixture has no trailing padding to cut"
+
+    def test_adjacency_matrices_own_their_memory(self, tiny_task, small_config):
+        """Every stored matrix is its own C-contiguous (n, n) array, not a
+        view that keeps a larger padded projection alive."""
+        for e in encode_all(tiny_task, small_config):
+            n = len(e.doc.ids)
+            for adj in e.doc.adjacency.values():
+                for arr, shape in ((adj.matrix, (n, n)), (adj.degree, (n,))):
+                    assert arr.shape == shape
+                    assert arr.flags["C_CONTIGUOUS"]
+                    assert arr.base is None
 
 
 class TestForward:
@@ -207,39 +224,13 @@ class TestForward:
         assert model.rng.bit_generator.state == after
         assert np.max(np.abs(batched - singles)) < 1e-10
 
-    def test_in_document_pad_masked_in_attention_and_pooling(
-            self, tiny_task, small_config):
-        """An in-document pad position is kept out of attention keys and
-        max-pooling, as recomputed from the single-sequence layers."""
-        cfg = make_variant(small_config, "no_gcn")
-        model, enc = self.model_and_batch(tiny_task, cfg)
-        batch = uneven_batch(enc)
-        inst = batch[2]
-        ids, pad = inst.doc.ids, inst.doc.pad
-        assert pad.any() and not pad[-1]
-        with ad.no_grad():
-            logits = forward(model, batch, "eval").data[2]
-            seq = embed_sequence(ids, inst.head_start, inst.tail_start,
-                                 model.word_table(), model.params["embed.pos_head"],
-                                 model.params["embed.pos_tail"], cfg.max_dist)
-            h = bilstm(seq, model.lstm_params())
-            key_mask = ad.Tensor(np.where(pad[None, :], MASK_NEG, 0.0)
-                                 * np.ones((len(ids), 1)))
-            attended = multi_head_attention(h, model.attention_params(),
-                                            key_mask).data
-        rep = (attended + np.where(pad[:, None], MASK_NEG, 0.0)).max(axis=0)
-        expected = rep @ model.params["clf.w"].data + model.params["clf.b"].data[0]
-        assert np.max(np.abs(logits - expected)) < 1e-12
-
     def test_gcn_branch_matches_numpy_recomputation(self, tiny_task, small_config):
         """With two layers, the GCN branch is m <- mean_k tanh(A_k m W_k + b_k)
         from the LSTM states, A_k the row-normalized projected adjacency."""
         cfg = replace(small_config, gcn_layers=2)
         model, enc = self.model_and_batch(tiny_task, cfg)
         inst = enc[0]
-        doc = tiny_task.documents[inst.doc.doc_id]
-        ids, pad = inst.doc.ids, inst.doc.pad
-        n = len(ids)
+        ids = inst.doc.ids
         p = {name: t.data for name, t in model.params.items()}
         with ad.no_grad():
             logits = forward(model, [inst], "eval").data
@@ -247,23 +238,18 @@ class TestForward:
                                  model.word_table(), model.params["embed.pos_head"],
                                  model.params["embed.pos_tail"], cfg.max_dist)
             h = bilstm(seq, model.lstm_params())
-            attn_mask = ad.Tensor(np.where(pad[None, :], MASK_NEG, 0.0)
-                                  * np.ones((n, 1)))
-            attended = multi_head_attention(h, model.attention_params(),
-                                            attn_mask).data
-        pool_mask = np.where(pad[:, None], MASK_NEG, 0.0)
-        full = project_adjacency(doc, tiny_task.graphs, tiny_task.vocab)
+            attended = multi_head_attention(h, model.attention_params()).data
+        adjacency = project_adjacency(ids, tiny_task.graphs)
         m = h.data
         for layer in range(2):
             outs = []
             for kind in GRAPH_KINDS:
-                a = full[kind].matrix[:n, :n]
+                a = adjacency[kind].matrix
                 a_hat = a / a.sum(axis=1, keepdims=True)
                 outs.append(np.tanh(a_hat @ m @ p[f"gcn.layer{layer}.{kind}.w"]
                                     + p[f"gcn.layer{layer}.{kind}.b"]))
             m = sum(outs) / len(outs)
-        rep = np.concatenate([(attended + pool_mask).max(axis=0),
-                              (m + pool_mask).max(axis=0)])
+        rep = np.concatenate([attended.max(axis=0), m.max(axis=0)])
         expected = rep[None, :] @ p["clf.w"] + p["clf.b"]
         assert np.max(np.abs(logits - expected)) < 1e-12
 
@@ -280,14 +266,9 @@ class TestForward:
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(probs >= 0)
 
-    def test_predict_proba_runs_in_chunks(self, tiny_task, small_config,
-                                          monkeypatch):
-        """Over more than one chunk, each forward sees at most `chunk`
-        instances and the rows equal per-chunk results."""
-        model, enc = self.model_and_batch(tiny_task, small_config)
-        batch = (enc * (70 // len(enc) + 1))[:70]
-        expected = np.vstack([pipeline.predict_proba(model, batch[:64]),
-                              pipeline.predict_proba(model, batch[64:])])
+    @staticmethod
+    def count_forwards(monkeypatch):
+        """Patch pipeline.forward to record each call's batch size."""
         sizes = []
         real_forward = pipeline.forward
 
@@ -296,6 +277,20 @@ class TestForward:
             return real_forward(m, part, mode)
 
         monkeypatch.setattr(pipeline, "forward", counting_forward)
+        return sizes
+
+    def test_predict_proba_runs_in_chunks(self, tiny_task, small_config,
+                                          monkeypatch):
+        """With EVAL_ARRAY_FLOATS set to 64 instances' worth, each forward
+        sees at most 64 instances and the rows equal per-chunk results."""
+        model, enc = self.model_and_batch(tiny_task, small_config)
+        batch = (enc * (70 // len(enc) + 1))[:70]
+        steps = max(len(inst.doc.ids) for inst in batch)
+        monkeypatch.setattr(pipeline, "EVAL_ARRAY_FLOATS",
+                            64 * steps * max(steps, model.config.d_model))
+        expected = np.vstack([pipeline.predict_proba(model, batch[:64]),
+                              pipeline.predict_proba(model, batch[64:])])
+        sizes = self.count_forwards(monkeypatch)
         probs = pipeline.predict_proba(model, batch)
         assert sizes == [64, 6]
         assert np.array_equal(probs, expected)
@@ -304,26 +299,23 @@ class TestForward:
 
     def test_eval_chunks_bounded_by_array_budget(self, tiny_task, small_config,
                                                  monkeypatch):
-        """Long documents cut each eval forward below `chunk` instances, so
-        that no array exceeds EVAL_ARRAY_FLOATS; rows stay within the
-        batch-invariance tolerance."""
+        """Eval forwards are sized by EVAL_ARRAY_FLOATS alone: a batch
+        within the budget runs as one forward, and a tighter budget cuts
+        it into chunks whose rows stay within the batch-invariance
+        tolerance of the single forward."""
         model, enc = self.model_and_batch(tiny_task, small_config)
-        batch = (enc * (20 // len(enc) + 1))[:20]
-        expected = pipeline.predict_proba(model, batch)
+        batch = (enc * (70 // len(enc) + 1))[:70]
+        sizes = self.count_forwards(monkeypatch)
+        whole = pipeline.predict_proba(model, batch)
+        assert sizes == [70]
+
         steps = max(len(inst.doc.ids) for inst in batch)
         monkeypatch.setattr(pipeline, "EVAL_ARRAY_FLOATS",
-                            6 * steps * max(steps, model.config.d_model))
-        sizes = []
-        real_forward = pipeline.forward
-
-        def counting_forward(m, part, mode="eval"):
-            sizes.append(len(part))
-            return real_forward(m, part, mode)
-
-        monkeypatch.setattr(pipeline, "forward", counting_forward)
+                            16 * steps * max(steps, model.config.d_model))
+        sizes.clear()
         probs = pipeline.predict_proba(model, batch)
-        assert sizes == [6, 6, 6, 2]
-        assert np.max(np.abs(probs - expected)) <= 1e-10
+        assert sizes == [16, 16, 16, 16, 6]
+        assert np.max(np.abs(probs - whole)) <= 1e-10
 
     def test_every_variant_trains_one_step(self, tiny_task, small_config):
         for variant in ABLATION_VARIANTS:

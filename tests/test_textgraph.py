@@ -32,6 +32,7 @@ from bioie.textgraph import (
     build_syntactic_graph,
     dump_graphs,
     project_adjacency,
+    token_ids,
 )
 
 LN_10_9 = 0.10536051565782630
@@ -173,10 +174,9 @@ def corpora(draw):
     return docs, vocab
 
 
-def brute_force_projection(doc, graphs, vocab):
+def brute_force_projection(ids, graphs):
     """Pair-by-pair lookup oracle for `project_adjacency`: kind ->
     (matrix, degree)."""
-    ids = np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
     n = len(ids)
     real = [(pos, tid) for pos, tid in enumerate(ids)
             if tid not in (PAD_ID, UNK_ID)]
@@ -431,7 +431,8 @@ class TestProjection:
     def test_single_token(self):
         docs = [doc_from(["only"])]
         vocab = build_vocabulary(docs)
-        adj = project_adjacency(docs[0], self.graphs_for(docs, vocab), vocab)
+        adj = project_adjacency(token_ids(docs[0], vocab),
+                                self.graphs_for(docs, vocab))
         for kind in ("semantic", "syntactic", "sequence"):
             assert np.array_equal(adj[kind].matrix, [[1.0]])
             assert np.array_equal(adj[kind].degree, [1.0])
@@ -440,7 +441,7 @@ class TestProjection:
         docs = [doc_from(["p", "q"])]
         vocab = build_vocabulary(docs)
         graphs = self.graphs_for(docs, vocab)
-        adj = project_adjacency(docs[0], graphs, vocab)
+        adj = project_adjacency(token_ids(docs[0], vocab), graphs)
         assert np.array_equal(adj["semantic"].matrix, np.eye(2))
 
     def test_known_sequence_weight_projected(self):
@@ -448,7 +449,7 @@ class TestProjection:
         vocab = build_vocabulary(docs)
         graphs = self.graphs_for(docs, vocab)
         two = doc_from(["a", "b"], "small")
-        adj = project_adjacency(two, graphs, vocab)["sequence"]
+        adj = project_adjacency(token_ids(two, vocab), graphs)["sequence"]
         expected = np.array([[1.0, LN_10_9], [LN_10_9, 1.0]])
         assert np.allclose(adj.matrix, expected, atol=1e-12)
         assert np.allclose(adj.degree, [1 + LN_10_9, 1 + LN_10_9], atol=1e-12)
@@ -459,7 +460,7 @@ class TestProjection:
         doc = normalize_length(base)
         vocab = build_vocabulary([doc])
         graphs = self.graphs_for([doc], vocab, window=3)
-        adj = project_adjacency(doc, graphs, vocab)["sequence"]
+        adj = project_adjacency(token_ids(doc, vocab), graphs)["sequence"]
         assert np.array_equal(adj.matrix[10:], np.eye(50)[10:])
 
     @given(st.integers(0, 300))
@@ -472,7 +473,7 @@ class TestProjection:
         vocab = build_vocabulary(docs)
         graphs = self.graphs_for(docs, vocab, window=3)
         for doc in docs:
-            for adj in project_adjacency(doc, graphs, vocab).values():
+            for adj in project_adjacency(token_ids(doc, vocab), graphs).values():
                 assert np.array_equal(adj.matrix, adj.matrix.T)
                 assert np.all(np.diag(adj.matrix) > 0)
                 assert np.all(adj.degree >= 1.0)
@@ -494,8 +495,9 @@ class TestProjection:
         mixed = list(rng.choice(words + ["other"], size=30)) + ["unseen", "w0"]
         probes = docs + [normalize_length(doc_from(mixed, "mixed"))]
         for doc in probes:
-            got = project_adjacency(doc, graphs, vocab)
-            oracle = brute_force_projection(doc, graphs, vocab)
+            ids = token_ids(doc, vocab)
+            got = project_adjacency(ids, graphs)
+            oracle = brute_force_projection(ids, graphs)
             for kind, (matrix, degree) in oracle.items():
                 assert np.array_equal(got[kind].matrix, matrix)
                 assert np.array_equal(got[kind].degree, degree)
@@ -513,8 +515,9 @@ class TestProjection:
         graphs.sequence.weights[(UNK_ID, a_id)] = 0.5
         graphs.sequence.weights[(PAD_ID, a_id)] = 0.25
         probe = normalize_length(doc_from(["a", "unseen", "b"], "probe"))
-        adj = project_adjacency(probe, graphs, vocab)["sequence"]
-        matrix, degree = brute_force_projection(probe, graphs, vocab)["sequence"]
+        ids = token_ids(probe, vocab)
+        adj = project_adjacency(ids, graphs)["sequence"]
+        matrix, degree = brute_force_projection(ids, graphs)["sequence"]
         assert np.array_equal(adj.matrix, matrix)
         assert np.array_equal(adj.degree, degree)
         assert np.array_equal(adj.matrix[1], np.eye(len(probe.tokens))[1])

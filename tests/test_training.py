@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import bioie.autodiff as ad
-from bioie.pipeline import encode_instances, init_model, predict
+import bioie.training as training
+from bioie.pipeline import encode_instances, init_model, make_variant, predict
 from bioie.training import (
     BadMagic,
     DigestMismatch,
@@ -21,6 +22,7 @@ from bioie.training import (
     save_checkpoint,
     split_train_dev_test,
     train_epoch,
+    train_from_scratch,
     transfer_finetune,
 )
 
@@ -127,6 +129,15 @@ class TestGridSearch:
         grid = {"lr": [1e-3, 1e-3]}
         best, board = grid_search(tiny_task, grid, small_config, plan)
         assert len(board) == 1  # evaluated once
+
+    def test_gcn_point_over_no_gcn_base(self, tiny_task, small_config):
+        """The one encoding carries the adjacency when any point runs the
+        GCN branch, even if the base configuration does not."""
+        plan = TrainPlan(epochs=1, batch_size=8, seed=0)
+        base = make_variant(small_config, "no_gcn")
+        _, board = grid_search(tiny_task, {"use_gcn": [False, True]}, base, plan)
+        assert [point for point, _ in board] == [{"use_gcn": False},
+                                                 {"use_gcn": True}]
 
     def test_empty_grid_rejected(self, tiny_task, small_config):
         with pytest.raises(ValueError):
@@ -269,6 +280,29 @@ class TestFitAndTransfer:
         report, model = transfer_finetune(path, target, (), plan)
         assert model.label_set == target.label_set
         assert model.params["clf.w"].shape[1] == len(target.label_set)
+
+    def test_each_command_encodes_its_task_once(self, tiny_task, small_config,
+                                                tmp_path, monkeypatch):
+        """Training, fine-tuning and a two-point grid search each encode
+        the task's instances in one call and split the encoded list."""
+        path, _ = self.ckpt(tiny_task, small_config, tmp_path)
+        calls = []
+
+        def counting_encode(instances, *args):
+            calls.append(len(instances))
+            return encode_instances(instances, *args)
+
+        monkeypatch.setattr(training, "encode_instances", counting_encode)
+        plan = TrainPlan(epochs=1, batch_size=8, seed=0)
+        everything = [len(tiny_task.instances)]
+        train_from_scratch(tiny_task, small_config, plan)
+        assert calls == everything
+        calls.clear()
+        transfer_finetune(path, tiny_task, (), plan)
+        assert calls == everything
+        calls.clear()
+        grid_search(tiny_task, {"lr": [1e-3, 3e-4]}, small_config, plan)
+        assert calls == everything
 
     def test_split_train_dev_test_partition(self, tiny_task):
         train, dev, test = split_train_dev_test(tiny_task.instances, seed=0)
