@@ -14,14 +14,13 @@ import difflib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import (
     CorpusFormatError,
-    PATHOLOGY_KINDS,
     attach_dependencies,
     build_vocabulary,
     load_pretrained_vectors,
@@ -50,6 +49,7 @@ from .training import (
     TaskData,
     TrainPlan,
     TrainingDiverged,
+    _PLAN_KEYS,
     apply_grid_point,
     grid_search,
     load_checkpoint,
@@ -234,33 +234,17 @@ def _parse_counts(spec: str) -> dict[str, int]:
     return counts
 
 
-def assemble_tasks(cfg: RunConfig, data_path: str | None = None,
-                   need_graphs: bool | None = None) -> dict[str, TaskData]:
-    """Parse, attach dependencies, length-normalize, build vocabulary,
-    embeddings and corpus graphs, and split instances per learning task."""
+def load_corpus(cfg: RunConfig, data_path: str | None = None):
+    """Parse, attach dependencies, length-normalize, sample negatives and
+    split instances per learning task: (documents by id, task instances)."""
     docs, instances = _parse_dataset(cfg, data_path)
     parse_dir = Path(cfg.parses) if cfg.parses else None
-    attached = []
-    for doc in docs:
-        parse_file = None
-        if parse_dir is not None:
-            candidate = parse_dir / f"{doc.id}.conllu"
-            if candidate.exists():
-                parse_file = candidate
-        attached.append(attach_dependencies(doc, parse_file))
-    docs = attached
+    paths = [parse_dir / f"{doc.id}.conllu" if parse_dir else None
+             for doc in docs]
+    docs = [attach_dependencies(doc, path if path and path.exists() else None)
+            for doc, path in zip(docs, paths)]
     if cfg.normalize:
         docs, instances = normalize_corpus(docs, instances)
-    vocab = build_vocabulary(docs, cfg.min_count)
-    if cfg.vectors:
-        embeddings = load_pretrained_vectors(cfg.vectors, vocab, seed=cfg.seed,
-                                             dim=cfg.d_w)
-    else:
-        embeddings = random_embeddings(vocab, cfg.d_w, seed=cfg.seed)
-    build = cfg.use_gcn if need_graphs is None else need_graphs
-    graphs = (build_corpus_graphs(docs, embeddings, vocab, cfg.theta, cfg.window)
-              if build else None)
-    doc_map = {d.id: d for d in docs}
 
     by_task: dict[str, list] = {}
     for inst in instances:
@@ -274,21 +258,35 @@ def assemble_tasks(cfg: RunConfig, data_path: str | None = None,
             idx = sorted(rng.choice(len(neg), size=keep, replace=False).tolist())
             by_task[task] = pos + [neg[i] for i in idx]
 
-    tasks = {}
-    for task in sorted(by_task):
-        if cfg.task and task != cfg.task:
-            continue
-        insts = by_task[task]
-        tasks[task] = TaskData(doc_map, insts, insts[0].label_set, vocab,
-                               embeddings, graphs, task)
+    tasks = {task: by_task[task] for task in sorted(by_task)
+             if not cfg.task or task == cfg.task}
     if not tasks:
         raise ConfigError(
             f"no instances for task filter {cfg.task!r}; available: "
             f"{', '.join(sorted(by_task)) or 'none'}")
-    return tasks
+    return {d.id: d for d in docs}, tasks
 
 
-def _single_task(tasks: dict[str, TaskData]) -> TaskData:
+def assemble_tasks(cfg: RunConfig, data_path: str | None = None
+                   ) -> dict[str, TaskData]:
+    """`load_corpus`, then the vocabulary, embeddings and corpus graphs of
+    all its documents, which every task shares. The graphs are built
+    from every document, test instances' included."""
+    doc_map, by_task = load_corpus(cfg, data_path)
+    docs = list(doc_map.values())
+    vocab = build_vocabulary(docs, cfg.min_count)
+    if cfg.vectors:
+        embeddings = load_pretrained_vectors(cfg.vectors, vocab, seed=cfg.seed,
+                                             dim=cfg.d_w)
+    else:
+        embeddings = random_embeddings(vocab, cfg.d_w, seed=cfg.seed)
+    graphs = build_corpus_graphs(docs, embeddings, vocab, cfg.theta, cfg.window)
+    return {task: TaskData(doc_map, insts, insts[0].label_set, vocab,
+                           embeddings, graphs, task)
+            for task, insts in by_task.items()}
+
+
+def _single_task(tasks: dict):
     if len(tasks) != 1:
         raise ConfigError(
             f"this command needs one task; set task=<name> (available: "
@@ -330,8 +328,7 @@ def cmd_ingest(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_build_graphs(cfg: RunConfig, out: Path) -> int:
-    tasks = assemble_tasks(cfg, need_graphs=True)
-    data = next(iter(tasks.values()))
+    data = next(iter(assemble_tasks(cfg).values()))
     dump_graphs(data.graphs, data.vocab, out / "graphs.tsv")
     sizes = {kind: len(data.graphs.by_kind(kind))
              for kind in ("semantic", "syntactic", "sequence")}
@@ -364,7 +361,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 def _parse_grid(spec: str) -> dict[str, list]:
     """Parse a grid spec such as "lr=0.001|0.0003;use_gcn=False|True".
     Each value is coerced as its key's config field is, so booleans come
-    out as booleans."""
+    out as booleans. Only model and training-plan keys may vary: corpus
+    keys such as theta or window would need a corpus per point."""
     grid = {}
     for part in spec.split(";"):
         part = part.strip()
@@ -374,6 +372,9 @@ def _parse_grid(spec: str) -> dict[str, list]:
             raise ConfigError(f"grid entry {part!r} is not key=v1|v2")
         key, values = (p.strip() for p in part.split("=", 1))
         _reject_unknown(key)
+        if key not in {f.name for f in fields(ModelConfig)} | set(_PLAN_KEYS):
+            raise ConfigError(f"grid key {key!r} is not a model or training "
+                              f"plan setting")
         grid[key] = [_coerce(key, v) for v in values.split("|")]
     return grid
 
@@ -457,9 +458,10 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
     if not cfg.checkpoint:
         raise ConfigError("eval needs checkpoint=<model file>")
     model = load_checkpoint(cfg.checkpoint)
-    data = _single_task(assemble_tasks(cfg))
-    encoded = encode_instances(data.instances, data.documents, model.vocab,
-                               data.graphs, model.config)
+    documents, tasks = load_corpus(cfg)
+    instances = _single_task(tasks)
+    encoded = encode_instances(instances, documents, model.vocab,
+                               model.graphs, model.config)
     preds = predict(model, encoded)
     golds = [e.label for e in encoded]
     report = evaluate_outcomes(preds, golds, model.label_set)
@@ -472,7 +474,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
 
     report.ci["macro"] = bootstrap_ci(outcomes, macro_f_metric,
                                       resamples=1000, seed=cfg.seed)
-    table = report_table([("checkpoint", report)], title=f"task {data.task}")
+    table = report_table([("checkpoint", report)],
+                         title=f"task {instances[0].task}")
     lo, hi = report.ci["macro"]
     table += f"\nmacro-F 95% CI: [{lo:.1f}, {hi:.1f}]"
     (out / "eval.txt").write_text(table + "\n")
@@ -485,18 +488,15 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
     if not cfg.checkpoint:
         raise ConfigError("predict needs checkpoint=<model file>")
     model = load_checkpoint(cfg.checkpoint)
-    data = _single_task(assemble_tasks(cfg))
-    order = sorted(range(len(data.instances)),
-                   key=lambda i: (data.instances[i].doc_id,
-                                  data.instances[i].head,
-                                  data.instances[i].tail))
-    instances = [data.instances[i] for i in order]
-    encoded = encode_instances(instances, data.documents, model.vocab,
-                               data.graphs, model.config)
+    documents, tasks = load_corpus(cfg)
+    instances = sorted(_single_task(tasks),
+                       key=lambda inst: (inst.doc_id, inst.head, inst.tail))
+    encoded = encode_instances(instances, documents, model.vocab,
+                               model.graphs, model.config)
     probs = predict_proba(model, encoded)
     lines = []
     for inst, row in zip(instances, probs):
-        doc = data.documents[inst.doc_id]
+        doc = documents[inst.doc_id]
         label_idx = int(row.argmax())
         lines.append(f"{inst.doc_id}\t{doc.mentions[inst.head].id}"
                      f"\t{doc.mentions[inst.tail].id}"

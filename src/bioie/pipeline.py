@@ -84,6 +84,7 @@ class ModelState:
     seed: int
     rng: np.random.Generator
     optimizer: object | None = None
+    graphs: CorpusGraphs | None = None  # keyed by `vocab` ids
 
     def word_table(self) -> Tensor:
         return self.params.get("embed.word") or self.buffers["embed.word"]

@@ -33,10 +33,10 @@ from .pipeline import (
     loss as model_loss,
     predict,
 )
-from .textgraph import CorpusGraphs
+from .textgraph import GRAPH_KINDS, CorpusGraphs, WordPairStats
 
 CHECKPOINT_MAGIC = b"BIOIE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -352,9 +352,31 @@ def _read_array(fh) -> np.ndarray:
     return data.reshape(shape).astype(np.float64)
 
 
+def _write_graphs(fh, graphs: CorpusGraphs | None) -> None:
+    """theta and window as JSON (null without graphs), then each kind's
+    counts and weights as (pairs, 3) arrays of rows (a, b, value)."""
+    header = None if graphs is None else {"theta": graphs.theta,
+                                          "window": graphs.window}
+    _write_block(fh, json.dumps(header).encode())
+    for kind in GRAPH_KINDS if graphs is not None else ():
+        stats = graphs.by_kind(kind)
+        for table in (stats.counts, stats.weights):
+            rows = [(a, b, v) for (a, b), v in table.items()]
+            _write_array(fh, np.array(rows).reshape(-1, 3))
+
+
+def _read_graphs(fh) -> CorpusGraphs | None:
+    def table() -> dict[tuple[int, int], float]:
+        return {(int(a), int(b)): v for a, b, v in _read_array(fh).tolist()}
+
+    header = json.loads(_read_block(fh))
+    return None if header is None else CorpusGraphs(
+        **{k: WordPairStats(table(), table()) for k in GRAPH_KINDS}, **header)
+
+
 def save_checkpoint(model: ModelState, optimizer: Adam | None, path) -> None:
     """Versioned binary checkpoint: config digest, every named tensor as
-    little-endian float64, optimizer moments, and the generator state."""
+    little-endian float64, optimizer moments, generator state and graphs."""
     payload = _config_payload(model)
     digest = hashlib.sha256(payload).digest()
     with open(path, "wb") as fh:
@@ -381,6 +403,7 @@ def save_checkpoint(model: ModelState, optimizer: Adam | None, path) -> None:
                 _write_array(fh, m)
                 _write_array(fh, v)
         _write_block(fh, json.dumps(model.rng.bit_generator.state).encode())
+        _write_graphs(fh, model.graphs)
 
 
 def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
@@ -394,7 +417,8 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != CHECKPOINT_VERSION:
             raise VersionMismatch(
-                f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+                f"checkpoint version {version}, expected {CHECKPOINT_VERSION}: "
+                f"retrain the model to store its corpus graphs with it")
         digest = _read_exact(fh, 32)
         payload = _read_block(fh)
         if hashlib.sha256(payload).digest() != digest:
@@ -429,12 +453,11 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
             opt.load_state(t, ms, vs)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = json.loads(_read_block(fh))
+        graphs = _read_graphs(fh)
 
-    counts = {tok: 1 for tok in vocab_map}
-    vocab = Vocabulary(dict(vocab_map), counts)
-    model = ModelState(config, params, buffers, vocab,
-                       tuple(blob["label_set"]), blob["seed"], rng, opt)
-    return model
+    vocab = Vocabulary(dict(vocab_map), dict.fromkeys(vocab_map, 1))
+    return ModelState(config, params, buffers, vocab,
+                      tuple(blob["label_set"]), blob["seed"], rng, opt, graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +467,7 @@ def remap_word_rows(model: ModelState, target_vocab: Vocabulary) -> None:
     """Re-index the word table onto a new vocabulary by token surface;
     unseen tokens get fresh uniform rows from the model generator."""
     source_vocab = model.vocab
-    holder = "params" if "embed.word" in model.params else "buffers"
-    table = getattr(model, holder)["embed.word"]
+    table = model.word_table()
     new = model.rng.uniform(-0.25, 0.25,
                             size=(target_vocab.size, model.config.d_w))
     for tok, tid in target_vocab.token_to_id.items():
@@ -481,15 +503,16 @@ def remap_classifier(model: ModelState, target_labels: tuple[str, ...]) -> None:
 def transfer_finetune(checkpoint_path, target: TaskData,
                       freeze_prefixes: tuple[str, ...], plan: TrainPlan,
                       log_path=None) -> tuple[EvalReport, ModelState]:
-    """Warm-start from a checkpoint, adapt vocabulary and classifier head
-    to the target task, freeze the requested parameter groups, fine-tune,
-    and evaluate on the target test split."""
+    """Warm-start from a checkpoint, adapt vocabulary, graphs and
+    classifier head to the target task, freeze the requested parameter
+    groups, fine-tune, and evaluate on the target test split."""
     model = load_checkpoint(checkpoint_path)
     remap_word_rows(model, target.vocab)
+    model.graphs = target.graphs
     remap_classifier(model, target.label_set)
     train, dev, test = split_train_dev_test(
-        encode_instances(target.instances, target.documents, target.vocab,
-                         target.graphs, model.config), plan.seed)
+        encode_instances(target.instances, target.documents, model.vocab,
+                         model.graphs, model.config), plan.seed)
     fit(model, train, dev, plan, freeze_prefixes=freeze_prefixes,
         log_path=log_path)
     return evaluate_model(model, test), model
@@ -504,5 +527,6 @@ def train_from_scratch(data: TaskData, config: ModelConfig, plan: TrainPlan,
                          data.graphs, config), plan.seed)
     model = init_model(config, data.vocab, data.embeddings, seed=plan.seed,
                        label_set=data.label_set)
+    model.graphs = data.graphs
     fit(model, train, dev, plan, log_path=log_path)
     return evaluate_model(model, test), model

@@ -6,16 +6,20 @@ import os
 import numpy as np
 import pytest
 
+import bioie.cli as cli
 from bioie.cli import (
     ConfigError,
     RunConfig,
     _parse_grid,
+    _single_task,
+    assemble_tasks,
     config_text,
     main,
     parse_config_file,
     resolve_config,
 )
 from bioie.layers import ModelConfig
+from bioie.pipeline import encode_instances, eval_logits, predict
 from bioie.training import TrainPlan, apply_grid_point
 
 FAST = {
@@ -33,6 +37,14 @@ FAST = {
     "window": "4",
     "seed": "1",
 }
+
+
+@pytest.fixture(scope="module")
+def trained_ckpt(tmp_path_factory):
+    """A checkpoint of `bioie train` on the FAST corpus."""
+    out = tmp_path_factory.mktemp("train")
+    assert main(["train"] + flags(out)) == 0
+    return out / "model.ckpt"
 
 
 def flags(outdir, extra=None, base=FAST):
@@ -67,6 +79,11 @@ class TestParseGrid:
             _parse_grid("use_gcn=maybe")
         with pytest.raises(ConfigError, match="is not key="):
             _parse_grid("lr=0.001; hidden")
+
+    def test_corpus_and_run_keys_rejected(self):
+        for spec in ("theta=0.5|0.9", "window=4|8", "seed=1|2", "vectors=a|b"):
+            with pytest.raises(ConfigError, match="not a model or training"):
+                _parse_grid(spec)
 
 
 class TestResolveConfig:
@@ -132,6 +149,13 @@ class TestExitCodes:
         code = main(["cv", "--config", str(bad)])
         assert code == 1
 
+    def test_grid_on_corpus_key_exits_1(self, tmp_path, capsys):
+        extra = {"synth_counts": "Size=8", "grid": "theta=0.5|0.9"}
+        assert main(["train"] + flags(tmp_path / "grid", extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "theta" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_synth_then_cv_happy_path(self, tmp_path, capsys):
@@ -187,6 +211,52 @@ class TestCommands:
             keys.append((fields[0], fields[1], fields[2]))
         assert keys == sorted(keys)
 
+    def test_eval_follows_the_checkpoint_not_model_flags(self, tmp_path,
+                                                         trained_ckpt):
+        extra = {"checkpoint": str(trained_ckpt)}
+        assert main(["eval"] + flags(tmp_path / "plain", extra)) == 0
+        extra.update(use_gcn="False", theta="0.5")
+        assert main(["eval"] + flags(tmp_path / "flags", extra)) == 0
+        assert ((tmp_path / "flags" / "eval.tsv").read_bytes()
+                == (tmp_path / "plain" / "eval.tsv").read_bytes())
+
+    def test_eval_and_predict_build_no_features(self, tmp_path, trained_ckpt,
+                                                monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("features must come from the checkpoint")
+
+        for name in ("build_vocabulary", "random_embeddings",
+                     "load_pretrained_vectors", "build_corpus_graphs"):
+            monkeypatch.setattr(cli, name, forbidden)
+        extra = {"checkpoint": str(trained_ckpt)}
+        for command in ("eval", "predict"):
+            assert main([command] + flags(tmp_path / command, extra)) == 0
+
+    def test_eval_on_another_corpus_uses_the_training_graphs(
+            self, tmp_path, trained_ckpt, monkeypatch):
+        """A model trained on corpus A and evaluated on corpus B encodes
+        B with A's vocabulary and A's corpus graphs."""
+        seen = []
+
+        def spy(model, encoded):
+            seen.append((model, encoded))
+            return predict(model, encoded)
+
+        monkeypatch.setattr(cli, "predict", spy)
+        other = {"seed": "7", "synth_style": "b"}
+        extra = dict(other, checkpoint=str(trained_ckpt))
+        assert main(["eval"] + flags(tmp_path / "eval", extra)) == 0
+        [(model, encoded)] = seen
+        a = _single_task(assemble_tasks(resolve_config(None, FAST, env={})))
+        b = _single_task(assemble_tasks(
+            resolve_config(None, dict(FAST, **other), env={})))
+        expected = encode_instances(b.instances, b.documents, a.vocab,
+                                    a.graphs, model.config)
+        assert np.array_equal(eval_logits(model, encoded),
+                              eval_logits(model, expected))
+        assert model.vocab.token_to_id == a.vocab.token_to_id
+        assert model.graphs == a.graphs
+
     def test_ablate_emits_seven_variant_rows(self, tmp_path):
         out = tmp_path / "ablate"
         assert main(["ablate"] + flags(out, {"epochs": "1"})) == 0
@@ -229,6 +299,15 @@ class TestCommands:
         grid = json.loads((out / "grid.json").read_text())
         assert len(grid["leaderboard"]) == 2
         assert set(grid["best"]) == {"lr"}
+
+    def test_gcn_grid_over_no_gcn_base(self, tmp_path):
+        out = tmp_path / "grid"
+        extra = {"synth_counts": "Size=8", "use_gcn": "False",
+                 "grid": "use_gcn=False|True", "epochs": "1"}
+        assert main(["train"] + flags(out, extra)) == 0
+        grid = json.loads((out / "grid.json").read_text())
+        assert [point for point, _ in grid["leaderboard"]] == [
+            {"use_gcn": False}, {"use_gcn": True}]
 
     def test_task_filter_restricts_output(self, tmp_path):
         out = tmp_path / "filtered"

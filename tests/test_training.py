@@ -1,5 +1,7 @@
 """Training-loop, cross-validation, checkpoint, and transfer tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,18 @@ class TestCheckpoint:
         assert loaded.label_set == model.label_set
         assert loaded.vocab.token_to_id == model.vocab.token_to_id
 
+    def test_resave_byte_identical_with_graphs(self, tiny_task, small_config,
+                                               tmp_path):
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        model.graphs = tiny_task.graphs
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(model, opt, first)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded, loaded.optimizer, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.graphs == model.graphs
+        assert loaded.graphs is not model.graphs
+
     def test_resume_continues_identical_trajectory(self, tiny_task,
                                                    small_config, tmp_path):
         model, opt, enc = self.trained(tiny_task, small_config, steps=2)
@@ -206,6 +220,17 @@ class TestCheckpoint:
         raw[5] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch):
+            load_checkpoint(path)
+
+    def test_version_1_file_says_retrain(self, tiny_task, small_config,
+                                         tmp_path):
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, opt, path)
+        raw = bytearray(path.read_bytes())
+        raw[5:9] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VersionMismatch, match="version 1.*retrain"):
             load_checkpoint(path)
 
     def test_digest_mismatch_no_partial_load(self, tiny_task, small_config,
@@ -280,6 +305,17 @@ class TestFitAndTransfer:
         report, model = transfer_finetune(path, target, (), plan)
         assert model.label_set == target.label_set
         assert model.params["clf.w"].shape[1] == len(target.label_set)
+
+    def test_model_carries_the_graphs_it_encodes_with(self, tiny_task,
+                                                      small_config, tmp_path):
+        path, _ = self.ckpt(tiny_task, small_config, tmp_path)
+        plan = TrainPlan(epochs=1, batch_size=8, seed=0)
+        _, model = train_from_scratch(tiny_task, small_config, plan)
+        assert model.graphs is tiny_task.graphs
+        target = build_synth_task({"Size": 12}, seed=9)
+        _, model = transfer_finetune(path, target, (), plan)
+        assert model.vocab is target.vocab
+        assert model.graphs is target.graphs
 
     def test_each_command_encodes_its_task_once(self, tiny_task, small_config,
                                                 tmp_path, monkeypatch):
