@@ -43,7 +43,7 @@ from .pipeline import (
     predict,
     predict_proba,
 )
-from .textgraph import build_corpus_graphs, dump_graphs
+from .textgraph import GRAPH_KINDS, build_corpus_graphs, dump_graphs
 from .training import (
     CheckpointError,
     TaskData,
@@ -330,8 +330,7 @@ def cmd_ingest(cfg: RunConfig, out: Path) -> int:
 def cmd_build_graphs(cfg: RunConfig, out: Path) -> int:
     data = next(iter(assemble_tasks(cfg).values()))
     dump_graphs(data.graphs, data.vocab, out / "graphs.tsv")
-    sizes = {kind: len(data.graphs.by_kind(kind))
-             for kind in ("semantic", "syntactic", "sequence")}
+    sizes = {kind: len(data.graphs.by_kind(kind)) for kind in GRAPH_KINDS}
     print(f"graph edges: {json.dumps(sizes, sort_keys=True)}; "
           f"edge list in {out / 'graphs.tsv'}")
     return 0
@@ -435,18 +434,17 @@ def cmd_transfer(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("transfer needs target_data=<records file>")
     plan = plan_from(cfg)
     freeze = tuple(p.strip() for p in cfg.freeze.split(",") if p.strip())
+    source = _single_task(assemble_tasks(cfg, data_path=cfg.data))
+    target = _single_task(assemble_tasks(cfg, data_path=cfg.target_data))
     rows = []
-    for direction, (src, dst) in (
-            ("source->target", (cfg.data, cfg.target_data)),
-            ("target->source", (cfg.target_data, cfg.data))):
-        source = _single_task(assemble_tasks(cfg, data_path=src))
-        target = _single_task(assemble_tasks(cfg, data_path=dst))
-        config = make_variant(model_config_from(cfg, len(source.label_set)),
+    for direction, (src, dst) in (("source->target", (source, target)),
+                                  ("target->source", (target, source))):
+        config = make_variant(model_config_from(cfg, len(src.label_set)),
                               cfg.variant)
-        _, model = train_from_scratch(source, config, plan)
+        _, model = train_from_scratch(src, config, plan)
         ckpt = out / f"{direction.replace('->', '_to_')}.ckpt"
         save_checkpoint(model, model.optimizer, ckpt)
-        report, _ = transfer_finetune(ckpt, target, freeze, plan)
+        report, _ = transfer_finetune(ckpt, dst, freeze, plan)
         rows.append((direction, report))
     table = report_table(rows, title="transfer protocol")
     (out / "transfer.txt").write_text(table + "\n")

@@ -231,6 +231,10 @@ class EncodedInstance:
 def encode_documents(docs: list[Document], vocab: Vocabulary,
                      graphs: CorpusGraphs | None,
                      config: ModelConfig) -> dict[str, DocEncoding]:
+    if config.use_gcn and graphs is None:
+        raise ValueError("the GCN branch needs the corpus graphs, and none "
+                         "were given (a checkpoint saved without graphs "
+                         "cannot run it)")
     out = {}
     for doc in docs:
         ids = token_ids(doc, vocab)
@@ -238,8 +242,7 @@ def encode_documents(docs: list[Document], vocab: Vocabulary,
         while n > 1 and ids[n - 1] == PAD_ID:
             n -= 1
         ids = ids[:n]
-        adjacency = (project_adjacency(ids, graphs)
-                     if config.use_gcn and graphs is not None else {})
+        adjacency = project_adjacency(ids, graphs) if config.use_gcn else {}
         out[doc.id] = DocEncoding(doc.id, ids, adjacency)
     return out
 

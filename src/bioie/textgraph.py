@@ -7,6 +7,11 @@ Three graphs share one vocabulary:
                fraction of co-occurrence documents with such a link;
   * sequence:  sliding-window PMI, negative values clipped to zero.
 
+Each graph is kept as aligned arrays over the word pairs a < b that its
+builder counted, sorted by pair: `keys` (`a << 32 | b`), `count` and
+`edge_weight` (0.0 where the pair has no edge). `weights` is a dict view
+of the nonzero weights.
+
 PAD and UNK ids never enter pair statistics; at projection they are
 isolated except for their self-loop.
 """
@@ -35,30 +40,43 @@ log = logging.getLogger(__name__)
 GRAPH_KINDS = ("semantic", "syntactic", "sequence")
 
 
-def _pair(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def pair_key(a, b) -> np.ndarray:
+    """The key of word-id pairs a < b; ids are below 2**32."""
+    return np.asarray(a, dtype=np.int64) << 32 | np.asarray(b, dtype=np.int64)
 
 
-@dataclass
+def pair_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids (a, b) of each pair key."""
+    return keys >> 32, keys & 0xFFFFFFFF
+
+
+def find_keys(table, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The slot of each key in the sorted array `table`, and whether the
+    key is there; a slot is meaningful only where it is."""
+    slot = np.minimum(np.searchsorted(table, keys), max(len(table) - 1, 0))
+    found = table[slot] == keys if len(table) else np.zeros(len(keys), bool)
+    return slot, found
+
+
+@dataclass(eq=False)
 class WordPairStats:
-    """Symmetric word-pair weights keyed by sorted id pairs."""
-    counts: dict[tuple[int, int], float]
-    weights: dict[tuple[int, int], float]
-
-    def weight(self, a: int, b: int) -> float:
-        return self.weights.get(_pair(a, b), 0.0)
+    """One graph's word-pair statistics (layout in the module docstring)."""
+    keys: np.ndarray
+    count: np.ndarray
+    edge_weight: np.ndarray
 
     @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero weights as parallel arrays (a ids, b ids, weights),
-        a < b, built once on first use."""
-        edges = [(a, b, w) for (a, b), w in self.weights.items() if w != 0.0]
-        a_ids = np.array([e[0] for e in edges], dtype=np.int64)
-        b_ids = np.array([e[1] for e in edges], dtype=np.int64)
-        return a_ids, b_ids, np.array([e[2] for e in edges], dtype=np.float64)
+    def weights(self) -> dict[tuple[int, int], float]:
+        """The nonzero weights by pair (a, b), a < b."""
+        edge = self.edge_weight != 0.0
+        a, b = (ids[edge].tolist() for ids in pair_ids(self.keys))
+        return dict(zip(zip(a, b), self.edge_weight[edge].tolist()))
+
+    def weight(self, a: int, b: int) -> float:
+        return self.weights.get((min(a, b), max(a, b)), 0.0)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return int(np.count_nonzero(self.edge_weight))
 
 
 @dataclass
@@ -112,8 +130,8 @@ MERGE_EVERY = 32
 
 
 class _PairCounter:
-    """Counts per word-pair key `a * base + b` (a < b), added one document
-    at a time and merged every `MERGE_EVERY` documents."""
+    """Counts per word-pair key, added one document at a time and merged
+    every `MERGE_EVERY` documents."""
 
     def __init__(self):
         self.keys = np.zeros(0, dtype=np.int64)
@@ -130,23 +148,19 @@ class _PairCounter:
         keys = np.concatenate([self.keys] + [k for k, _ in self._pending])
         counts = np.concatenate([self.counts] + [c for _, c in self._pending])
         self.keys, inv = np.unique(keys, return_inverse=True)
-        self.counts = np.bincount(inv, weights=counts, minlength=len(self.keys))
+        self.counts = np.bincount(inv, counts, len(self.keys)).astype(float)
         self._pending = []
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted unique keys and their summed counts (exact integers)."""
+        """Sorted unique keys and their summed float64 counts."""
         self._merge()
         return self.keys, self.counts
 
 
-def _pair_keys(u: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """The key `a * base + b` of every pair of the sorted unique ids `u`,
-    as a matrix, and the mask of its entries with a < b."""
-    return u[:, None] * base + u, u[:, None] < u
-
-
-def _key_pairs(keys: np.ndarray, base: int) -> list[tuple[int, int]]:
-    return list(zip((keys // base).tolist(), (keys % base).tolist()))
+def _pair_keys(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key of every pair of the sorted unique ids `u`, as a matrix,
+    and the mask of its entries with a < b."""
+    return pair_key(u[:, None], u), u[:, None] < u
 
 
 def build_semantic_graph(docs: list[Document], embeddings: EmbeddingTable,
@@ -162,7 +176,6 @@ def build_semantic_graph(docs: list[Document], embeddings: EmbeddingTable,
     norms = np.linalg.norm(vectors, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         unit_rows = np.where(norms[:, None] > 0.0, vectors / norms[:, None], 0.0)
-    base = vocab.size
     checked = np.zeros(len(vectors), dtype=bool)
     passed = _PairCounter()
     for doc in docs:
@@ -173,7 +186,7 @@ def build_semantic_graph(docs: list[Document], embeddings: EmbeddingTable,
                 log.warning("word id %d has a zero-norm vector; "
                             "skipping its semantic edges", w)
         # A zero-norm word has a zero unit row: cosine 0 < theta.
-        keys, upper = _pair_keys(u, base)
+        keys, upper = _pair_keys(u)
         rows = unit_rows[u]
         cos = rows @ rows.T
         ok = (cos >= theta) & upper
@@ -183,9 +196,7 @@ def build_semantic_graph(docs: list[Document], embeddings: EmbeddingTable,
             ok[i, j] = float(unit_rows[u[i]] @ unit_rows[u[j]]) >= theta
         passed.add(keys[ok])
     keys, counts = passed.result()
-    pairs = _key_pairs(keys, base)
-    return WordPairStats(dict(zip(pairs, counts.tolist())),
-                         dict.fromkeys(pairs, 1.0))
+    return WordPairStats(keys, counts, np.ones(len(keys)))
 
 
 def build_syntactic_graph(docs: list[Document], vocab: Vocabulary
@@ -194,7 +205,6 @@ def build_syntactic_graph(docs: list[Document], vocab: Vocabulary
     edge; weight = count / documents where the pair co-occurs. A
     dependency edge index outside the document raises
     `CorpusFormatError`."""
-    base = vocab.size
     linked = _PairCounter()
     doc_words: list[np.ndarray] = []
     for doc in docs:
@@ -208,22 +218,17 @@ def build_syntactic_graph(docs: list[Document], vocab: Vocabulary
         a, b = ids[edges[:, 0]], ids[edges[:, 1]]
         keep = (a != b) & _is_word(a) & _is_word(b)
         a, b = a[keep], b[keep]
-        linked.add(_distinct(np.minimum(a, b) * base + np.maximum(a, b)))
+        linked.add(_distinct(pair_key(np.minimum(a, b), np.maximum(a, b))))
         doc_words.append(_distinct(ids[_is_word(ids)]))
     keys, counts = linked.result()
-    if not len(keys):
-        return WordPairStats({}, {})
     co_docs = np.zeros(len(keys))
     for u in doc_words:
         # The linked pairs among the document's own pairs; each pair key
         # occurs once per document.
-        pair_keys, upper = _pair_keys(u, base)
-        pair_keys = pair_keys[upper]
-        slot = np.minimum(np.searchsorted(keys, pair_keys), len(keys) - 1)
-        co_docs[slot[keys[slot] == pair_keys]] += 1.0
-    pairs = _key_pairs(keys, base)
-    return WordPairStats(dict(zip(pairs, counts.tolist())),
-                         dict(zip(pairs, (counts / co_docs).tolist())))
+        pair_keys, upper = _pair_keys(u)
+        slot, found = find_keys(keys, pair_keys[upper])
+        co_docs[slot[found]] += 1.0
+    return WordPairStats(keys, counts, counts / co_docs)
 
 
 def _window_gram(inv: np.ndarray, types: int, window: int
@@ -249,9 +254,8 @@ def build_sequence_graph(docs: list[Document], vocab: Vocabulary,
     PMI is clipped to zero."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    base = vocab.size
     total_windows = 0
-    word_windows = np.zeros(base)
+    word_windows = np.zeros(vocab.size)
     pair_windows = _PairCounter()
     for doc in docs:
         ids = _word_ids(doc, vocab)
@@ -261,22 +265,16 @@ def build_sequence_graph(docs: list[Document], vocab: Vocabulary,
         gram, windows = _window_gram(inv, len(u), window)
         total_windows += windows
         word_windows[u] += np.diagonal(gram)
-        keys, upper = _pair_keys(u, base)
+        keys, upper = _pair_keys(u)
         hit = (gram > 0.0) & upper
         pair_windows.add(keys[hit], gram[hit])
-    if total_windows == 0:
-        return WordPairStats({}, {})
     keys, n_ab = pair_windows.result()
     # Each float operation of `math.log(p_ab / (p_a * p_b))` on exact
     # integer counts, elementwise; `np.log` could differ in the last bit.
     p_ab = n_ab / total_windows
-    p_a = word_windows[keys // base] / total_windows
-    p_b = word_windows[keys % base] / total_windows
-    pmi = [math.log(r) for r in (p_ab / (p_a * p_b)).tolist()]
-    pairs = _key_pairs(keys, base)
-    return WordPairStats(
-        dict(zip(pairs, n_ab.tolist())),
-        {pair: v for pair, v in zip(pairs, pmi) if v > 0.0})
+    p_a, p_b = (word_windows[ids] / total_windows for ids in pair_ids(keys))
+    pmi = np.array([math.log(r) for r in (p_ab / (p_a * p_b)).tolist()])
+    return WordPairStats(keys, n_ab, np.where(pmi > 0.0, pmi, 0.0))
 
 
 def build_corpus_graphs(docs: list[Document], embeddings: EmbeddingTable,
@@ -298,18 +296,17 @@ def project_adjacency(ids: np.ndarray, graphs: CorpusGraphs
     isolated."""
     special = ~_is_word(ids)
     uniq, inv = np.unique(ids, return_inverse=True)
-    probe = np.append(uniq, -1)  # past-the-end slot that matches no id
+    # The document's own word-type pairs a < b, looked up in each graph
+    # as a weight matrix over the document's word types.
+    rows, cols = np.nonzero(uniq[:, None] < uniq)
+    keys = pair_key(uniq[rows], uniq[cols])
     out: dict[str, DocumentAdjacency] = {}
     for kind in GRAPH_KINDS:
-        a_ids, b_ids, w = graphs.by_kind(kind).edge_arrays
-        # Corpus edges whose two word types both occur in the document,
-        # as a weight matrix over the document's word types.
-        ia = np.searchsorted(uniq, a_ids)
-        ib = np.searchsorted(uniq, b_ids)
-        hit = (probe[ia] == a_ids) & (probe[ib] == b_ids)
+        stats = graphs.by_kind(kind)
+        slot, found = find_keys(stats.keys, keys)
+        i, j, w = rows[found], cols[found], stats.edge_weight[slot[found]]
         types = np.zeros((len(uniq), len(uniq)))
-        types[ia[hit], ib[hit]] = w[hit]
-        types[ib[hit], ia[hit]] = w[hit]
+        types[i, j] = types[j, i] = w
         # One gather makes a fresh C-contiguous (n, n) matrix; row sums
         # over another memory layout can differ in the last bit.
         a = types[inv[:, None], inv]

@@ -34,6 +34,7 @@ from .pipeline import (
     predict,
 )
 from .textgraph import GRAPH_KINDS, CorpusGraphs, WordPairStats
+from .textgraph import find_keys, pair_ids, pair_key
 
 CHECKPOINT_MAGIC = b"BIOIE"
 CHECKPOINT_VERSION = 2
@@ -354,24 +355,34 @@ def _read_array(fh) -> np.ndarray:
 
 def _write_graphs(fh, graphs: CorpusGraphs | None) -> None:
     """theta and window as JSON (null without graphs), then each kind's
-    counts and weights as (pairs, 3) arrays of rows (a, b, value)."""
+    counts and nonzero weights, (pairs, 3) rows (a, b, value) in pair order."""
     header = None if graphs is None else {"theta": graphs.theta,
                                           "window": graphs.window}
     _write_block(fh, json.dumps(header).encode())
     for kind in GRAPH_KINDS if graphs is not None else ():
-        stats = graphs.by_kind(kind)
-        for table in (stats.counts, stats.weights):
-            rows = [(a, b, v) for (a, b), v in table.items()]
-            _write_array(fh, np.array(rows).reshape(-1, 3))
+        s = graphs.by_kind(kind)
+        rows = np.column_stack((*pair_ids(s.keys), s.count, s.edge_weight))
+        _write_array(fh, rows[:, :3])
+        _write_array(fh, rows[s.edge_weight != 0.0][:, [0, 1, 3]])
 
 
 def _read_graphs(fh) -> CorpusGraphs | None:
-    def table() -> dict[tuple[int, int], float]:
-        return {(int(a), int(b)): v for a, b, v in _read_array(fh).tolist()}
+    def stats(kind: str) -> WordPairStats:
+        counts, weights = _read_array(fh), _read_array(fh)
+        if any(t.ndim != 2 or t.shape[1] != 3 for t in (counts, weights)):
+            raise CheckpointError(f"{kind} graph table is not (pairs, 3)")
+        keys = pair_key(counts[:, 0], counts[:, 1])
+        slot, found = find_keys(keys, pair_key(weights[:, 0], weights[:, 1]))
+        if np.any(keys[1:] <= keys[:-1]) or not found.all():
+            raise CheckpointError(f"{kind} graph rows are not sorted by pair, "
+                                  f"or a weight row has no count row")
+        edge_weight = np.zeros(len(keys))
+        edge_weight[slot] = weights[:, 2]
+        return WordPairStats(keys, counts[:, 2].copy(), edge_weight)
 
     header = json.loads(_read_block(fh))
     return None if header is None else CorpusGraphs(
-        **{k: WordPairStats(table(), table()) for k in GRAPH_KINDS}, **header)
+        **{k: stats(k) for k in GRAPH_KINDS}, **header)
 
 
 def save_checkpoint(model: ModelState, optimizer: Adam | None, path) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from bioie.corpus import build_vocabulary, normalize_corpus, random_embeddings, synth_corpus
 from bioie.layers import ModelConfig
-from bioie.textgraph import build_corpus_graphs
+from bioie.textgraph import GRAPH_KINDS, build_corpus_graphs, pair_ids
 from bioie.training import TaskData
 
 
@@ -24,6 +24,22 @@ def build_synth_task(counts, seed, d_w=24, theta=0.9, window=5,
     task = instances[0].task
     return TaskData({d.id: d for d in docs}, instances,
                     instances[0].label_set, vocab, embeddings, graphs, task)
+
+
+def counts_of(stats):
+    """The count of every counted pair, as a dict keyed by (a, b), a < b."""
+    a, b = pair_ids(stats.keys)
+    return dict(zip(zip(a.tolist(), b.tolist()), stats.count.tolist()))
+
+
+def assert_same_graphs(got, expected):
+    """theta, window and each kind's pair arrays are equal bit for bit."""
+    assert (got.theta, got.window) == (expected.theta, expected.window)
+    for kind in GRAPH_KINDS:
+        a, b = got.by_kind(kind), expected.by_kind(kind)
+        for name in ("keys", "count", "edge_weight"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (kind, name)
 
 
 SMALL_CONFIG_KWARGS = dict(d_w=24, d_p=8, max_dist=60, hidden=16, heads=4,

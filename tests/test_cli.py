@@ -19,8 +19,11 @@ from bioie.cli import (
     resolve_config,
 )
 from bioie.layers import ModelConfig
-from bioie.pipeline import encode_instances, eval_logits, predict
-from bioie.training import TrainPlan, apply_grid_point
+from bioie.pipeline import encode_instances, eval_logits, init_model, predict
+from bioie.textgraph import build_corpus_graphs
+from bioie.training import TrainPlan, apply_grid_point, save_checkpoint
+
+from conftest import assert_same_graphs
 
 FAST = {
     "dataset": "synthetic",
@@ -156,6 +159,21 @@ class TestExitCodes:
         assert err.startswith("error:") and "theta" in err
         assert "Traceback" not in err
 
+    def test_eval_on_gcn_checkpoint_without_graphs_exits_1(self, tmp_path,
+                                                           capsys):
+        data = _single_task(assemble_tasks(resolve_config(None, FAST, env={})))
+        config = ModelConfig(d_w=16, d_p=6, hidden=8, heads=2, gcn_layers=1,
+                             label_count=len(data.label_set))
+        model = init_model(config, data.vocab, data.embeddings,
+                           label_set=data.label_set)
+        path = tmp_path / "bare.ckpt"
+        save_checkpoint(model, None, path)
+        extra = {"checkpoint": str(path)}
+        assert main(["eval"] + flags(tmp_path / "eval", extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "corpus graphs" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_synth_then_cv_happy_path(self, tmp_path, capsys):
@@ -255,7 +273,7 @@ class TestCommands:
         assert np.array_equal(eval_logits(model, encoded),
                               eval_logits(model, expected))
         assert model.vocab.token_to_id == a.vocab.token_to_id
-        assert model.graphs == a.graphs
+        assert_same_graphs(model.graphs, a.graphs)
 
     def test_ablate_emits_seven_variant_rows(self, tmp_path):
         out = tmp_path / "ablate"
@@ -282,6 +300,22 @@ class TestCommands:
         assert main(["transfer"] + flags(out, extra)) == 0
         text = (out / "transfer.txt").read_text()
         assert "source->target" in text and "target->source" in text
+
+    def test_transfer_builds_each_corpus_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy(docs, *args, **kwargs):
+            built.append(len(docs))
+            return build_corpus_graphs(docs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_corpus_graphs", spy)
+        paths = {}
+        for name, extra in (("a", {}), ("b", {"seed": "2", "synth_style": "b"})):
+            assert main(["synth"] + flags(tmp_path / name, extra)) == 0
+            paths[name] = str(tmp_path / name / "records.jsonl")
+        extra = {"data": paths["a"], "target_data": paths["b"], "epochs": "1"}
+        assert main(["transfer"] + flags(tmp_path / "xfer", extra)) == 0
+        assert len(built) == 2
 
     def test_cv_driven_by_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

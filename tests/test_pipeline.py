@@ -172,6 +172,15 @@ class TestEncoding:
                     assert arr.flags["C_CONTIGUOUS"]
                     assert arr.base is None
 
+    def test_gcn_without_graphs_names_them(self, tiny_task, small_config):
+        with pytest.raises(ValueError, match="corpus graphs"):
+            encode_instances(tiny_task.instances, tiny_task.documents,
+                             tiny_task.vocab, None, small_config)
+        no_gcn = replace(small_config, use_gcn=False)
+        encoded = encode_instances(tiny_task.instances, tiny_task.documents,
+                                   tiny_task.vocab, None, no_gcn)
+        assert all(e.doc.adjacency == {} for e in encoded)
+
 
 class TestForward:
     def model_and_batch(self, task, config, seed=0):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -24,18 +25,24 @@ from bioie.corpus import (
     tokenize,
 )
 from bioie.textgraph import (
-    CorpusGraphs,
     WordPairStats,
     build_corpus_graphs,
     build_semantic_graph,
     build_sequence_graph,
     build_syntactic_graph,
     dump_graphs,
+    pair_ids,
+    pair_key,
     project_adjacency,
     token_ids,
 )
 
+from conftest import counts_of
+
 LN_10_9 = 0.10536051565782630
+
+# An oracle's result: dicts keyed by word-id pairs (a, b), a < b.
+PairTables = namedtuple("PairTables", "counts weights")
 
 
 def doc_from(words, doc_id="d0"):
@@ -107,7 +114,7 @@ def brute_force_semantic(docs, embeddings, vocab, theta):
             co_docs[(a, b)] = co_docs.get((a, b), 0) + 1
             if float(unit_rows[a] @ unit_rows[b]) >= theta:
                 counts[(a, b)] = counts.get((a, b), 0.0) + 1.0
-    return WordPairStats(counts, {k: c / co_docs[k] for k, c in counts.items()})
+    return PairTables(counts, {k: c / co_docs[k] for k, c in counts.items()})
 
 
 def brute_force_syntactic(docs, vocab):
@@ -132,7 +139,7 @@ def brute_force_syntactic(docs, vocab):
         for key in linked:
             if key[0] in present and key[1] in present:
                 co_docs[key] = co_docs.get(key, 0) + 1
-    return WordPairStats(counts, {k: c / co_docs[k] for k, c in counts.items()})
+    return PairTables(counts, {k: c / co_docs[k] for k, c in counts.items()})
 
 
 def brute_force_window_counts(docs, vocab, window):
@@ -274,7 +281,7 @@ class TestSemanticGraph:
             if 0.0 < theta < 1.0 and gram[x, y] < theta:
                 stats = build_semantic_graph(docs, table, vocab, theta)
                 assert (a, b) in stats.weights
-                assert stats.counts == brute_force_semantic(
+                assert counts_of(stats) == brute_force_semantic(
                     docs, table, vocab, theta).counts
                 checked += 1
             if checked == 5:
@@ -306,7 +313,7 @@ class TestSemanticGraph:
         finally:
             logging.disable(logging.NOTSET)
         oracle = brute_force_semantic(docs, table, vocab, theta)
-        assert got.counts == oracle.counts
+        assert counts_of(got) == oracle.counts
         assert got.weights == oracle.weights
 
     @given(st.integers(0, 500))
@@ -353,7 +360,7 @@ class TestSyntacticGraph:
         docs, vocab = corpus
         got = build_syntactic_graph(docs, vocab)
         oracle = brute_force_syntactic(docs, vocab)
-        assert got.counts == oracle.counts
+        assert counts_of(got) == oracle.counts
         assert got.weights == oracle.weights
 
     @pytest.mark.parametrize("edge", [(0, 3), (-1, 1)])
@@ -408,7 +415,7 @@ class TestSequenceGraph:
     def test_counts_and_weights_match_brute_force(self, corpus, window):
         docs, vocab = corpus
         stats = build_sequence_graph(docs, vocab, window)
-        assert stats.counts == brute_force_window_counts(docs, vocab, window)
+        assert counts_of(stats) == brute_force_window_counts(docs, vocab, window)
         assert stats.weights == brute_force_pmi(docs, vocab, window)
 
     def test_counts_merged_across_many_documents(self):
@@ -419,7 +426,7 @@ class TestSequenceGraph:
                          f"d{k}") for k in range(100)]
         vocab = build_vocabulary(docs)
         stats = build_sequence_graph(docs, vocab, 4)
-        assert stats.counts == brute_force_window_counts(docs, vocab, 4)
+        assert counts_of(stats) == brute_force_window_counts(docs, vocab, 4)
         assert stats.weights == brute_force_pmi(docs, vocab, 4)
 
 
@@ -512,8 +519,13 @@ class TestProjection:
         vocab = build_vocabulary(docs)
         graphs = self.graphs_for(docs, vocab)
         a_id = vocab.id("a")
-        graphs.sequence.weights[(UNK_ID, a_id)] = 0.5
-        graphs.sequence.weights[(PAD_ID, a_id)] = 0.25
+        seq = graphs.sequence
+        # PAD and UNK ids are below every word id, so their pairs sort first.
+        graphs.sequence = WordPairStats(
+            np.concatenate((pair_key([PAD_ID, UNK_ID], a_id), seq.keys)),
+            np.concatenate(([1.0, 1.0], seq.count)),
+            np.concatenate(([0.25, 0.5], seq.edge_weight)))
+        assert graphs.sequence.weight(a_id, UNK_ID) == 0.5
         probe = normalize_length(doc_from(["a", "unseen", "b"], "probe"))
         ids = token_ids(probe, vocab)
         adj = project_adjacency(ids, graphs)["sequence"]
@@ -524,6 +536,27 @@ class TestProjection:
 
 
 class TestWordPairStatsInvariants:
+    @given(corpora(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_layout_of_every_builder(self, corpus, seed):
+        """Each kind holds strictly increasing int64 keys of pairs a < b,
+        with float64 counts and weights aligned to them; `len` and the
+        `weights` view count the nonzero weights only."""
+        docs, vocab = corpus
+        graphs = build_corpus_graphs(docs, random_embeddings(vocab, 4, seed=seed),
+                                     vocab, theta=0.3, window=3)
+        for kind in ("semantic", "syntactic", "sequence"):
+            stats = graphs.by_kind(kind)
+            assert stats.keys.dtype == np.int64
+            assert np.all(stats.keys[1:] > stats.keys[:-1])
+            a, b = pair_ids(stats.keys)
+            assert np.all(a < b) and np.all(a > UNK_ID)
+            for arr in (stats.count, stats.edge_weight):
+                assert arr.dtype == np.float64 and arr.shape == stats.keys.shape
+            assert np.all(stats.count >= 1.0) and np.all(stats.edge_weight >= 0.0)
+            assert len(stats) == len(stats.weights) == np.count_nonzero(
+                stats.edge_weight)
+
     def test_symmetric_lookup_and_nonnegative(self):
         docs = [doc_from(["a", "b", "a", "b", "c"])]
         vocab = build_vocabulary(docs)

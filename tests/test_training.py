@@ -1,5 +1,7 @@
 """Training-loop, cross-validation, checkpoint, and transfer tests."""
 
+import io
+import json
 import struct
 
 import numpy as np
@@ -7,9 +9,12 @@ import pytest
 
 import bioie.autodiff as ad
 import bioie.training as training
+from bioie.corpus import Document, build_vocabulary, tokenize
 from bioie.pipeline import encode_instances, init_model, make_variant, predict
+from bioie.textgraph import GRAPH_KINDS, CorpusGraphs, build_sequence_graph
 from bioie.training import (
     BadMagic,
+    CheckpointError,
     DigestMismatch,
     TrainPlan,
     TrainingDiverged,
@@ -28,7 +33,7 @@ from bioie.training import (
     transfer_finetune,
 )
 
-from conftest import build_synth_task
+from conftest import assert_same_graphs, build_synth_task, counts_of
 
 
 def fresh_model(task, config, seed=0):
@@ -183,7 +188,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(first)
         save_checkpoint(loaded, loaded.optimizer, second)
         assert first.read_bytes() == second.read_bytes()
-        assert loaded.graphs == model.graphs
+        assert_same_graphs(loaded.graphs, model.graphs)
         assert loaded.graphs is not model.graphs
 
     def test_resume_continues_identical_trajectory(self, tiny_task,
@@ -242,6 +247,83 @@ class TestCheckpoint:
         other = fresh_model(tiny_task, replace(small_config, hidden=8))
         with pytest.raises(DigestMismatch):
             load_checkpoint(path, expect_model=other)
+
+
+def dict_write_graphs(fh, graphs):
+    """Format oracle: the graph block written from dicts keyed by pair, in
+    key order, as version-2 checkpoints were first written."""
+    header = None if graphs is None else {"theta": graphs.theta,
+                                          "window": graphs.window}
+    training._write_block(fh, json.dumps(header).encode())
+    for kind in GRAPH_KINDS if graphs is not None else ():
+        stats = graphs.by_kind(kind)
+        for table in (counts_of(stats), stats.weights):
+            rows = [(a, b, v) for (a, b), v in table.items()]
+            training._write_array(fh, np.array(rows).reshape(-1, 3))
+
+
+def graph_block(tables):
+    """A graph block with a header and these (a, b, value) tables, in
+    kind order, counts then weights."""
+    fh = io.BytesIO()
+    training._write_block(fh, json.dumps({"theta": 0.9, "window": 5}).encode())
+    for table in tables:
+        training._write_array(fh, np.array(table, dtype=np.float64))
+    fh.seek(0)
+    return fh
+
+
+def sequence_only_graphs():
+    """Graphs whose sequence kind counts three pairs and has no edge:
+    every PMI of "a b c a" at window 2 is ln(3/4) < 0."""
+    text = "a b c a"
+    docs = [Document("d0", "synthetic", text, tokenize(text), [])]
+    sequence = build_sequence_graph(docs, build_vocabulary(docs), 2)
+    assert len(sequence.keys) == 3 and len(sequence) == 0
+    empty = build_sequence_graph([], build_vocabulary([]), 2)
+    return CorpusGraphs(empty, empty, sequence, theta=0.9, window=2)
+
+
+class TestGraphBlock:
+    @pytest.mark.parametrize("make", [lambda task: task.graphs,
+                                      lambda task: sequence_only_graphs(),
+                                      lambda task: None],
+                             ids=["tiny", "sequence_only", "none"])
+    def test_writer_matches_the_dict_oracle(self, tiny_task, make):
+        graphs = make(tiny_task)
+        got, expected = io.BytesIO(), io.BytesIO()
+        training._write_graphs(got, graphs)
+        dict_write_graphs(expected, graphs)
+        assert got.getvalue() == expected.getvalue()
+        got.seek(0)
+        loaded = training._read_graphs(got)
+        if graphs is None:
+            assert loaded is None
+        else:
+            assert_same_graphs(loaded, graphs)
+
+    def test_table_not_pairs_by_3(self):
+        good = [[2, 3, 1.0]]
+        for bad in ([[2, 3, 1.0, 0.0]], [2, 3, 1.0]):
+            tables = [good, bad] + [good, good] * 2
+            with pytest.raises(CheckpointError,
+                               match="semantic graph table is not"):
+                training._read_graphs(graph_block(tables))
+
+    def test_weight_row_without_count_row(self):
+        good = [[2, 3, 1.0]]
+        tables = [good, good, [[2, 3, 1.0], [2, 5, 1.0]], [[2, 4, 0.5]],
+                  good, good]
+        with pytest.raises(CheckpointError,
+                           match="syntactic graph.*no count row"):
+            training._read_graphs(graph_block(tables))
+
+    def test_count_rows_out_of_pair_order(self):
+        good = [[2, 3, 1.0]]
+        tables = [good, good, good, good, [[2, 5, 1.0], [2, 3, 1.0]], good]
+        with pytest.raises(CheckpointError,
+                           match="sequence graph rows are not sorted"):
+            training._read_graphs(graph_block(tables))
 
 
 class TestFitAndTransfer:
