@@ -452,25 +452,30 @@ def cmd_transfer(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, out: Path) -> int:
+def _checkpoint_task(cfg: RunConfig, command: str):
+    """The checkpoint's model, the corpus documents by id, and the corpus's
+    single task with its encoding by the model's own features. A task whose
+    labels are not the model's is refused."""
     if not cfg.checkpoint:
-        raise ConfigError("eval needs checkpoint=<model file>")
+        raise ConfigError(f"{command} needs checkpoint=<model file>")
     model = load_checkpoint(cfg.checkpoint)
     documents, tasks = load_corpus(cfg)
     instances = _single_task(tasks)
+    if instances[0].label_set != model.label_set:
+        raise ConfigError(f"task {instances[0].task} has labels "
+                          f"{list(instances[0].label_set)}, but the checkpoint "
+                          f"predicts {list(model.label_set)}")
     encoded = encode_instances(instances, documents, model.vocab,
                                model.graphs, model.config)
+    return model, documents, instances, encoded
+
+
+def cmd_eval(cfg: RunConfig, out: Path) -> int:
+    model, _, instances, encoded = _checkpoint_task(cfg, "eval")
     preds = predict(model, encoded)
     golds = [e.label for e in encoded]
     report = evaluate_outcomes(preds, golds, model.label_set)
-    outcomes = list(zip(preds.tolist(), golds))
-
-    def macro_f_metric(sample):
-        ps = [p for p, _ in sample]
-        gs = [g for _, g in sample]
-        return evaluate_outcomes(ps, gs, model.label_set).macro_f
-
-    report.ci["macro"] = bootstrap_ci(outcomes, macro_f_metric,
+    report.ci["macro"] = bootstrap_ci(preds, golds, model.label_set,
                                       resamples=1000, seed=cfg.seed)
     table = report_table([("checkpoint", report)],
                          title=f"task {instances[0].task}")
@@ -483,17 +488,12 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
-    if not cfg.checkpoint:
-        raise ConfigError("predict needs checkpoint=<model file>")
-    model = load_checkpoint(cfg.checkpoint)
-    documents, tasks = load_corpus(cfg)
-    instances = sorted(_single_task(tasks),
-                       key=lambda inst: (inst.doc_id, inst.head, inst.tail))
-    encoded = encode_instances(instances, documents, model.vocab,
-                               model.graphs, model.config)
-    probs = predict_proba(model, encoded)
+    model, documents, instances, encoded = _checkpoint_task(cfg, "predict")
+    pairs = sorted(zip(instances, encoded),
+                   key=lambda pair: (pair[0].doc_id, pair[0].head, pair[0].tail))
+    probs = predict_proba(model, [enc for _, enc in pairs])
     lines = []
-    for inst, row in zip(instances, probs):
+    for (inst, _), row in zip(pairs, probs):
         doc = documents[inst.doc_id]
         label_idx = int(row.argmax())
         lines.append(f"{inst.doc_id}\t{doc.mentions[inst.head].id}"

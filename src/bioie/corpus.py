@@ -26,7 +26,9 @@ PAD_ID = 0
 UNK_ID = 1
 
 MAX_DOC_TOKENS = 150
-MIN_DOC_TOKENS = 50
+# Share of instances held out as the dev set (and, in a single split, as
+# the test set).
+DEV_FRACTION = 0.1
 
 PATHOLOGY_KINDS = ("Type", "Site", "Size", "Subtype", "Grade", "TNM", "Metas")
 CHEMPROT_EVAL_GROUPS = ("CPR:3", "CPR:4", "CPR:5", "CPR:6", "CPR:9")
@@ -67,8 +69,6 @@ class Document:
     tokens: list[Token]
     mentions: list[EntityMention]
     dep_edges: list[tuple[int, int, str]] = field(default_factory=list)
-    sentences: list[tuple[int, int]] = field(default_factory=list)  # end-exclusive
-    orig_len: int | None = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ class RelationInstance:
 @dataclass
 class Vocabulary:
     token_to_id: dict[str, int]
-    counts: dict[str, int]
 
     @property
     def size(self) -> int:
@@ -114,12 +113,11 @@ class FoldPlan:
     def fold_ids(self, fold: int) -> list[str]:
         return [iid for iid, f in self.assignment.items() if f == fold]
 
-    def split(self, fold: int, dev_fraction: float = 0.1
-              ) -> tuple[list[str], list[str], list[str]]:
+    def split(self, fold: int) -> tuple[list[str], list[str], list[str]]:
         """(train, dev, test) ids for one fold; dev is carved from train."""
         test = self.fold_ids(fold)
         pool = [iid for iid, f in self.assignment.items() if f != fold]
-        n_dev = max(1, round(dev_fraction * len(pool))) if pool else 0
+        n_dev = max(1, round(DEV_FRACTION * len(pool))) if pool else 0
         rng = np.random.default_rng([self.seed, fold])
         dev_pos = set(rng.choice(len(pool), size=n_dev, replace=False).tolist())
         dev = [iid for i, iid in enumerate(pool) if i in dev_pos]
@@ -289,7 +287,6 @@ def _parse_pubtator_block(block) -> tuple[Document, list[RelationInstance]]:
         mentions.append(EntityMention(f"m{len(mentions)}", kind, span, norm))
 
     doc = Document(pmid, "CDR", text, tokens, mentions)
-    doc.sentences = split_sentences(tokens, mentions)
 
     def norm_parts(m):
         # composite annotations carry several ids joined by '|'
@@ -409,7 +406,6 @@ def parse_chemprot(abstract_file, entity_file, relation_file
                     m.id, m.kind, (m.token_span[0] - s, m.token_span[1] - s)))
             sub = Document(f"{pmid}.s{si}", "ChemProt", sub_text, sub_tokens,
                            sub_mentions)
-            sub.sentences = [(0, len(sub_tokens))]
             sent_docs.append(sub)
 
         gold_by_sent: dict[int, dict[tuple[int, int], int]] = {}
@@ -480,7 +476,6 @@ def _record_to_document(rec: dict, lineno: int
         span = _char_span_to_token_span(tokens, start, end, f"line {lineno}")
         mentions.append(EntityMention(f"m{len(mentions)}", kind, span))
     doc = Document(rec["id"], rec["source"], text, tokens, mentions)
-    doc.sentences = split_sentences(tokens, mentions)
 
     gold_by_kind: dict[str, dict[tuple[int, int], int]] = {}
     for rel in rec["relations"]:
@@ -597,7 +592,7 @@ def attach_dependencies(doc: Document, parse_file=None) -> Document:
 
 def replace_edges(doc: Document, edges) -> Document:
     return Document(doc.id, doc.source, doc.text, doc.tokens, doc.mentions,
-                    list(edges), doc.sentences, doc.orig_len)
+                    list(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -610,14 +605,14 @@ def build_vocabulary(docs: list[Document], min_count: int = 1) -> Vocabulary:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts: Counter[str] = Counter()
     for doc in docs:
-        counts.update(t.surface for t in doc.tokens if t.surface != PAD_TOKEN)
+        counts.update(t.surface for t in doc.tokens)
     kept = sorted((tok for tok, c in counts.items() if c >= min_count),
                   key=lambda tok: (-counts[tok], tok))
     token_to_id = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for tok in kept:
         if tok not in token_to_id:
             token_to_id[tok] = len(token_to_id)
-    return Vocabulary(token_to_id, dict(counts))
+    return Vocabulary(token_to_id)
 
 
 def random_embeddings(vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingTable:
@@ -676,11 +671,10 @@ def load_pretrained_vectors(path, vocab: Vocabulary, seed: int = 0,
 # Length normalization
 
 def normalize_length(doc: Document) -> Document:
-    """Truncate to 150 tokens and pad to at least 50 with PAD tokens.
+    """Truncate to 150 tokens; shorter documents are kept as they are.
     Mentions fully beyond the cut are dropped; spans crossing it are
-    clipped. The original length is recorded."""
-    n = len(doc.tokens)
-    tokens = list(doc.tokens[:MAX_DOC_TOKENS])
+    clipped."""
+    tokens = doc.tokens[:MAX_DOC_TOKENS]
     kept = len(tokens)
     mentions = []
     for m in doc.mentions:
@@ -689,11 +683,7 @@ def normalize_length(doc: Document) -> Document:
             continue
         mentions.append(m if e < kept else replace(m, token_span=(s, kept - 1)))
     edges = [(i, j, r) for i, j, r in doc.dep_edges if i < kept and j < kept]
-    sentences = [(s, min(e, kept)) for s, e in doc.sentences if s < kept]
-    while len(tokens) < MIN_DOC_TOKENS:
-        tokens.append(Token(PAD_TOKEN, -1, -1, len(tokens)))
-    return Document(doc.id, doc.source, doc.text, tokens, mentions, edges,
-                    sentences, orig_len=n)
+    return Document(doc.id, doc.source, doc.text, tokens, mentions, edges)
 
 
 def normalize_corpus(docs: list[Document], instances: list[RelationInstance]

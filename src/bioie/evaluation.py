@@ -1,9 +1,14 @@
 """Confusion accounting, macro precision/recall/F, percentile-bootstrap
 confidence intervals, and comparison-table formatting.
 
-All scores are percents. The designated negative class (index 0 in every
-task's label set) is excluded from macro averaging; zero denominators
-yield zero rather than NaN.
+Every score comes from the (gold, prediction) confusion matrix of c
+classes, `np.bincount(gold * c + prediction, minlength=c * c)`. `_scores`
+takes tallies of any leading shape, so one evaluation and a stack of
+bootstrap resamples are scored by the same array code.
+
+All scores are percents. Class 0, the negative class of every task's
+label set, is excluded from macro averaging; zero denominators yield
+zero rather than NaN.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ class ConfusionCounts:
     tp: np.ndarray
     fp: np.ndarray
     fn: np.ndarray
-    negative_index: int = 0
     n: int = 0
 
 
@@ -49,9 +53,9 @@ class EvalReport:
     ci: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
-def confusion_counts(predictions, gold, label_set,
-                     negative_index: int = 0) -> ConfusionCounts:
-    """Per-class true/false positive and false negative tallies."""
+def _outcome_codes(predictions, gold, label_set) -> tuple[np.ndarray, int]:
+    """Each outcome's confusion-matrix cell `gold * c + prediction`, once
+    the two sequences are checked to pair up inside the label set."""
     preds = np.asarray(predictions, dtype=np.int64)
     golds = np.asarray(gold, dtype=np.int64)
     if preds.shape != golds.shape:
@@ -61,61 +65,67 @@ def confusion_counts(predictions, gold, label_set,
     for arr, what in ((preds, "prediction"), (golds, "gold label")):
         if arr.size and (arr.min() < 0 or arr.max() >= c):
             raise ValueError(f"{what} outside label set of size {c}")
-    tp = np.zeros(c, dtype=np.int64)
-    fp = np.zeros(c, dtype=np.int64)
-    fn = np.zeros(c, dtype=np.int64)
-    for p, g in zip(preds, golds):
-        if p == g:
-            tp[p] += 1
-        else:
-            fp[p] += 1
-            fn[g] += 1
-    return ConfusionCounts(tuple(label_set), tp, fp, fn, negative_index,
-                           int(preds.size))
+    return golds * c + preds, c
+
+
+def _tally(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tp, fp, fn (..., c) of confusion matrices (..., c, c) [gold, pred]."""
+    tp = np.diagonal(matrix, axis1=-2, axis2=-1)
+    return tp, matrix.sum(axis=-2) - tp, matrix.sum(axis=-1) - tp
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
+
+
+def _scores(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
+    """Per-class P, R, F (..., c) and macro P, R, F (...) in percent from
+    (..., c) tallies. Macro P and R average classes 1..c-1; macro F is
+    their harmonic mean."""
+    p = _ratio(100.0 * tp, tp + fp)
+    r = _ratio(100.0 * tp, tp + fn)
+    evaluated = max(1, tp.shape[-1] - 1)
+    macro_p = p[..., 1:].sum(axis=-1) / evaluated
+    macro_r = r[..., 1:].sum(axis=-1) / evaluated
+    return ((p, r, _ratio(2.0 * p * r, p + r)),
+            (macro_p, macro_r, _ratio(2.0 * macro_p * macro_r, macro_p + macro_r)))
+
+
+def confusion_counts(predictions, gold, label_set) -> ConfusionCounts:
+    """Per-class true/false positive and false negative tallies."""
+    codes, c = _outcome_codes(predictions, gold, label_set)
+    matrix = np.bincount(codes, minlength=c * c).reshape(c, c)
+    return ConfusionCounts(tuple(label_set), *_tally(matrix), int(codes.size))
 
 
 def macro_prf(counts: ConfusionCounts) -> EvalReport:
-    """Per-class and macro precision/recall/F in percent. Macro values
-    average the evaluated (non-negative) classes; the macro F is the
-    harmonic mean of macro P and macro R."""
-    per_class = {}
-    evaluated_p, evaluated_r = [], []
-    for idx, name in enumerate(counts.label_set):
-        tp, fp, fn = counts.tp[idx], counts.fp[idx], counts.fn[idx]
-        p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
-        r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-        per_class[name] = (p, r, harmonic_f(p, r))
-        if idx != counts.negative_index:
-            evaluated_p.append(p)
-            evaluated_r.append(r)
-    macro_p = float(np.mean(evaluated_p)) if evaluated_p else 0.0
-    macro_r = float(np.mean(evaluated_r)) if evaluated_r else 0.0
-    return EvalReport(per_class, macro_p, macro_r, harmonic_f(macro_p, macro_r),
-                      counts.n)
+    """Per-class and macro precision/recall/F in percent."""
+    (p, r, f), macro = _scores(counts.tp, counts.fp, counts.fn)
+    per_class = dict(zip(counts.label_set,
+                         zip(p.tolist(), r.tolist(), f.tolist())))
+    return EvalReport(per_class, *(float(v) for v in macro), counts.n)
 
 
-def evaluate_outcomes(predictions, gold, label_set,
-                      negative_index: int = 0) -> EvalReport:
-    return macro_prf(confusion_counts(predictions, gold, label_set,
-                                      negative_index))
+def evaluate_outcomes(predictions, gold, label_set) -> EvalReport:
+    return macro_prf(confusion_counts(predictions, gold, label_set))
 
 
-def bootstrap_ci(outcomes, metric, resamples: int = 1000,
+def bootstrap_ci(predictions, gold, label_set, resamples: int = 1000,
                  seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap 95% interval: resample outcomes with
-    replacement, recompute `metric` per resample, take the 2.5th and
-    97.5th percentiles."""
-    items = list(outcomes)
-    if not items:
-        raise ValueError("bootstrap_ci: empty outcome list")
+    """Percentile bootstrap 95% interval of the macro F. Each resample
+    draws its n outcomes with its own `rng.integers(0, n, size=n)` call;
+    the resamples' confusion matrices are then scored at once."""
+    codes, c = _outcome_codes(predictions, gold, label_set)
+    n = codes.size
+    if not n:
+        raise ValueError("bootstrap_ci: no outcomes")
     rng = np.random.default_rng(seed)
-    values = np.empty(resamples)
-    n = len(items)
-    for r in range(resamples):
-        idx = rng.integers(0, n, size=n)
-        values[r] = metric([items[i] for i in idx])
-    return (float(np.percentile(values, 2.5)),
-            float(np.percentile(values, 97.5)))
+    matrices = np.stack([
+        np.bincount(codes[rng.integers(0, n, size=n)], minlength=c * c)
+        for _ in range(resamples)]).reshape(resamples, c, c)
+    _, (_, _, macro_f) = _scores(*_tally(matrices))
+    return (float(np.percentile(macro_f, 2.5)),
+            float(np.percentile(macro_f, 97.5)))
 
 
 def report_table(rows: list[tuple[str, EvalReport]],

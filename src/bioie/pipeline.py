@@ -7,12 +7,11 @@ projected graphs} -> masked max-pool per branch -> concatenate ->
 affine classifier. Ablated branches are skipped and the classifier
 narrows accordingly.
 
-Encoding maps each document's tokens to ids once, cuts the trailing
-`<pad>` run and projects the corpus graphs onto the cut ids. Tokenizers
-never emit `<pad>` and length normalization only appends it, so an
-encoded document holds no padding. `forward` pads each batch to its
-longest document (T steps) and carries a (B, T) validity mask that is
-false on batch padding:
+Encoding maps each document's tokens to ids once and projects the
+corpus graphs onto those ids. Documents are never padded, so an encoded
+document is exactly as long as its text. `forward` pads each batch to
+its longest document (T steps) and carries a (B, T) validity mask that
+is false on batch padding:
   * the LSTM runs each row over its own length, so the backward
     direction starts at the row's last real token;
   * attention adds MASK_NEG to the scores of invalid keys, one head at
@@ -215,7 +214,7 @@ def parameter_group_counts(model: ModelState) -> dict[str, int]:
 @dataclass
 class DocEncoding:
     doc_id: str
-    ids: np.ndarray                 # token ids, trailing PAD dropped
+    ids: np.ndarray                 # one token id per document token
     adjacency: dict[str, DocumentAdjacency]  # len(ids) square per kind
 
 
@@ -238,10 +237,6 @@ def encode_documents(docs: list[Document], vocab: Vocabulary,
     out = {}
     for doc in docs:
         ids = token_ids(doc, vocab)
-        n = len(ids)
-        while n > 1 and ids[n - 1] == PAD_ID:
-            n -= 1
-        ids = ids[:n]
         adjacency = project_adjacency(ids, graphs) if config.use_gcn else {}
         out[doc.id] = DocEncoding(doc.id, ids, adjacency)
     return out

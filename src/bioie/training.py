@@ -6,6 +6,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -15,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam
 from .corpus import (
+    DEV_FRACTION,
     Document,
     EmbeddingTable,
     FoldPlan,
@@ -71,7 +74,6 @@ class TrainPlan:
     seed: int = 0
     patience: int = 5
     lr: float = 1e-3
-    dev_fraction: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -213,7 +215,7 @@ def run_cross_validation(data: TaskData, config: ModelConfig, plan: TrainPlan,
     by_id = {enc.iid: enc for enc in encoded}
     reports = []
     for fold in range(k):
-        train_ids, dev_ids, test_ids = fold_plan.split(fold, plan.dev_fraction)
+        train_ids, dev_ids, test_ids = fold_plan.split(fold)
         assert not (set(train_ids) | set(dev_ids)) & set(test_ids), \
             f"fold {fold} leaks test instances into training"
         train = [by_id[i] for i in train_ids]
@@ -234,16 +236,15 @@ def run_cross_validation(data: TaskData, config: ModelConfig, plan: TrainPlan,
                     float(np.std(fs)), fold_plan)
 
 
-def split_train_dev_test(instances: list, seed: int,
-                         dev_fraction: float = 0.1, test_fraction: float = 0.1
+def split_train_dev_test(instances: list, seed: int
                          ) -> tuple[list, list, list]:
     """Seeded single split used by plain training, grid search, and the
-    transfer protocol. The partition depends only on the list's length
-    and the seed, so raw and encoded instances split alike."""
+    transfer protocol; dev and test each take DEV_FRACTION of the
+    instances. The partition depends only on the list's length and the
+    seed, so raw and encoded instances split alike."""
     rng = np.random.default_rng([seed, 0x5EED])
     order = rng.permutation(len(instances))
-    n_test = max(1, round(test_fraction * len(instances)))
-    n_dev = max(1, round(dev_fraction * len(instances)))
+    n_test = n_dev = max(1, round(DEV_FRACTION * len(instances)))
     test_idx = set(order[:n_test].tolist())
     dev_idx = set(order[n_test:n_test + n_dev].tolist())
     train = [inst for i, inst in enumerate(instances)
@@ -284,8 +285,7 @@ def grid_search(data: TaskData, grid: dict[str, list], config: ModelConfig,
     encoded = encode_instances(
         data.instances, data.documents, data.vocab, data.graphs,
         replace(config, use_gcn=any(cfg.use_gcn for cfg, _ in settings)))
-    train, dev, _ = split_train_dev_test(encoded, plan.seed,
-                                         plan.dev_fraction, 0.1)
+    train, dev, _ = split_train_dev_test(encoded, plan.seed)
     leaderboard: list[tuple[dict, float]] = []
     memo: dict[str, float] = {}
     best_point, best_f = None, -1.0
@@ -327,7 +327,12 @@ def _write_block(fh, payload: bytes) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
+    """n bytes of the file; a corrupt length field beyond the file's end is
+    refused before it can ask for more memory than the file holds."""
+    here = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - here
+    fh.seek(here)
+    buf = fh.read(n) if n <= left else b""
     if len(buf) != n:
         raise TruncatedCheckpoint("unexpected end of checkpoint")
     return buf
@@ -348,8 +353,7 @@ def _write_array(fh, arr: np.ndarray) -> None:
 def _read_array(fh) -> np.ndarray:
     (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
     shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(fh, count * 8), dtype="<f8")
+    data = np.frombuffer(_read_exact(fh, math.prod(shape) * 8), dtype="<f8")
     return data.reshape(shape).astype(np.float64)
 
 
@@ -466,7 +470,7 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
         rng.bit_generator.state = json.loads(_read_block(fh))
         graphs = _read_graphs(fh)
 
-    vocab = Vocabulary(dict(vocab_map), dict.fromkeys(vocab_map, 1))
+    vocab = Vocabulary(dict(vocab_map))
     return ModelState(config, params, buffers, vocab,
                       tuple(blob["label_set"]), blob["seed"], rng, opt, graphs)
 

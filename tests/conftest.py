@@ -1,12 +1,14 @@
 """Shared fixtures: small synthetic task data and model configs."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from bioie.corpus import build_vocabulary, normalize_corpus, random_embeddings, synth_corpus
 from bioie.layers import ModelConfig
 from bioie.textgraph import GRAPH_KINDS, build_corpus_graphs, pair_ids
-from bioie.training import TaskData
+from bioie.training import CHECKPOINT_MAGIC, TaskData
 
 
 def build_synth_task(counts, seed, d_w=24, theta=0.9, window=5,
@@ -40,6 +42,34 @@ def assert_same_graphs(got, expected):
         for name in ("keys", "count", "edge_weight"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (kind, name)
+
+
+# Length fields a corrupt checkpoint may carry: the config block's length,
+# and the dims of the first named array (a 64 GiB array, and one whose
+# element count overflows int64).
+CORRUPT_LENGTHS = {
+    "config_block_2^40": ("config", (2 ** 40,)),
+    "array_dims_2^36x1": ("dims", (2 ** 36, 1)),
+    "array_dims_2^32x2^32": ("dims", (2 ** 32, 2 ** 32)),
+}
+
+
+def corrupt_checkpoint(raw: bytes, name: str) -> bytes:
+    """`raw` with one length field replaced as `CORRUPT_LENGTHS[name]`
+    says. Walks the layout `save_checkpoint` writes: magic, version,
+    digest, config block, vocabulary block, named-array count, then the
+    first array's name block, frozen flag, ndim and dims."""
+    field, values = CORRUPT_LENGTHS[name]
+    at = len(CHECKPOINT_MAGIC) + 4 + 32
+    if field != "config":
+        for _ in range(2):  # config and vocabulary blocks
+            at += 8 + struct.unpack_from("<Q", raw, at)[0]
+        at += 4
+        at += 8 + struct.unpack_from("<Q", raw, at)[0] + 1
+        assert struct.unpack_from("<I", raw, at)[0] == len(values)
+        at += 4
+    patch = struct.pack(f"<{len(values)}Q", *values)
+    return raw[:at] + patch + raw[at + len(patch):]
 
 
 SMALL_CONFIG_KWARGS = dict(d_w=24, d_p=8, max_dist=60, hidden=16, heads=4,

@@ -23,7 +23,7 @@ from bioie.pipeline import encode_instances, eval_logits, init_model, predict
 from bioie.textgraph import build_corpus_graphs
 from bioie.training import TrainPlan, apply_grid_point, save_checkpoint
 
-from conftest import assert_same_graphs
+from conftest import CORRUPT_LENGTHS, assert_same_graphs, corrupt_checkpoint
 
 FAST = {
     "dataset": "synthetic",
@@ -173,6 +173,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "corpus graphs" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_of_another_task_exits_1(self, tmp_path, capsys,
+                                                trained_ckpt, command):
+        """A Size checkpoint run on a Grade corpus is refused, not scored
+        or labelled with the Size classes."""
+        out = tmp_path / command
+        extra = {"checkpoint": str(trained_ckpt), "synth_counts": "Grade=12"}
+        assert main([command] + flags(out, extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "pathology:Grade" in err and "'Size'" in err
+        assert not (out / "eval.tsv").exists()
+        assert not (out / "predictions.tsv").exists()
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPT_LENGTHS))
+    def test_eval_on_corrupt_length_field_exits_1(self, tmp_path, capsys,
+                                                  trained_ckpt, corruption):
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(corrupt_checkpoint(trained_ckpt.read_bytes(),
+                                            corruption))
+        extra = {"checkpoint": str(path)}
+        assert main(["eval"] + flags(tmp_path / "eval", extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unexpected end" in err
+        assert not (tmp_path / "eval" / "eval.tsv").exists()
 
 
 class TestCommands:

@@ -136,30 +136,19 @@ class TestCountParameters:
 
 
 class TestEncoding:
-    def test_documents_cut_to_real_prefix(self, tiny_task, small_config):
-        """Trailing padding is dropped once at encode time: the ids are
-        the real prefix, and every adjacency is the projection of those
-        ids, equal to the padded projection's leading block."""
-        cut = 0
+    def test_documents_encoded_at_full_length(self, tiny_task, small_config):
+        """Documents are never padded: an encoding's ids are every token's
+        id, PAD-free, and each adjacency is the projection of those ids."""
         for e in encode_all(tiny_task, small_config):
-            all_ids = token_ids(tiny_task.documents[e.doc.doc_id], tiny_task.vocab)
-            n = len(e.doc.ids)
-            assert e.doc.ids[-1] != PAD_ID
-            assert np.array_equal(e.doc.ids, all_ids[:n])
-            assert np.all(all_ids[n:] == PAD_ID)
+            doc = tiny_task.documents[e.doc.doc_id]
+            assert np.array_equal(e.doc.ids, token_ids(doc, tiny_task.vocab))
+            assert len(e.doc.ids) == len(doc.tokens)
+            assert not np.any(e.doc.ids == PAD_ID)
             own = project_adjacency(e.doc.ids, tiny_task.graphs)
-            full = project_adjacency(all_ids, tiny_task.graphs)
             assert set(e.doc.adjacency) == set(GRAPH_KINDS)
             for kind, adj in e.doc.adjacency.items():
                 assert np.array_equal(adj.matrix, own[kind].matrix)
                 assert np.array_equal(adj.degree, own[kind].degree)
-                assert np.array_equal(adj.matrix, full[kind].matrix[:n, :n])
-                # Row sums over n and over the padded length may group
-                # their terms differently.
-                assert np.allclose(adj.degree, full[kind].degree[:n],
-                                   rtol=1e-14, atol=0.0)
-            cut += len(all_ids) > n
-        assert cut > 0, "fixture has no trailing padding to cut"
 
     def test_adjacency_matrices_own_their_memory(self, tiny_task, small_config):
         """Every stored matrix is its own C-contiguous (n, n) array, not a

@@ -20,7 +20,6 @@ from bioie.corpus import (
     EmbeddingTable,
     attach_dependencies,
     build_vocabulary,
-    normalize_length,
     random_embeddings,
     tokenize,
 )
@@ -462,9 +461,7 @@ class TestProjection:
         assert np.allclose(adj.degree, [1 + LN_10_9, 1 + LN_10_9], atol=1e-12)
 
     def test_pad_isolated(self):
-        from bioie.corpus import normalize_length
-        base = doc_from([f"t{i}" for i in range(10)])
-        doc = normalize_length(base)
+        doc = doc_of([f"t{i}" for i in range(10)] + [PAD_TOKEN] * 40)
         vocab = build_vocabulary([doc])
         graphs = self.graphs_for([doc], vocab, window=3)
         adj = project_adjacency(token_ids(doc, vocab), graphs)["sequence"]
@@ -500,7 +497,7 @@ class TestProjection:
         graphs = build_corpus_graphs(docs, random_embeddings(vocab, 4, seed=seed),
                                      vocab, theta=0.3, window=3)
         mixed = list(rng.choice(words + ["other"], size=30)) + ["unseen", "w0"]
-        probes = docs + [normalize_length(doc_from(mixed, "mixed"))]
+        probes = docs + [doc_of(mixed + [PAD_TOKEN] * 18, "mixed")]
         for doc in probes:
             ids = token_ids(doc, vocab)
             got = project_adjacency(ids, graphs)
@@ -526,7 +523,7 @@ class TestProjection:
             np.concatenate(([1.0, 1.0], seq.count)),
             np.concatenate(([0.25, 0.5], seq.edge_weight)))
         assert graphs.sequence.weight(a_id, UNK_ID) == 0.5
-        probe = normalize_length(doc_from(["a", "unseen", "b"], "probe"))
+        probe = doc_of(["a", "unseen", "b"] + [PAD_TOKEN] * 47, "probe")
         ids = token_ids(probe, vocab)
         adj = project_adjacency(ids, graphs)["sequence"]
         matrix, degree = brute_force_projection(ids, graphs)["sequence"]

@@ -33,7 +33,13 @@ from bioie.training import (
     transfer_finetune,
 )
 
-from conftest import assert_same_graphs, build_synth_task, counts_of
+from conftest import (
+    CORRUPT_LENGTHS,
+    assert_same_graphs,
+    build_synth_task,
+    corrupt_checkpoint,
+    counts_of,
+)
 
 
 def fresh_model(task, config, seed=0):
@@ -208,6 +214,19 @@ class TestCheckpoint:
         save_checkpoint(model, opt, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(TruncatedCheckpoint, match="unexpected end"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPT_LENGTHS))
+    def test_length_field_beyond_the_file(self, tiny_task, small_config,
+                                          tmp_path, corruption):
+        """A length no file byte backs is refused before it is allocated
+        or multiplied out, rather than ending in MemoryError or a reshape
+        error."""
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, opt, path)
+        path.write_bytes(corrupt_checkpoint(path.read_bytes(), corruption))
         with pytest.raises(TruncatedCheckpoint, match="unexpected end"):
             load_checkpoint(path)
 
