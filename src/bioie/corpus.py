@@ -795,6 +795,8 @@ def synth_corpus(counts: dict[str, int], seed: int, reports: int | None = None,
             raise ValueError(f"unknown kind {kind!r} in counts")
         if c < 0:
             raise ValueError(f"negative count for {kind!r}")
+    if style not in ("a", "b"):
+        raise ValueError(f"synthetic style must be 'a' or 'b', got {style!r}")
     n_reports = reports if reports is not None else max(counts.values(), default=0)
     if any(c > n_reports for c in counts.values()):
         raise ValueError("per-kind count exceeds report count")

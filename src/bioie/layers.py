@@ -4,6 +4,9 @@ graph convolution with inter-graph state mixing. One graph-convolution
 layer over graph kinds k is m <- mean_k tanh(A_k m W_k + b_k):
 `gcn_propagate` per kind, then `inter_graph_mix` for the mean.
 
+Layers hold no state: each takes its weight tensors as arguments (an
+LSTM direction as a (wx, wh, b) triple, an attention head as a
+(wq, wk, wv) triple), and the model's named registry supplies them.
 Every layer takes one (n, .) sequence or a padded (B, n, .) batch. An
 LSTM direction and the inter-graph mean are fused tape operations with
 hand-derived backward rules (validated by finite differences);
@@ -35,7 +38,7 @@ from .autodiff import (
 )
 from .textgraph import DocumentAdjacency
 
-ATTENTION_MODES = ("none", "single", "multi")
+ATTENTION_MODES = ("none", "multi")
 
 
 @dataclass
@@ -63,7 +66,8 @@ class ModelConfig:
         if self.gcn_layers < 1:
             raise ValueError("gcn_layers must be >= 1")
         if self.attention not in ATTENTION_MODES:
-            raise ValueError(f"attention must be one of {ATTENTION_MODES}")
+            raise ValueError(f"attention must be one of {ATTENTION_MODES}; "
+                             f"one head is heads=1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.head_dim is None and self.d_model % self.heads != 0:
@@ -77,10 +81,6 @@ class ModelConfig:
     @property
     def token_width(self) -> int:
         return self.d_w + (2 * self.d_p if self.use_position else 0)
-
-    @property
-    def effective_heads(self) -> int:
-        return 1 if self.attention == "single" else self.heads
 
     @property
     def effective_head_dim(self) -> int:
@@ -103,49 +103,12 @@ def embedding_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return rng.uniform(-0.25, 0.25, size=(rows, cols))
 
 
-@dataclass
-class LstmDirectionParams:
-    wx: Tensor  # (input, 4*hidden), gate blocks ordered [input, forget, out, cand]
-    wh: Tensor  # (hidden, 4*hidden)
-    b: Tensor   # (1, 4*hidden)
-
-
-@dataclass
-class LstmParams:
-    fw: LstmDirectionParams
-    bw: LstmDirectionParams
-
-
-@dataclass
-class AttentionHeadParams:
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-
-
-@dataclass
-class AttentionParams:
-    heads: list[AttentionHeadParams]
-    wo: Tensor
-
-
-def init_lstm_direction(rng: np.random.Generator, input_dim: int,
-                        hidden: int) -> LstmDirectionParams:
-    b = np.zeros((1, 4 * hidden))
-    b[0, hidden:2 * hidden] = 1.0  # open forget gates at the start of training
-    return LstmDirectionParams(
-        wx=Tensor(glorot(rng, input_dim, 4 * hidden), requires_grad=True),
-        wh=Tensor(glorot(rng, hidden, 4 * hidden), requires_grad=True),
-        b=Tensor(b, requires_grad=True),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Embedding assembly
 
 def embed_sequence(token_ids, head_start, tail_start,
-                   word_table: Tensor, pos_head_table: Tensor | None,
-                   pos_tail_table: Tensor | None, max_dist: int) -> Tensor:
+                   word: Tensor, pos_head: Tensor | None,
+                   pos_tail: Tensor | None, max_dist: int) -> Tensor:
     """Per-token feature rows: word vector, then (optionally) clipped
     relative-distance vectors to the head and tail mention starts.
 
@@ -153,31 +116,33 @@ def embed_sequence(token_ids, head_start, tail_start,
     (n, width), or a (B, n) batch with (B,) starts, giving (B, n, width).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    parts = [take_rows(word_table, ids)]
-    if pos_head_table is not None:
+    parts = [take_rows(word, ids)]
+    if pos_head is not None:
         rel = np.arange(ids.shape[-1])
         h_rel = rel - np.expand_dims(head_start, -1)
         t_rel = rel - np.expand_dims(tail_start, -1)
         h_idx = np.clip(h_rel, -max_dist, max_dist) + max_dist
         t_idx = np.clip(t_rel, -max_dist, max_dist) + max_dist
-        parts.append(take_rows(pos_head_table, h_idx))
-        parts.append(take_rows(pos_tail_table, t_idx))
+        parts.append(take_rows(pos_head, h_idx))
+        parts.append(take_rows(pos_tail, t_idx))
     return concat(parts, axis=-1) if len(parts) > 1 else parts[0]
 
 
 # ---------------------------------------------------------------------------
 # LSTM
 
-def lstm_sequence(seq: Tensor, params: LstmDirectionParams,
+def lstm_sequence(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
                   reverse: bool = False, lengths=None) -> Tensor:
     """Run one LSTM direction over an (n, input) sequence or a padded
     (B, n, input) batch as a single fused tape record.
 
-    Gate blocks are laid out [input, forget, output, candidate], each
-    `hidden` wide, so the two sigmoid blocks are contiguous. `lengths`
-    gives each batch row's real length (default: all n). Steps past a
-    row's length hold a zero state and output zero, so the reverse
-    direction of every row starts at its own last real token.
+    `wx` is (input, 4*hidden), `wh` (hidden, 4*hidden) and `b`
+    (1, 4*hidden). Gate blocks are laid out [input, forget, output,
+    candidate], each `hidden` wide, so the two sigmoid blocks are
+    contiguous. `lengths` gives each batch row's real length (default:
+    all n). Steps past a row's length hold a zero state and output zero,
+    so the reverse direction of every row starts at its own last real
+    token.
 
     The forward pass runs one (B, input) @ (input, 4*hidden) and one
     (B, hidden) @ (hidden, 4*hidden) product per step. The
@@ -188,8 +153,7 @@ def lstm_sequence(seq: Tensor, params: LstmDirectionParams,
     """
     x = seq.data if seq.data.ndim == 3 else seq.data[None]
     bsz, n, width = x.shape
-    hid = params.wh.shape[0]
-    wx, wh, b = params.wx, params.wh, params.b
+    hid = wh.shape[0]
     if width != wx.shape[0]:
         raise ShapeError(
             f"lstm_sequence: input width {width} != {wx.shape[0]}")
@@ -282,14 +246,15 @@ def lstm_sequence(seq: Tensor, params: LstmDirectionParams,
                    (seq, wx, wh, b), rule)
 
 
-def bilstm(seq: Tensor, params: LstmParams, lengths=None) -> Tensor:
-    """Forward and backward passes with independent parameters; the
-    per-position outputs are concatenated to width 2*hidden. `seq` is
-    (n, input) or a padded (B, n, input) batch with per-row `lengths`."""
+def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
+    """Forward and backward passes with independent (wx, wh, b) triples
+    `fw` and `bw`; the per-position outputs are concatenated to width
+    2*hidden. `seq` is (n, input) or a padded (B, n, input) batch with
+    per-row `lengths`."""
     if seq.shape[-2] < 1:
         raise ShapeError("bilstm: empty sequence")
-    forward_block = lstm_sequence(seq, params.fw, reverse=False, lengths=lengths)
-    backward_block = lstm_sequence(seq, params.bw, reverse=True, lengths=lengths)
+    forward_block = lstm_sequence(seq, *fw, reverse=False, lengths=lengths)
+    backward_block = lstm_sequence(seq, *bw, reverse=True, lengths=lengths)
     return concat([forward_block, backward_block], axis=-1)
 
 
@@ -314,23 +279,24 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     return matmul(softmax(scores, axis=-1), v)
 
 
-def multi_head_attention(x: Tensor, params: AttentionParams,
+def multi_head_attention(x: Tensor, heads, wo: Tensor,
                          mask_bias: Tensor | None = None) -> Tensor:
     """Per-head projected self-attention, head concatenation, then the
-    output projection, on an (n, d_model) sequence or a (B, n, d_model)
-    batch. Heads run one at a time, so no array holds more than one
-    head's (B, n, n) scores."""
-    if params.heads and x.shape[-1] != params.heads[0].wq.shape[0]:
+    output projection `wo`, on an (n, d_model) sequence or a
+    (B, n, d_model) batch. `heads` lists one (wq, wk, wv) triple of
+    (d_model, head_dim) projections per head. Heads run one at a time,
+    so no array holds more than one head's (B, n, n) scores."""
+    if heads and x.shape[-1] != heads[0][0].shape[0]:
         raise ShapeError(
             f"attention: input width {x.shape[-1]} != projection rows "
-            f"{params.heads[0].wq.shape[0]}")
+            f"{heads[0][0].shape[0]}")
     head_outs = [
-        scaled_dot_attention(matmul(x, hp.wq), matmul(x, hp.wk),
-                             matmul(x, hp.wv), mask_bias)
-        for hp in params.heads
+        scaled_dot_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv),
+                             mask_bias)
+        for wq, wk, wv in heads
     ]
     stacked = concat(head_outs, axis=-1) if len(head_outs) > 1 else head_outs[0]
-    return matmul(stacked, params.wo)
+    return matmul(stacked, wo)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """End-to-end classifier assembly: parameter registry, ablation
 variants, instance encoding, the forward pass, and the training loss.
 
+`ModelState.params` is the one registry of model tensors, keyed by name
+in initialization order. The forward pass hands each layer its tensors
+from it; the optimizer, parameter counts and checkpoints walk it too. A
+tensor trains exactly when its `requires_grad` is set: the pretrained
+word table is in the registry but frozen.
+
 Forward path, one mini-batch at a time: embed tokens -> bidirectional
 LSTM -> {self-attention branch, graph-convolution branch over the three
 projected graphs} -> masked max-pool per branch -> concatenate ->
@@ -38,17 +44,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingTable, PAD_ID, RelationInstance, Vocabulary
 from .layers import (
-    AttentionHeadParams,
-    AttentionParams,
-    LstmDirectionParams,
-    LstmParams,
     ModelConfig,
     bilstm,
     embed_sequence,
     embedding_init,
     gcn_propagate,
     glorot,
-    init_lstm_direction,
     inter_graph_mix,
     multi_head_attention,
 )
@@ -76,34 +77,13 @@ ABLATION_VARIANTS = (
 @dataclass
 class ModelState:
     config: ModelConfig
-    params: dict[str, Tensor]    # trainable registry, insertion-ordered
-    buffers: dict[str, Tensor]   # frozen tensors (pretrained word table)
+    params: dict[str, Tensor]    # every model tensor, insertion-ordered
     vocab: Vocabulary
     label_set: tuple[str, ...]
     seed: int
     rng: np.random.Generator
     optimizer: object | None = None
     graphs: CorpusGraphs | None = None  # keyed by `vocab` ids
-
-    def word_table(self) -> Tensor:
-        return self.params.get("embed.word") or self.buffers["embed.word"]
-
-    def lstm_params(self) -> LstmParams:
-        p = self.params
-        return LstmParams(
-            fw=LstmDirectionParams(p["lstm.fw.wx"], p["lstm.fw.wh"], p["lstm.fw.b"]),
-            bw=LstmDirectionParams(p["lstm.bw.wx"], p["lstm.bw.wh"], p["lstm.bw.b"]),
-        )
-
-    def attention_params(self) -> AttentionParams:
-        heads = []
-        for k in range(self.config.effective_heads):
-            heads.append(AttentionHeadParams(
-                self.params[f"attn.head{k}.wq"],
-                self.params[f"attn.head{k}.wk"],
-                self.params[f"attn.head{k}.wv"],
-            ))
-        return AttentionParams(heads, self.params["attn.wo"])
 
 
 def make_variant(base: ModelConfig, variant: str) -> ModelConfig:
@@ -121,8 +101,7 @@ def make_variant(base: ModelConfig, variant: str) -> ModelConfig:
     if variant == "single_head":
         # One head at the base per-head width, so the ablation actually
         # shrinks the attention parameter block.
-        return replace(base, attention="single", heads=1,
-                       head_dim=base.effective_head_dim)
+        return replace(base, heads=1, head_dim=base.effective_head_dim)
     if variant == "no_gcn":
         return replace(base, use_gcn=False)
     raise ValueError(f"unknown ablation variant {variant!r}; "
@@ -132,26 +111,22 @@ def make_variant(base: ModelConfig, variant: str) -> ModelConfig:
 def init_model(config: ModelConfig, vocab: Vocabulary,
                embeddings: EmbeddingTable | None = None, seed: int = 0,
                label_set: tuple[str, ...] = ("null", "positive")) -> ModelState:
-    """Allocate and initialize every parameter of the configured variant;
-    bitwise deterministic for a given seed."""
+    """Allocate and initialize every tensor of the configured variant;
+    bitwise deterministic for a given seed. The pretrained word table is
+    registered frozen (`requires_grad` False)."""
     if len(label_set) != config.label_count:
         config = replace(config, label_count=len(label_set))
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    buffers: dict[str, Tensor] = {}
 
-    if config.use_pretrained:
-        if embeddings is not None:
-            if embeddings.dim != config.d_w:
-                raise ValueError(
-                    f"embedding table dim {embeddings.dim} != config d_w {config.d_w}")
-            table = embeddings.vectors.copy()
-        else:
-            table = embedding_init(rng, vocab.size, config.d_w)
-        buffers["embed.word"] = Tensor(table)
+    if config.use_pretrained and embeddings is not None:
+        if embeddings.dim != config.d_w:
+            raise ValueError(
+                f"embedding table dim {embeddings.dim} != config d_w {config.d_w}")
+        table = embeddings.vectors.copy()
     else:
-        params["embed.word"] = Tensor(
-            embedding_init(rng, vocab.size, config.d_w), requires_grad=True)
+        table = embedding_init(rng, vocab.size, config.d_w)
+    params["embed.word"] = Tensor(table, requires_grad=not config.use_pretrained)
 
     if config.use_position:
         rows = 2 * config.max_dist + 1
@@ -160,23 +135,25 @@ def init_model(config: ModelConfig, vocab: Vocabulary,
         params["embed.pos_tail"] = Tensor(
             embedding_init(rng, rows, config.d_p), requires_grad=True)
 
-    width = config.token_width
+    hidden = config.hidden
     for direction in ("fw", "bw"):
-        d = init_lstm_direction(rng, width, config.hidden)
-        params[f"lstm.{direction}.wx"] = d.wx
-        params[f"lstm.{direction}.wh"] = d.wh
-        params[f"lstm.{direction}.b"] = d.b
+        b = np.zeros((1, 4 * hidden))
+        b[0, hidden:2 * hidden] = 1.0  # open forget gates at the start of training
+        params[f"lstm.{direction}.wx"] = Tensor(
+            glorot(rng, config.token_width, 4 * hidden), requires_grad=True)
+        params[f"lstm.{direction}.wh"] = Tensor(
+            glorot(rng, hidden, 4 * hidden), requires_grad=True)
+        params[f"lstm.{direction}.b"] = Tensor(b, requires_grad=True)
 
     if config.attention != "none":
         d_model = config.d_model
         hd = config.effective_head_dim
-        n_heads = config.effective_heads
-        for k in range(n_heads):
+        for k in range(config.heads):
             for name in ("wq", "wk", "wv"):
                 params[f"attn.head{k}.{name}"] = Tensor(
                     glorot(rng, d_model, hd), requires_grad=True)
         params["attn.wo"] = Tensor(
-            glorot(rng, n_heads * hd, d_model), requires_grad=True)
+            glorot(rng, config.heads * hd, d_model), requires_grad=True)
 
     if config.use_gcn:
         d_model = config.d_model
@@ -191,20 +168,22 @@ def init_model(config: ModelConfig, vocab: Vocabulary,
         glorot(rng, config.classifier_width, config.label_count), requires_grad=True)
     params["clf.b"] = Tensor(np.zeros((1, config.label_count)), requires_grad=True)
 
-    return ModelState(config, params, buffers, vocab, tuple(label_set), seed, rng)
+    return ModelState(config, params, vocab, tuple(label_set), seed, rng)
 
 
 def count_parameters(model: ModelState) -> int:
-    return sum(p.size for p in model.params.values())
+    """Trainable elements; the frozen pretrained table is not counted."""
+    return sum(p.size for p in model.params.values() if p.requires_grad)
 
 
 def parameter_group_counts(model: ModelState) -> dict[str, int]:
-    """Element counts per top-level parameter group (prefix before the
-    first dot)."""
+    """Trainable element counts per top-level parameter group (prefix
+    before the first dot)."""
     groups: dict[str, int] = {}
     for name, p in model.params.items():
-        group = name.split(".", 1)[0]
-        groups[group] = groups.get(group, 0) + p.size
+        if p.requires_grad:
+            group = name.split(".", 1)[0]
+            groups[group] = groups.get(group, 0) + p.size
     return groups
 
 
@@ -313,11 +292,12 @@ def forward(model: ModelState, batch: list[EncodedInstance],
     heads = np.array([inst.head_start for inst in batch])
     tails = np.array([inst.tail_start for inst in batch])
 
-    pos_head = model.params.get("embed.pos_head") if cfg.use_position else None
-    pos_tail = model.params.get("embed.pos_tail") if cfg.use_position else None
-    h = bilstm(embed_sequence(ids, heads, tails, model.word_table(), pos_head,
+    p = model.params
+    pos_head = p.get("embed.pos_head") if cfg.use_position else None
+    pos_tail = p.get("embed.pos_tail") if cfg.use_position else None
+    h = bilstm(embed_sequence(ids, heads, tails, p["embed.word"], pos_head,
                               pos_tail, cfg.max_dist),
-               model.lstm_params(), lengths)
+               _lstm_direction(p, "fw"), _lstm_direction(p, "bw"), lengths)
     if mode == "train" and cfg.dropout > 0.0:
         h = ad.hadamard(h, _dropout_mask(model.rng, cfg.dropout, lengths, h.shape))
 
@@ -328,8 +308,11 @@ def forward(model: ModelState, batch: list[EncodedInstance],
     if cfg.use_gcn:
         branches.append(_gcn_features(model, batch, h, key_bias))
     rep = ad.concat(branches, axis=-1) if len(branches) > 1 else branches[0]
-    return ad.add_rowvec(ad.matmul(rep, model.params["clf.w"]),
-                         model.params["clf.b"])
+    return ad.add_rowvec(ad.matmul(rep, p["clf.w"]), p["clf.b"])
+
+
+def _lstm_direction(p: dict[str, Tensor], direction: str) -> tuple:
+    return tuple(p[f"lstm.{direction}.{name}"] for name in ("wx", "wh", "b"))
 
 
 def _masked_max_pool(x: Tensor, key_bias: np.ndarray) -> Tensor:
@@ -345,8 +328,11 @@ def _attention_features(model: ModelState, h: Tensor,
         return _masked_max_pool(h, key_bias)
     bsz, steps = key_bias.shape
     mask = Tensor(np.broadcast_to(key_bias[:, None, :], (bsz, steps, steps)))
+    p = model.params
+    heads = [tuple(p[f"attn.head{k}.{name}"] for name in ("wq", "wk", "wv"))
+             for k in range(model.config.heads)]
     return _masked_max_pool(
-        multi_head_attention(h, model.attention_params(), mask), key_bias)
+        multi_head_attention(h, heads, p["attn.wo"], mask), key_bias)
 
 
 def _gcn_features(model: ModelState, batch: list[EncodedInstance], h: Tensor,

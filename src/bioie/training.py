@@ -100,10 +100,13 @@ class TaskData:
 
 def make_optimizer(model: ModelState, lr: float,
                    freeze_prefixes: tuple[str, ...] = ()) -> Adam:
+    """Adam over the trainable tensors, in registry order, minus those
+    under `freeze_prefixes`."""
+    trainable = [n for n, p in model.params.items() if p.requires_grad]
     for prefix in freeze_prefixes:
-        if not any(name.startswith(prefix) for name in model.params):
+        if not any(name.startswith(prefix) for name in trainable):
             raise ValueError(f"freeze prefix {prefix!r} matches no parameter")
-    names = [n for n in model.params
+    names = [n for n in trainable
              if not any(n.startswith(p) for p in freeze_prefixes)]
     return Adam([model.params[n] for n in names], names=names, lr=lr)
 
@@ -174,8 +177,8 @@ def fit(model: ModelState, train: list[EncodedInstance],
                                  f"\t{dev_rep.macro_r:.1f}\t{dev_rep.macro_f:.1f}\n")
                 if dev_rep.macro_f > best_f:
                     best_f = dev_rep.macro_f
-                    best_snapshot = {n: p.data.copy()
-                                     for n, p in model.params.items()}
+                    best_snapshot = {n: p.data.copy() for n, p in
+                                     zip(optimizer.names, optimizer.params)}
                     since_best = 0
                 else:
                     since_best += 1
@@ -257,8 +260,6 @@ def split_train_dev_test(instances: list, seed: int
 # ---------------------------------------------------------------------------
 # Grid search
 
-DEFAULT_GRID = {"lr": [1e-3, 3e-4], "hidden": [64, 128], "gcn_layers": [1, 2]}
-
 _PLAN_KEYS = ("epochs", "batch_size", "lr", "patience")
 
 
@@ -315,10 +316,6 @@ def _config_payload(model: ModelState) -> bytes:
         "seed": model.seed,
     }
     return json.dumps(blob, sort_keys=True).encode()
-
-
-def config_digest(model: ModelState) -> str:
-    return hashlib.sha256(_config_payload(model)).hexdigest()
 
 
 def _write_block(fh, payload: bytes) -> None:
@@ -391,7 +388,9 @@ def _read_graphs(fh) -> CorpusGraphs | None:
 
 def save_checkpoint(model: ModelState, optimizer: Adam | None, path) -> None:
     """Versioned binary checkpoint: config digest, every named tensor as
-    little-endian float64, optimizer moments, generator state and graphs."""
+    little-endian float64 with a frozen flag (trainable tensors first,
+    then frozen ones, each in registry order), optimizer moments,
+    generator state and graphs."""
     payload = _config_payload(model)
     digest = hashlib.sha256(payload).digest()
     with open(path, "wb") as fh:
@@ -400,12 +399,11 @@ def save_checkpoint(model: ModelState, optimizer: Adam | None, path) -> None:
         fh.write(digest)
         _write_block(fh, payload)
         _write_block(fh, json.dumps(model.vocab.token_to_id).encode())
-        named = list(model.params.items()) + list(model.buffers.items())
-        frozen = set(model.buffers)
+        named = sorted(model.params.items(), key=lambda kv: not kv[1].requires_grad)
         fh.write(struct.pack("<I", len(named)))
         for name, tensor in named:
             _write_block(fh, name.encode())
-            fh.write(struct.pack("<B", 1 if name in frozen else 0))
+            fh.write(struct.pack("<B", 0 if tensor.requires_grad else 1))
             _write_array(fh, tensor.data)
         if optimizer is None:
             fh.write(struct.pack("<B", 0))
@@ -444,16 +442,17 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
                 "checkpoint config digest does not match the expected model")
         vocab_map = json.loads(_read_block(fh))
 
-        config = ModelConfig(**blob["config"])
+        try:
+            config = ModelConfig(**blob["config"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint config is not valid: {exc}; "
+                                  f"retrain the model") from exc
         (n_named,) = struct.unpack("<I", _read_exact(fh, 4))
-        params: dict[str, object] = {}
-        buffers: dict[str, object] = {}
+        params: dict[str, ad.Tensor] = {}
         for _ in range(n_named):
             name = _read_block(fh).decode()
             (is_frozen,) = struct.unpack("<B", _read_exact(fh, 1))
-            arr = _read_array(fh)
-            tensor = ad.Tensor(arr, requires_grad=not is_frozen)
-            (buffers if is_frozen else params)[name] = tensor
+            params[name] = ad.Tensor(_read_array(fh), requires_grad=not is_frozen)
         (has_opt,) = struct.unpack("<B", _read_exact(fh, 1))
         opt = None
         if has_opt:
@@ -464,6 +463,9 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
                 names.append(_read_block(fh).decode())
                 ms.append(_read_array(fh))
                 vs.append(_read_array(fh))
+                if not (names[-1] in params and params[names[-1]].requires_grad):
+                    raise CheckpointError(f"optimizer moment for {names[-1]!r}, "
+                                          f"which is not a trainable tensor")
             opt = Adam([params[n] for n in names], names=names)
             opt.load_state(t, ms, vs)
         rng = np.random.default_rng(0)
@@ -471,7 +473,7 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
         graphs = _read_graphs(fh)
 
     vocab = Vocabulary(dict(vocab_map))
-    return ModelState(config, params, buffers, vocab,
+    return ModelState(config, params, vocab,
                       tuple(blob["label_set"]), blob["seed"], rng, opt, graphs)
 
 
@@ -482,7 +484,7 @@ def remap_word_rows(model: ModelState, target_vocab: Vocabulary) -> None:
     """Re-index the word table onto a new vocabulary by token surface;
     unseen tokens get fresh uniform rows from the model generator."""
     source_vocab = model.vocab
-    table = model.word_table()
+    table = model.params["embed.word"]
     new = model.rng.uniform(-0.25, 0.25,
                             size=(target_vocab.size, model.config.d_w))
     for tok, tid in target_vocab.token_to_id.items():

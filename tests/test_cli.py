@@ -152,6 +152,13 @@ class TestExitCodes:
         code = main(["cv", "--config", str(bad)])
         assert code == 1
 
+    def test_unknown_synth_style_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert main(["synth", "--outdir", str(out), "--synth_counts", "Size=4",
+                     "--synth_style", "c"]) == 1
+        assert "style" in capsys.readouterr().err
+        assert not (out / "records.jsonl").exists()
+
     def test_grid_on_corpus_key_exits_1(self, tmp_path, capsys):
         extra = {"synth_counts": "Size=8", "grid": "theta=0.5|0.9"}
         assert main(["train"] + flags(tmp_path / "grid", extra)) == 1

@@ -496,6 +496,10 @@ class TestSynthCorpus:
         with pytest.raises(ValueError):
             synth_corpus({"Size": 5}, seed=0, reports=3)
 
+    def test_unknown_style(self):
+        with pytest.raises(ValueError, match="style"):
+            synth_corpus({"Size": 2}, seed=0, style="c")
+
     def test_every_label_valid_for_its_label_set(self):
         out = synth_corpus({"Size": 6, "Grade": 4, "TNM": 3}, seed=8)
         assert out.instances

@@ -6,16 +6,11 @@ import pytest
 import bioie.autodiff as ad
 from bioie.autodiff import ShapeError, Tensor, grad_check, make_op, sigmoid_values
 from bioie.layers import (
-    AttentionHeadParams,
-    AttentionParams,
-    LstmDirectionParams,
-    LstmParams,
     ModelConfig,
     bilstm,
     embed_sequence,
     gcn_propagate,
     glorot,
-    init_lstm_direction,
     inter_graph_mix,
     lstm_sequence,
     multi_head_attention,
@@ -28,23 +23,35 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, shape)
 
 
+def lstm_direction(rng: np.random.Generator, input_dim: int, hidden: int
+                   ) -> tuple[Tensor, Tensor, Tensor]:
+    """A trainable (wx, wh, b) triple drawn as `init_model` draws one LSTM
+    direction: Glorot wx, then Glorot wh, forget-gate bias 1."""
+    b = np.zeros((1, 4 * hidden))
+    b[0, hidden:2 * hidden] = 1.0
+    return (Tensor(glorot(rng, input_dim, 4 * hidden), requires_grad=True),
+            Tensor(glorot(rng, hidden, 4 * hidden), requires_grad=True),
+            Tensor(b, requires_grad=True))
+
+
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              params: LstmDirectionParams) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update on a (1, input) row; returns (h_t, c_t). The
-    step-by-step oracle for the fused `lstm_sequence`.
+              params: tuple[Tensor, Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    """One LSTM cell update on a (1, input) row with a (wx, wh, b) triple;
+    returns (h_t, c_t). The step-by-step oracle for the fused
+    `lstm_sequence`.
 
     Sigmoid input/forget/output gates, tanh candidate; gate blocks are
     ordered [input, forget, output, candidate]. The cell state and the
     output gate are two fused tape records sharing the forward
     intermediates.
     """
-    hid = params.wh.shape[0]
-    if x.shape != (1, params.wx.shape[0]) or h_prev.shape != (1, hid):
+    wx, wh, b = params
+    hid = wh.shape[0]
+    if x.shape != (1, wx.shape[0]) or h_prev.shape != (1, hid):
         raise ShapeError(
             f"lstm_step: x {x.shape} / h {h_prev.shape} do not match parameters "
-            f"{params.wx.shape} / {params.wh.shape}")
+            f"{wx.shape} / {wh.shape}")
     xd, hd, cd = x.data, h_prev.data, c_prev.data
-    wx, wh, b = params.wx, params.wh, params.b
     z = xd @ wx.data + hd @ wh.data + b.data
     gates = sigmoid_values(z[:, :3 * hid])
     i_g = gates[:, :hid]
@@ -87,9 +94,10 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     return h_t, c_t
 
 
-def stepwise(seq: np.ndarray, p: LstmDirectionParams, reverse=False) -> np.ndarray:
+def stepwise(seq: np.ndarray, p: tuple[Tensor, Tensor, Tensor],
+             reverse=False) -> np.ndarray:
     """Chain `lstm_step` over an (n, input) sequence; (n, hidden) outputs."""
-    n, hid = seq.shape[0], p.wh.shape[0]
+    n, hid = seq.shape[0], p[1].shape[0]
     h, c = Tensor(np.zeros((1, hid))), Tensor(np.zeros((1, hid)))
     rows = np.empty((n, hid))
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
@@ -106,6 +114,11 @@ class TestModelConfig:
     def test_dims_positive(self):
         with pytest.raises(ValueError):
             ModelConfig(d_w=0)
+
+    def test_single_attention_mode_removed(self):
+        """One head is `heads=1`; there is no separate "single" mode."""
+        with pytest.raises(ValueError, match="heads=1"):
+            ModelConfig(attention="single")
 
     def test_classifier_width_tracks_branches(self):
         assert ModelConfig(hidden=8, heads=4).classifier_width == 32
@@ -159,28 +172,29 @@ class TestEmbedSequence:
 
 class TestLstm:
     def test_zero_parameters_zero_state(self):
-        p = LstmDirectionParams(Tensor(np.zeros((3, 16)), requires_grad=True),
-                                Tensor(np.zeros((4, 16)), requires_grad=True),
-                                Tensor(np.zeros((1, 16)), requires_grad=True))
+        p = (Tensor(np.zeros((3, 16)), requires_grad=True),
+             Tensor(np.zeros((4, 16)), requires_grad=True),
+             Tensor(np.zeros((1, 16)), requires_grad=True))
         h, c = lstm_step(Tensor(rand((1, 3))), Tensor(np.zeros((1, 4))),
                          Tensor(np.zeros((1, 4))), p)
         assert np.allclose(h.data, 0.0) and np.allclose(c.data, 0.0)
 
     def test_saturated_forget_gate_accumulates(self):
         rng = np.random.default_rng(4)
-        p = init_lstm_direction(rng, 3, 4)
-        p.b.data[0, 4:8] = 25.0  # forget gate block saturated open
+        p = lstm_direction(rng, 3, 4)
+        wx, _, b = p
+        b.data[0, 4:8] = 25.0  # forget gate block saturated open
         c_prev = Tensor(rand((1, 4), 5, lo=1.0, hi=2.0))
         x = Tensor(rand((1, 3), 6))
         h, c = lstm_step(x, Tensor(np.zeros((1, 4))), c_prev, p)
-        z = x.data @ p.wx.data + p.b.data
+        z = x.data @ wx.data + b.data
         i_gate = 1 / (1 + np.exp(-z[:, :4]))
         cand = np.tanh(z[:, 12:])
         assert np.allclose(c.data, c_prev.data + i_gate * cand, atol=1e-9)
 
     def test_three_step_chain_gradient(self):
         rng = np.random.default_rng(7)
-        p = init_lstm_direction(rng, 4, 3)
+        p = lstm_direction(rng, 4, 3)
         seq = Tensor(rand((3, 4), 8))
 
         def chain(_):
@@ -190,21 +204,21 @@ class TestLstm:
                 h, c = lstm_step(ad.take_rows(seq, np.array([t])), h, c, p)
             return h.sum()
 
-        for param in (p.wx, p.wh, p.b):
+        for param in p:
             assert grad_check(chain, param, epsilon=1e-5) <= 1e-4
         assert grad_check(lambda s: chain(None), seq, epsilon=1e-5) <= 1e-4
 
     def test_shape_mismatch(self):
-        p = init_lstm_direction(np.random.default_rng(0), 4, 3)
+        p = lstm_direction(np.random.default_rng(0), 4, 3)
         with pytest.raises(ShapeError):
             lstm_step(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))),
                       Tensor(np.zeros((1, 3))), p)
 
     def test_fused_sequence_matches_stepwise(self):
         rng = np.random.default_rng(9)
-        p = init_lstm_direction(rng, 5, 4)
+        p = lstm_direction(rng, 5, 4)
         seq = Tensor(rand((7, 5), 10))
-        fused = lstm_sequence(seq, p)
+        fused = lstm_sequence(seq, *p)
         h = Tensor(np.zeros((1, 4)))
         c = Tensor(np.zeros((1, 4)))
         rows = []
@@ -215,15 +229,15 @@ class TestLstm:
 
     def test_fused_sequence_gradients(self):
         rng = np.random.default_rng(11)
-        p = init_lstm_direction(rng, 4, 3)
+        p = lstm_direction(rng, 4, 3)
         seq = Tensor(rand((6, 4), 12))
         weights = Tensor(rand((6, 3), 13))
 
         def f(_):
-            out = lstm_sequence(seq, p, reverse=True)
+            out = lstm_sequence(seq, *p, reverse=True)
             return ad.hadamard(out, weights).sum()
 
-        for param in (p.wx, p.wh, p.b):
+        for param in p:
             assert grad_check(f, param, epsilon=1e-5, samples=20) <= 1e-4
         assert grad_check(lambda s: f(None), seq, epsilon=1e-5, samples=20) <= 1e-4
 
@@ -231,11 +245,11 @@ class TestLstm:
     def test_batch_rows_match_stepwise_over_own_length(self):
         """Each row of a padded batch equals the step-by-step oracle on its
         real prefix, in both directions; padded positions output zero."""
-        p = init_lstm_direction(np.random.default_rng(14), 5, 4)
+        p = lstm_direction(np.random.default_rng(14), 5, 4)
         lengths = np.array([7, 2, 5])
         seq = rand((3, 7, 5), 15)
         for reverse in (False, True):
-            out = lstm_sequence(Tensor(seq), p, reverse=reverse, lengths=lengths).data
+            out = lstm_sequence(Tensor(seq), *p, reverse=reverse, lengths=lengths).data
             assert out.shape == (3, 7, 4)
             for i, n in enumerate(lengths):
                 expected = stepwise(seq[i, :n], p, reverse=reverse)
@@ -243,61 +257,61 @@ class TestLstm:
                 assert np.array_equal(out[i, n:], np.zeros((7 - n, 4)))
 
     def test_batch_gradients_unequal_lengths(self):
-        p = init_lstm_direction(np.random.default_rng(16), 4, 3)
+        p = lstm_direction(np.random.default_rng(16), 4, 3)
         seq = Tensor(rand((3, 6, 4), 17))
         weights = Tensor(rand((3, 6, 3), 18))
         lengths = np.array([6, 2, 4])
         for reverse in (False, True):
             def f(_):
-                out = lstm_sequence(seq, p, reverse=reverse, lengths=lengths)
+                out = lstm_sequence(seq, *p, reverse=reverse, lengths=lengths)
                 return ad.hadamard(out, weights).sum()
 
-            for param in (p.wx, p.wh, p.b):
+            for param in p:
                 assert grad_check(f, param, epsilon=1e-5, samples=20) <= 1e-4
             assert grad_check(f, seq, epsilon=1e-5, samples=30) <= 1e-4
 
     def test_lengths_must_fit_batch(self):
-        p = init_lstm_direction(np.random.default_rng(0), 4, 3)
+        p = lstm_direction(np.random.default_rng(0), 4, 3)
         seq = Tensor(np.zeros((2, 5, 4)))
         for bad in ([5, 6], [0, 3], [5]):
             with pytest.raises(ShapeError, match="lengths"):
-                lstm_sequence(seq, p, lengths=np.array(bad))
+                lstm_sequence(seq, *p, lengths=np.array(bad))
 
 
 class TestBilstm:
     def params(self, width=5, hidden=4, shared=False, seed=1):
         rng = np.random.default_rng(seed)
-        fw = init_lstm_direction(rng, width, hidden)
-        bw = fw if shared else init_lstm_direction(rng, width, hidden)
-        return LstmParams(fw, bw)
+        fw = lstm_direction(rng, width, hidden)
+        bw = fw if shared else lstm_direction(rng, width, hidden)
+        return fw, bw
 
     def test_output_width(self):
-        out = bilstm(Tensor(rand((6, 5))), self.params())
+        out = bilstm(Tensor(rand((6, 5))), *self.params())
         assert out.shape == (6, 8)
 
     def test_empty_sequence(self):
         with pytest.raises(ShapeError):
-            bilstm(Tensor(np.empty((0, 5))), self.params())
+            bilstm(Tensor(np.empty((0, 5))), *self.params())
 
     def test_single_position_symmetric_params(self):
-        out = bilstm(Tensor(rand((1, 5), 2)), self.params(shared=True))
+        out = bilstm(Tensor(rand((1, 5), 2)), *self.params(shared=True))
         assert np.allclose(out.data[:, :4], out.data[:, 4:], atol=1e-14)
 
     def test_batch_matches_single_sequences(self):
-        params = self.params(seed=5)
+        fw, bw = self.params(seed=5)
         seq = rand((2, 6, 5), 6)
         lengths = np.array([3, 6])
-        out = bilstm(Tensor(seq), params, lengths).data
+        out = bilstm(Tensor(seq), fw, bw, lengths).data
         assert out.shape == (2, 6, 8)
         for i, n in enumerate(lengths):
-            single = bilstm(Tensor(seq[i, :n]), params).data
+            single = bilstm(Tensor(seq[i, :n]), fw, bw).data
             assert np.max(np.abs(out[i, :n] - single)) < 1e-12
 
     def test_reversal_symmetry_with_shared_params(self):
-        params = self.params(shared=True, seed=3)
+        fw, bw = self.params(shared=True, seed=3)
         seq = rand((7, 5), 4)
-        out = bilstm(Tensor(seq), params).data
-        rev = bilstm(Tensor(seq[::-1].copy()), params).data
+        out = bilstm(Tensor(seq), fw, bw).data
+        rev = bilstm(Tensor(seq[::-1].copy()), fw, bw).data
         swapped = np.concatenate([rev[::-1, 4:], rev[::-1, :4]], axis=1)
         assert np.allclose(out, swapped, atol=1e-12)
 
@@ -334,27 +348,27 @@ class TestAttention:
                                  Tensor(np.ones((2, 4))))
 
     def mha_params(self, d_model, heads, head_dim, seed=0):
+        """(heads, wo): one (wq, wk, wv) triple per head, then wo."""
         rng = np.random.default_rng(seed)
-        hp = [AttentionHeadParams(Tensor(glorot(rng, d_model, head_dim)),
-                                  Tensor(glorot(rng, d_model, head_dim)),
-                                  Tensor(glorot(rng, d_model, head_dim)))
+        hp = [tuple(Tensor(glorot(rng, d_model, head_dim)) for _ in range(3))
               for _ in range(heads)]
         wo = Tensor(glorot(rng, heads * head_dim, d_model))
-        return AttentionParams(hp, wo)
+        return hp, wo
 
     def test_dimension_arithmetic(self):
-        params = self.mha_params(256, 8, 32)
-        out = multi_head_attention(Tensor(rand((5, 256), 6)), params)
+        heads, wo = self.mha_params(256, 8, 32)
+        out = multi_head_attention(Tensor(rand((5, 256), 6)), heads, wo)
         assert out.shape == (5, 256)
 
     def test_single_head_equals_degenerate_multi_head(self):
-        params = self.mha_params(16, 1, 16, seed=7)
+        heads, wo = self.mha_params(16, 1, 16, seed=7)
         x = Tensor(rand((4, 16), 8))
-        multi = multi_head_attention(x, params)
-        q = ad.matmul(x, params.heads[0].wq)
-        k = ad.matmul(x, params.heads[0].wk)
-        v = ad.matmul(x, params.heads[0].wv)
-        single = ad.matmul(scaled_dot_attention(q, k, v), params.wo)
+        multi = multi_head_attention(x, heads, wo)
+        wq, wk, wv = heads[0]
+        q = ad.matmul(x, wq)
+        k = ad.matmul(x, wk)
+        v = ad.matmul(x, wv)
+        single = ad.matmul(scaled_dot_attention(q, k, v), wo)
         assert np.array_equal(multi.data, single.data)
 
     def test_permuting_keys_fixes_query_row_output(self):
@@ -387,28 +401,28 @@ class TestBatchedAttention:
         bias = np.where(np.arange(5)[None, :] < lengths[:, None], 0.0, -1e30)
         mask = Tensor(np.broadcast_to(bias[:, None, :], (2, 5, 5)))
         rng = np.random.default_rng(31)
-        heads = [AttentionHeadParams(*(Tensor(glorot(rng, 8, 4), requires_grad=True)
-                                       for _ in range(3))) for _ in range(2)]
-        params = AttentionParams(heads, Tensor(glorot(rng, 8, 8), requires_grad=True))
-        return lengths, x, mask, params
+        heads = [tuple(Tensor(glorot(rng, 8, 4), requires_grad=True)
+                       for _ in range(3)) for _ in range(2)]
+        wo = Tensor(glorot(rng, 8, 8), requires_grad=True)
+        return lengths, x, mask, heads, wo
 
     def test_rows_match_unpadded(self):
-        lengths, x, mask, params = self.setup_batch()
-        out = multi_head_attention(Tensor(x), params, mask).data
+        lengths, x, mask, heads, wo = self.setup_batch()
+        out = multi_head_attention(Tensor(x), heads, wo, mask).data
         for i, n in enumerate(lengths):
-            single = multi_head_attention(Tensor(x[i, :n]), params).data
+            single = multi_head_attention(Tensor(x[i, :n]), heads, wo).data
             assert np.max(np.abs(out[i, :n] - single)) < 1e-12
 
     def test_masked_gradients(self):
-        lengths, x, mask, params = self.setup_batch()
+        lengths, x, mask, heads, wo = self.setup_batch()
         xt = Tensor(x)
         weights = Tensor(rand((2, 5, 8), 32))
 
         def f(_):
-            return ad.hadamard(multi_head_attention(xt, params, mask), weights).sum()
+            return ad.hadamard(multi_head_attention(xt, heads, wo, mask),
+                               weights).sum()
 
-        for param in (params.heads[0].wq, params.heads[1].wk,
-                      params.heads[1].wv, params.wo):
+        for param in (heads[0][0], heads[1][1], heads[1][2], wo):
             assert grad_check(f, param, epsilon=1e-5, samples=12) <= 1e-4
         assert grad_check(f, xt, epsilon=1e-5, samples=20) <= 1e-4
 
@@ -528,17 +542,17 @@ def test_all_layers_finite_and_differentiable():
     """Random inputs in [-1, 1]: outputs finite, gradients within 1e-4."""
     rng = np.random.default_rng(20)
     seq = Tensor(rand((5, 6), 21))
-    lstm = init_lstm_direction(rng, 6, 4)
-    out = lstm_sequence(seq, lstm)
+    lstm = lstm_direction(rng, 6, 4)
+    out = lstm_sequence(seq, *lstm)
     assert np.all(np.isfinite(out.data))
-    assert grad_check(lambda p: lstm_sequence(seq, lstm).sum(), lstm.wx,
+    assert grad_check(lambda p: lstm_sequence(seq, *lstm).sum(), lstm[0],
                       samples=16) <= 1e-4
 
     x = Tensor(rand((4, 8), 22))
-    hp = AttentionHeadParams(Tensor(glorot(rng, 8, 4)), Tensor(glorot(rng, 8, 4)),
-                             Tensor(glorot(rng, 8, 4)))
-    params = AttentionParams([hp], Tensor(glorot(rng, 4, 8)))
-    att = multi_head_attention(x, params)
+    hp = (Tensor(glorot(rng, 8, 4)), Tensor(glorot(rng, 8, 4)),
+          Tensor(glorot(rng, 8, 4)))
+    wo = Tensor(glorot(rng, 4, 8))
+    att = multi_head_attention(x, [hp], wo)
     assert np.all(np.isfinite(att.data))
-    assert grad_check(lambda p: multi_head_attention(x, params).sum(),
-                      hp.wq, samples=16) <= 1e-4
+    assert grad_check(lambda p: multi_head_attention(x, [hp], wo).sum(),
+                      hp[0], samples=16) <= 1e-4

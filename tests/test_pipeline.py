@@ -78,12 +78,30 @@ class TestInitModel:
     def test_pretrained_table_frozen(self, tiny_task, small_config):
         model = init_model(small_config, tiny_task.vocab, tiny_task.embeddings,
                            seed=0, label_set=tiny_task.label_set)
-        assert "embed.word" in model.buffers
-        assert not model.buffers["embed.word"].requires_grad
+        assert not model.params["embed.word"].requires_grad
         unfrozen = init_model(make_variant(small_config, "no_pretrained"),
                               tiny_task.vocab, tiny_task.embeddings, seed=0,
                               label_set=tiny_task.label_set)
-        assert "embed.word" in unfrozen.params
+        assert unfrozen.params["embed.word"].requires_grad
+
+    def test_pretrained_table_never_trains(self, tiny_task, small_config):
+        """After a train step the frozen table has no gradient, is not
+        among the optimizer's tensors and is not counted as a parameter."""
+        model = init_model(small_config, tiny_task.vocab, tiny_task.embeddings,
+                           seed=0, label_set=tiny_task.label_set)
+        table = model.params["embed.word"]
+        before = table.data.copy()
+        opt = make_optimizer(model, lr=1e-3)
+        ad.reset_tape()
+        ad.backward(loss(model, encode_all(tiny_task, small_config)[:4], "train"))
+        assert table.grad is None
+        opt.step()
+        ad.reset_tape()
+        assert np.array_equal(table.data, before)
+        assert "embed.word" not in opt.names
+        assert not any(p is table for p in opt.params)
+        assert count_parameters(model) == sum(
+            p.size for n, p in model.params.items() if n != "embed.word")
 
 
 class TestMakeVariant:
@@ -232,11 +250,16 @@ class TestForward:
         p = {name: t.data for name, t in model.params.items()}
         with ad.no_grad():
             logits = forward(model, [inst], "eval").data
+            t = model.params
             seq = embed_sequence(ids, inst.head_start, inst.tail_start,
-                                 model.word_table(), model.params["embed.pos_head"],
-                                 model.params["embed.pos_tail"], cfg.max_dist)
-            h = bilstm(seq, model.lstm_params())
-            attended = multi_head_attention(h, model.attention_params()).data
+                                 t["embed.word"], t["embed.pos_head"],
+                                 t["embed.pos_tail"], cfg.max_dist)
+            fw, bw = ([t[f"lstm.{d}.{n}"] for n in ("wx", "wh", "b")]
+                      for d in ("fw", "bw"))
+            h = bilstm(seq, fw, bw)
+            heads = [[t[f"attn.head{k}.{n}"] for n in ("wq", "wk", "wv")]
+                     for k in range(cfg.heads)]
+            attended = multi_head_attention(h, heads, t["attn.wo"]).data
         adjacency = project_adjacency(ids, tiny_task.graphs)
         m = h.data
         for layer in range(2):
@@ -321,8 +344,10 @@ class TestForward:
             model = init_model(cfg, tiny_task.vocab, tiny_task.embeddings,
                                seed=1, label_set=tiny_task.label_set)
             enc = encode_all(tiny_task, cfg)
-            frozen_before = {n: t.data.copy() for n, t in model.buffers.items()}
-            params_before = {n: t.data.copy() for n, t in model.params.items()}
+            frozen_before = {n: t.data.copy() for n, t in model.params.items()
+                             if not t.requires_grad}
+            params_before = {n: t.data.copy() for n, t in model.params.items()
+                             if t.requires_grad}
             opt = make_optimizer(model, lr=1e-3)
             ad.reset_tape()
             out = loss(model, enc[:4], "train")
@@ -330,7 +355,7 @@ class TestForward:
             opt.step()
             ad.reset_tape()
             for name, before in frozen_before.items():
-                assert np.array_equal(model.buffers[name].data, before), \
+                assert np.array_equal(model.params[name].data, before), \
                     f"{variant}: frozen tensor {name} changed"
             assert any(not np.array_equal(model.params[n].data, params_before[n])
                        for n in params_before), f"{variant}: nothing trained"

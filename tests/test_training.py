@@ -1,5 +1,6 @@
 """Training-loop, cross-validation, checkpoint, and transfer tests."""
 
+import hashlib
 import io
 import json
 import struct
@@ -175,9 +176,9 @@ class TestCheckpoint:
         for name in model.params:
             assert np.array_equal(loaded.params[name].data,
                                   model.params[name].data)
-        for name in model.buffers:
-            assert np.array_equal(loaded.buffers[name].data,
-                                  model.buffers[name].data)
+            assert (loaded.params[name].requires_grad
+                    == model.params[name].requires_grad)
+        assert not loaded.params["embed.word"].requires_grad
         assert loaded.optimizer.t == opt.t
         for a, b in zip(loaded.optimizer.m, opt.m):
             assert np.array_equal(a, b)
@@ -255,6 +256,52 @@ class TestCheckpoint:
         raw[5:9] = struct.pack("<I", 1)
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch, match="version 1.*retrain"):
+            load_checkpoint(path)
+
+    def test_moment_for_absent_tensor_named(self, tiny_task, small_config,
+                                            tmp_path):
+        """The optimizer section's second "clf.w" renamed "clf.x": a
+        named CheckpointError, not a KeyError."""
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, opt, path)
+        raw = path.read_bytes()
+        at = raw.index(b"clf.w", raw.index(b"clf.w") + 1)
+        path.write_bytes(raw[:at] + b"clf.x" + raw[at + 5:])
+        with pytest.raises(CheckpointError, match="'clf.x'"):
+            load_checkpoint(path)
+
+    def test_moment_for_frozen_tensor_named(self, tiny_task, small_config,
+                                            tmp_path):
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        model.params["clf.b"].requires_grad = False
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, opt, path)
+        with pytest.raises(CheckpointError, match="'clf.b'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        {"bogus": 1},
+        {"attention": "single", "heads": 1, "head_dim": 8},
+    ], ids=["unknown_key", "single_attention"])
+    def test_config_the_model_rejects_says_retrain(self, tiny_task, small_config,
+                                                   tmp_path, edit):
+        """A config block that passes its digest but that ModelConfig
+        rejects, such as a single-head checkpoint from before `attention`
+        lost its "single" value."""
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, opt, path)
+        raw = path.read_bytes()
+        at = len(training.CHECKPOINT_MAGIC) + 4 + 32
+        (n,) = struct.unpack_from("<Q", raw, at)
+        blob = json.loads(raw[at + 8:at + 8 + n])
+        blob["config"].update(edit)
+        payload = json.dumps(blob, sort_keys=True).encode()
+        digest = hashlib.sha256(payload).digest()
+        path.write_bytes(raw[:at - 32] + digest + struct.pack("<Q", len(payload))
+                         + payload + raw[at + 8 + n:])
+        with pytest.raises(CheckpointError, match="retrain"):
             load_checkpoint(path)
 
     def test_digest_mismatch_no_partial_load(self, tiny_task, small_config,
