@@ -451,40 +451,65 @@ def parse_pathology_records(path) -> tuple[list[Document], list[RelationInstance
     return docs, instances
 
 
+def _record_fields(obj, what: str, lineno: int, **types) -> list:
+    """The values of `types`' fields of one record object, in order, each
+    checked for presence and type. `int` fields also accept what `int()`
+    parses."""
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"line {lineno}: {what} is not a JSON object")
+    values = []
+    for key, kind in types.items():
+        if key not in obj:
+            raise CorpusFormatError(f"line {lineno}: {what} missing field {key!r}")
+        value = obj[key]
+        if kind is int:
+            try:
+                value = int(value)
+            except (TypeError, ValueError):
+                raise CorpusFormatError(
+                    f"line {lineno}: {what} field {key!r} is {value!r}, "
+                    f"expected an integer") from None
+        elif not isinstance(value, kind):
+            raise CorpusFormatError(
+                f"line {lineno}: {what} field {key!r} is "
+                f"{type(value).__name__}, expected {kind.__name__}")
+        values.append(value)
+    return values
+
+
 def _record_to_document(rec: dict, lineno: int
                         ) -> tuple[Document, list[RelationInstance]]:
-    for key in ("id", "source", "text", "mentions", "relations"):
-        if key not in rec:
-            raise CorpusFormatError(f"line {lineno}: record missing field {key!r}")
-    if rec["source"] not in SOURCES:
+    doc_id, source, text, raw_mentions, raw_relations = _record_fields(
+        rec, "record", lineno, id=str, source=str, text=str, mentions=list,
+        relations=list)
+    if source not in SOURCES:
         raise CorpusFormatError(
-            f"line {lineno}: unknown source {rec['source']!r} (expected one of "
+            f"line {lineno}: unknown source {source!r} (expected one of "
             f"{', '.join(SOURCES)})")
-    text = rec["text"]
     tokens = tokenize(text)
     mentions = []
-    for m in rec["mentions"]:
-        kind = m["kind"]
+    for m in raw_mentions:
+        kind, start, end = _record_fields(m, "mention", lineno, kind=str,
+                                          char_start=int, char_end=int)
         if kind not in PATHOLOGY_KINDS:
             raise CorpusFormatError(
                 f"line {lineno}: unknown mention kind {kind!r}; legal kinds are "
                 f"{', '.join(PATHOLOGY_KINDS)}")
-        start, end = int(m["char_start"]), int(m["char_end"])
         if not 0 <= start < end <= len(text):
             raise CorpusFormatError(
                 f"line {lineno}: mention offsets [{start}, {end}) outside text")
         span = _char_span_to_token_span(tokens, start, end, f"line {lineno}")
         mentions.append(EntityMention(f"m{len(mentions)}", kind, span))
-    doc = Document(rec["id"], rec["source"], text, tokens, mentions)
+    doc = Document(doc_id, source, text, tokens, mentions)
 
     gold_by_kind: dict[str, dict[tuple[int, int], int]] = {}
-    for rel in rec["relations"]:
-        kind = rel["kind"]
+    for rel in raw_relations:
+        kind, h, t = _record_fields(rel, "relation", lineno, kind=str, head=int,
+                                    tail=int)
         if kind not in PATHOLOGY_KINDS:
             raise CorpusFormatError(
                 f"line {lineno}: unknown relation kind {kind!r}; legal kinds are "
                 f"{', '.join(PATHOLOGY_KINDS)}")
-        h, t = int(rel["head"]), int(rel["tail"])
         for idx in (h, t):
             if not 0 <= idx < len(mentions):
                 raise CorpusFormatError(
@@ -634,14 +659,14 @@ def load_pretrained_vectors(path, vocab: Vocabulary, seed: int = 0,
             if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
                 file_dim = int(parts[1])
             else:
-                tok, vec = parts[0], np.array([float(v) for v in parts[1:]])
+                tok, vec = _vector_row(parts, path, 1)
                 file_dim = vec.size
                 file_rows[tok] = vec
         for lineno, raw in enumerate(fh, start=2):
             parts = raw.split()
             if not parts:
                 continue
-            tok, vec = parts[0], np.array([float(v) for v in parts[1:]])
+            tok, vec = _vector_row(parts, path, lineno)
             if vec.size != file_dim:
                 raise CorpusFormatError(
                     f"{path} line {lineno}: vector has {vec.size} dims, "
@@ -665,6 +690,23 @@ def load_pretrained_vectors(path, vocab: Vocabulary, seed: int = 0,
                 covered += 1
     denom = max(1, vocab.size - 2)
     return EmbeddingTable(file_dim, table, covered / denom)
+
+
+def _vector_row(parts: list[str], path, lineno: int) -> tuple[str, np.ndarray]:
+    """The token and vector of one vector-file line. A value that is not a
+    finite number raises `CorpusFormatError` naming the file, the line,
+    the token and the value."""
+    tok, values = parts[0], parts[1:]
+    where = f"{path} line {lineno}: vector of {tok!r}"
+    try:
+        vec = np.array([float(v) for v in values])
+    except ValueError as exc:
+        raise CorpusFormatError(f"{where}: {exc}") from None
+    finite = np.isfinite(vec)
+    if not finite.all():
+        raise CorpusFormatError(
+            f"{where} has non-finite value {values[int(np.argmin(finite))]!r}")
+    return tok, vec
 
 
 # ---------------------------------------------------------------------------

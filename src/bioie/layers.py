@@ -7,10 +7,24 @@ layer over graph kinds k is m <- mean_k tanh(A_k m W_k + b_k):
 Layers hold no state: each takes its weight tensors as arguments (an
 LSTM direction as a (wx, wh, b) triple, an attention head as a
 (wq, wk, wv) triple), and the model's named registry supplies them.
-Every layer takes one (n, .) sequence or a padded (B, n, .) batch. An
-LSTM direction and the inter-graph mean are fused tape operations with
-hand-derived backward rules (validated by finite differences);
-everything else composes the primitive autodiff ops.
+Every layer takes one (n, .) sequence or a padded (B, n, .) batch.
+
+Each model layer is one tape record with a hand-derived backward rule
+(validated by finite differences and against primitive-op references
+in the tests), recorded through this module's `make_op`:
+  * `bilstm`: both directions in one loop, keeping the input
+    projection's inputs and every step's gates, cell state and output.
+    Sigmoid gates are computed as (tanh(z/2) + 1) / 2 from weights whose
+    sigmoid columns are halved at call time, so one tanh covers all
+    four gates;
+  * `multi_head_attention`: all heads, keeping the fused Q/K/V
+    projection and every head's attention weights;
+  * `gcn_propagate`: the affine part (A/d)(h W) + b per graph kind,
+    keeping the normalized adjacency; its activation is a second record;
+  * `inter_graph_mix`: the mean over graph kinds, keeping nothing.
+Without a record (`no_grad`, or no input needing a gradient) the layers
+keep none of it. `embed_sequence` and `scaled_dot_attention` compose the
+primitive autodiff ops; the latter is the per-head reference.
 """
 
 from __future__ import annotations
@@ -24,13 +38,11 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
-    add_rowvec,
     concat,
     hadamard,
     make_op,
     matmul,
     recording,
-    sigmoid_values,
     softmax,
     take_rows,
     tanh,
@@ -131,131 +143,160 @@ def embed_sequence(token_ids, head_start, tail_start,
 # ---------------------------------------------------------------------------
 # LSTM
 
-def lstm_sequence(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-                  reverse: bool = False, lengths=None) -> Tensor:
-    """Run one LSTM direction over an (n, input) sequence or a padded
-    (B, n, input) batch as a single fused tape record.
+def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
+    """Forward and backward LSTM passes over an (n, input) sequence or a
+    padded (B, n, input) batch, with independent (wx, wh, b) triples `fw`
+    and `bw`, as one fused tape record. Each position's outputs are
+    concatenated [forward, backward] to width 2*hidden.
 
     `wx` is (input, 4*hidden), `wh` (hidden, 4*hidden) and `b`
     (1, 4*hidden). Gate blocks are laid out [input, forget, output,
-    candidate], each `hidden` wide, so the two sigmoid blocks are
-    contiguous. `lengths` gives each batch row's real length (default:
-    all n). Steps past a row's length hold a zero state and output zero,
-    so the reverse direction of every row starts at its own last real
-    token.
+    candidate], each `hidden` wide. `lengths` gives each batch row's real
+    length (default: all n). Steps past a row's length hold a zero state
+    and output zero, so the backward direction of every row starts at its
+    own last real token.
 
-    The forward pass runs one (B, input) @ (input, 4*hidden) and one
-    (B, hidden) @ (hidden, 4*hidden) product per step. The
-    backward rule runs truncation-free BPTT, collecting per-step gate
-    gradients so the weight gradients reduce to single matmuls.
-    Value- and gradient-equivalent to chaining single LSTM cell updates
-    over each row's real prefix (checked in tests).
+    Both directions run in one loop: step s advances the forward
+    direction at position s and the backward one at position n-1-s. The
+    input projections of all steps are one GEMM per direction before the
+    loop; each step then runs one batched (2, B, hidden) @ (2, hidden,
+    4*hidden) recurrent product. The state is kept as (direction, row,
+    gate, unit), the layout both products write, so a step's
+    pre-activations add in one contiguous call and the weight gradients
+    need no transposed copies. The sigmoid-gate columns of wx, wh and b
+    are halved once per call, because sigmoid(z) = (tanh(z/2) + 1) / 2:
+    one tanh covers all four gates, and no clip is needed.
+
+    The record keeps the input projection's inputs and every step's gate
+    activations, cell state and output. Its backward rule runs the same
+    loop in reverse, with one batched recurrent product per step, and
+    reduces each weight gradient to one batched GEMM. Value- and
+    gradient-equivalent to chaining single LSTM cell updates over each
+    row's real prefix (checked in tests).
     """
+    if seq.shape[-2] < 1:
+        raise ShapeError("bilstm: empty sequence")
     x = seq.data if seq.data.ndim == 3 else seq.data[None]
     bsz, n, width = x.shape
-    hid = wh.shape[0]
-    if width != wx.shape[0]:
-        raise ShapeError(
-            f"lstm_sequence: input width {width} != {wx.shape[0]}")
+    hid = fw[1].shape[0]
+    if width != fw[0].shape[0] or width != bw[0].shape[0]:
+        raise ShapeError(f"bilstm: input width {width} != {fw[0].shape[0]}")
     lengths = np.full(bsz, n) if lengths is None else np.asarray(lengths)
     if lengths.shape != (bsz,) or lengths.min() < 1 or lengths.max() > n:
         raise ShapeError(
-            f"lstm_sequence: lengths {lengths.tolist()} do not fit a "
+            f"bilstm: lengths {lengths.tolist()} do not fit a "
             f"{bsz}-row batch of {n} steps")
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    # keep[t] zeroes the rows whose sequence has ended by step t; steps
-    # before the shortest length need no mask.
-    keep = (np.arange(n)[:, None] < lengths[None, :])[:, :, None].astype(np.float64)
-    full = int(lengths.min())
+    wx, wh, b = (np.stack([fw[k].data, bw[k].data]) for k in range(3))
+    half = np.repeat([0.5, 0.5, 0.5, 1.0], hid)  # exact: a power of two
+    wx_half, wh_half, b_half = wx * half, wh * half, b * half
+    shift = 1.0 - half  # tanh(z/2) * 0.5 + 0.5 on the sigmoid gates
 
-    # Time-major working arrays: row t holds every sequence's step t.
-    # Without a tape record the backward rule never runs, so one row of
-    # each intermediate is reused instead of keeping all n.
-    kept = n if recording(seq, wx, wh, b) else 1
-    x_t = np.ascontiguousarray(x.transpose(1, 0, 2))
-    acts = np.empty((kept, bsz, 4 * hid))   # i, f, o gates and candidate g
-    tc_s = np.empty((kept, bsz, hid))       # tanh of the unmasked cell
-    c_prev_s = np.empty((kept, bsz, hid))
-    out = np.empty((n, bsz, hid))
-    h = np.zeros((bsz, hid))
-    c = np.zeros((bsz, hid))
-    for t in order:
-        s = t if kept == n else 0
-        c_prev_s[s] = c
-        z = x_t[t] @ wx.data + b.data + h @ wh.data
-        a = acts[s]
-        a[:, :3 * hid] = sigmoid_values(z[:, :3 * hid])
-        np.tanh(z[:, 3 * hid:], out=a[:, 3 * hid:])
-        c = a[:, hid:2 * hid] * c + a[:, :hid] * a[:, 3 * hid:]
-        np.tanh(c, out=tc_s[s])
-        h = a[:, 2 * hid:3 * hid] * tc_s[s]
-        if t >= full:
-            c = c * keep[t]
-            h = h * keep[t]
-        out[t] = h
+    def step_inputs(s0: int, s1: int) -> np.ndarray:
+        """Inputs of steps s0..s1-1 per direction, (2, (s1-s0)*B, input)."""
+        fwd = x[:, s0:s1].transpose(1, 0, 2)
+        bwd = x[:, n - s1:n - s0][:, ::-1].transpose(1, 0, 2)
+        return np.stack([fwd, bwd]).reshape(2, -1, width)
+
+    # keep[s] zeroes, per direction, the rows whose sequence has ended
+    # (forward) or not yet begun (backward) at step s.
+    pos = np.arange(n)[:, None]
+    keep = np.stack([pos < lengths, pos[::-1] < lengths], axis=1)[..., None]
+    masked = ~keep.all(axis=(1, 2, 3))
+    keep = keep.astype(np.float64)
+
+    # Without a tape record the backward rule never runs: one step of the
+    # gate and cell arrays is reused instead of keeping all n, and the
+    # input projection runs in blocks of n // 4 steps, so for n >= 4 no
+    # array outgrows a (B, n, 2*hidden) state (`eval_logits`' budget).
+    track = recording(seq, *fw, *bw)
+    block = n if track else max(1, n // 4)
+    rows = n if track else 1
+    acts = np.empty((rows, 2, bsz, 4, hid))      # i, f, o gates, candidate g
+    tc = np.empty((rows, 2, bsz, hid))           # tanh of the unmasked cell
+    cell = np.zeros((n + 1 if track else 2, 2, bsz, hid))
+    hs = np.zeros((2, n + 1, bsz, hid))          # hs[:, s + 1]: step s output
+    for s in range(n):
+        if s % block == 0:
+            xs = step_inputs(s, min(n, s + block))
+            zx = np.matmul(xs, wx_half)
+            zx += b_half
+            zx = zx.reshape(2, -1, bsz, 4 * hid)
+        a = acts[s % rows]
+        z = a.reshape(2, bsz, 4 * hid)
+        c_prev, c = cell[s % len(cell)], cell[(s + 1) % len(cell)]
+        np.matmul(hs[:, s], wh_half, out=z)
+        z += zx[:, s % block]
+        np.tanh(z, out=z)
+        z *= half
+        z += shift
+        np.multiply(a[:, :, 1], c_prev, out=c)
+        c += a[:, :, 0] * a[:, :, 3]
+        t = tc[s % rows]
+        np.tanh(c, out=t)
+        h = hs[:, s + 1]
+        np.multiply(a[:, :, 2], t, out=h)
+        if masked[s]:
+            c *= keep[s]
+            h *= keep[s]
+
+    out = np.empty((bsz, n, 2, hid))
+    out[:, :, 0] = hs[0, 1:].transpose(1, 0, 2)
+    out[:, :, 1] = hs[1, :0:-1].transpose(1, 0, 2)
 
     def rule(g):
-        # Per-step products vectorized up front; the reverse loop only
-        # carries the two recurrent gradients and writes gate gradients
-        # straight into the dz rows.
-        g = np.swapaxes(g.reshape(bsz, n, hid), 0, 1)
-        i_s, f_s = acts[..., :hid], acts[..., hid:2 * hid]
-        o_s, g_s = acts[..., 2 * hid:3 * hid], acts[..., 3 * hid:]
-        pre_i = g_s * i_s * (1.0 - i_s)
-        pre_f = c_prev_s * f_s * (1.0 - f_s)
-        pre_o = tc_s * o_s * (1.0 - o_s)
-        pre_g = i_s * (1.0 - g_s * g_s)
-        pre_c = o_s * (1.0 - tc_s * tc_s)
-        h_prev_s = np.zeros_like(out)  # the state each step started from
-        if reverse:
-            h_prev_s[:-1] = out[1:]
-        else:
-            h_prev_s[1:] = out[:-1]
-        wh_t = np.ascontiguousarray(wh.data.T)
-        dz = np.empty((n, bsz, 4 * hid))
-        dh = np.empty((bsz, hid))
-        dc = np.zeros((bsz, hid))  # holds the incoming cell-state carry
-        dh_carry = np.zeros((bsz, hid))
-        for t in reversed(order):
-            np.add(g[t], dh_carry, out=dh)
-            if t >= full:
-                dh *= keep[t]
-                dc *= keep[t]
-            dc += dh * pre_c[t]
-            row = dz[t]
-            np.multiply(dc, pre_i[t], out=row[:, :hid])
-            np.multiply(dc, pre_f[t], out=row[:, hid:2 * hid])
-            np.multiply(dh, pre_o[t], out=row[:, 2 * hid:3 * hid])
-            np.multiply(dc, pre_g[t], out=row[:, 3 * hid:])
-            dc *= f_s[t]  # becomes the carry entering the previous step
-            np.matmul(row, wh_t, out=dh_carry)
-        dz_rows = dz.reshape(-1, 4 * hid)
+        g = g.reshape(bsz, n, 2, hid)
+        gs = np.empty((2, n, bsz, hid))  # output gradients in step order
+        gs[0] = g[:, :, 0].transpose(1, 0, 2)
+        gs[1] = g[:, ::-1, 1].transpose(1, 0, 2)
+        # Per-step factors vectorized up front: a gate's pre-activation
+        # gradient is its factor times the cell gradient (i, f, g) or the
+        # output gradient (o).
+        i_g, f_g, o_g, g_g = (acts[..., k, :] for k in range(4))
+        pre = np.empty((n, 2, bsz, 4, hid))
+        np.multiply(g_g * i_g, 1.0 - i_g, out=pre[..., 0, :])
+        np.multiply(cell[:-1] * f_g, 1.0 - f_g, out=pre[..., 1, :])
+        np.multiply(tc * o_g, 1.0 - o_g, out=pre[..., 2, :])
+        np.multiply(i_g, 1.0 - g_g * g_g, out=pre[..., 3, :])
+        pre_c = o_g * (1.0 - tc * tc)
+        wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
+        dz = np.empty((2, n, bsz, 4, hid))
+        dh = np.empty((2, bsz, hid))
+        tmp = np.empty((2, bsz, hid))
+        dc = np.zeros((2, bsz, hid))  # holds the incoming cell-state carry
+        dh_carry = np.zeros((2, bsz, hid))
+        for s in range(n - 1, -1, -1):
+            np.add(gs[:, s], dh_carry, out=dh)
+            if masked[s]:
+                dh *= keep[s]
+                dc *= keep[s]
+            np.multiply(dh, pre_c[s], out=tmp)
+            dc += tmp
+            row = dz[:, s]
+            np.multiply(dc[:, :, None], pre[s, :, :, :2], out=row[:, :, :2])
+            np.multiply(dh, pre[s, :, :, 2], out=row[:, :, 2])
+            np.multiply(dc, pre[s, :, :, 3], out=row[:, :, 3])
+            dc *= f_g[s]  # becomes the carry entering the previous step
+            np.matmul(row.reshape(2, bsz, 4 * hid), wh_t, out=dh_carry)
+        dz = dz.reshape(2, n * bsz, 4 * hid)  # one row per step and batch row
         pairs = []
         if seq.requires_grad:
-            gx = np.swapaxes(dz @ wx.data.T, 0, 1)
-            pairs.append((seq, gx.reshape(seq.shape)))
-        if wx.requires_grad:
-            pairs.append((wx, x_t.reshape(-1, width).T @ dz_rows))
-        if wh.requires_grad:
-            pairs.append((wh, h_prev_s.reshape(-1, hid).T @ dz_rows))
-        if b.requires_grad:
-            pairs.append((b, dz_rows.sum(axis=0, keepdims=True)))
+            dxs = np.matmul(dz, wx.transpose(0, 2, 1)).reshape(2, n, bsz, width)
+            dx = dxs[0] + dxs[1, ::-1]  # back to position order
+            pairs.append((seq, dx.transpose(1, 0, 2).reshape(seq.shape)))
+        h_prev = hs[:, :-1].reshape(2, n * bsz, hid)
+        weight_grads = (  # a recorded call projected all n steps as one block
+            lambda: np.matmul(xs.transpose(0, 2, 1), dz),
+            lambda: np.matmul(h_prev.transpose(0, 2, 1), dz),
+            lambda: dz.sum(axis=1, keepdims=True),
+        )
+        for k, grad in enumerate(weight_grads):
+            if fw[k].requires_grad or bw[k].requires_grad:
+                both = grad()
+                pairs += [(p[k], both[d]) for d, p in enumerate((fw, bw))
+                          if p[k].requires_grad]
         return pairs
 
-    return make_op(np.swapaxes(out, 0, 1).reshape(seq.shape[:-1] + (hid,)),
-                   (seq, wx, wh, b), rule)
-
-
-def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
-    """Forward and backward passes with independent (wx, wh, b) triples
-    `fw` and `bw`; the per-position outputs are concatenated to width
-    2*hidden. `seq` is (n, input) or a padded (B, n, input) batch with
-    per-row `lengths`."""
-    if seq.shape[-2] < 1:
-        raise ShapeError("bilstm: empty sequence")
-    forward_block = lstm_sequence(seq, *fw, reverse=False, lengths=lengths)
-    backward_block = lstm_sequence(seq, *bw, reverse=True, lengths=lengths)
-    return concat([forward_block, backward_block], axis=-1)
+    return make_op(out.reshape(seq.shape[:-1] + (2 * hid,)), (seq, *fw, *bw), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +306,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          mask_bias: Tensor | None = None) -> Tensor:
     """softmax(q kT / sqrt(width)) v, with an optional additive mask on
     the raw scores (large negative entries silence padded keys). Inputs
-    are (n, width) matrices or (B, n, width) batches of them."""
+    are (n, width) matrices or (B, n, width) batches of them. Composed
+    of primitive ops: the reference for one head of
+    `multi_head_attention`."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(
             f"attention: query width {q.shape[-1]} != key width {k.shape[-1]}")
@@ -283,20 +326,75 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
                          mask_bias: Tensor | None = None) -> Tensor:
     """Per-head projected self-attention, head concatenation, then the
     output projection `wo`, on an (n, d_model) sequence or a
-    (B, n, d_model) batch. `heads` lists one (wq, wk, wv) triple of
-    (d_model, head_dim) projections per head. Heads run one at a time,
-    so no array holds more than one head's (B, n, n) scores."""
-    if heads and x.shape[-1] != heads[0][0].shape[0]:
+    (B, n, d_model) batch, as one fused tape record. `heads` lists one
+    (wq, wk, wv) triple of (d_model, head_dim) projections per head.
+
+    The projections of all heads are one (B*n, d_model) @ (d_model,
+    3*heads*head_dim) GEMM over the weights concatenated at call time.
+    Heads then run one at a time, each head's context written into one
+    (B, n, heads*head_dim) buffer before `wo`. The record keeps the
+    projections and every head's (B, n, n) attention weights for its
+    backward rule; without a record one score buffer is reused, so no
+    array holds more than one head's scores."""
+    if x.shape[-1] != heads[0][0].shape[0]:
         raise ShapeError(
             f"attention: input width {x.shape[-1]} != projection rows "
             f"{heads[0][0].shape[0]}")
-    head_outs = [
-        scaled_dot_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv),
-                             mask_bias)
-        for wq, wk, wv in heads
-    ]
-    stacked = concat(head_outs, axis=-1) if len(head_outs) > 1 else head_outs[0]
-    return matmul(stacked, wo)
+    xd = x.data if x.data.ndim == 3 else x.data[None]
+    bsz, steps, width = xd.shape
+    count, hd = len(heads), heads[0][0].shape[1]
+    scale = 1.0 / math.sqrt(hd)
+    weights = [p[j] for j in range(3) for p in heads]  # all q, all k, all v
+    x2 = xd.reshape(-1, width)
+    w = np.concatenate([t.data for t in weights], axis=1)
+    qkv = (x2 @ w).reshape(bsz, steps, 3, count, hd)
+    qkv[:, :, 0] *= scale  # scaled queries, as in `scaled_dot_attention`
+    bias = None if mask_bias is None else mask_bias.data
+    track = recording(x, wo, *weights)
+    probs = np.empty((count if track else 1, bsz, steps, steps))
+    ctx = np.empty((bsz, steps, count, hd))
+    for k in range(count):
+        p = probs[k if track else 0]
+        # A contiguous kT, as the `transpose` op makes, keeps the scores
+        # bitwise equal to `scaled_dot_attention`'s.
+        key_t = np.swapaxes(qkv[:, :, 1, k], -1, -2).copy()
+        np.matmul(qkv[:, :, 0, k], key_t, out=p)
+        if bias is not None:
+            p += bias
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        ctx[:, :, k] = p @ qkv[:, :, 2, k]
+    ctx2 = ctx.reshape(-1, count * hd)
+
+    def rule(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        pairs = []
+        if wo.requires_grad:
+            pairs.append((wo, ctx2.T @ g2))
+        dctx = (g2 @ wo.data.T).reshape(bsz, steps, count, hd)
+        dqkv = np.empty_like(qkv)
+        for k in range(count):
+            p = probs[k]
+            q, key, v = qkv[:, :, 0, k], qkv[:, :, 1, k], qkv[:, :, 2, k]
+            dc = dctx[:, :, k]
+            dqkv[:, :, 2, k] = np.swapaxes(p, -1, -2) @ dc
+            ds = dc @ np.swapaxes(v, -1, -2)  # d loss / d attention weights
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p                           # d loss / d scores
+            dqkv[:, :, 0, k] = ds @ key
+            dqkv[:, :, 1, k] = np.swapaxes(ds, -1, -2) @ q
+        dqkv[:, :, 0] *= scale
+        d2 = dqkv.reshape(-1, 3 * count * hd)
+        if x.requires_grad:
+            pairs.append((x, (d2 @ w.T).reshape(x.shape)))
+        if any(t.requires_grad for t in weights):
+            gw = (x2.T @ d2).reshape(width, 3 * count, hd)
+            pairs += [(t, gw[:, i]) for i, t in enumerate(weights) if t.requires_grad]
+        return pairs
+
+    return make_op((ctx2 @ wo.data).reshape(x.shape[:-1] + (wo.shape[1],)),
+                   (x, wo, *weights), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +404,37 @@ def gcn_propagate(h: Tensor, adj: DocumentAdjacency, w: Tensor, b: Tensor,
                   activation=tanh) -> Tensor:
     """Degree-normalized neighbor aggregation: f((A/d) h W + b), on one
     (n, n) graph with (n, d) features or a (B, n, n) batch of graphs with
-    (B, n, d) features."""
+    (B, n, d) features. The affine part (A/d)(h W) + b is one fused tape
+    record: one GEMM for h W over every row of the batch, then one
+    batched product with A/d, which the record keeps for its backward
+    rule. `activation` is its own op."""
     if adj.matrix.shape[:-1] != h.shape[:-1]:
         raise ShapeError(
             f"gcn: adjacency {adj.matrix.shape} does not match "
             f"features {h.shape}")
+    if w.shape[0] != h.shape[-1] or b.shape != (1, w.shape[1]):
+        raise ShapeError(
+            f"gcn: weight {w.shape} / bias {b.shape} do not fit features {h.shape}")
     if np.any(adj.degree <= 0.0):
         raise ValueError("gcn: zero-degree node (self-loops missing)")
-    a_norm = Tensor(adj.normalized)
-    return activation(add_rowvec(matmul(matmul(a_norm, h), w), b))
+    a_norm = adj.normalized
+    h2 = h.data.reshape(-1, h.shape[-1])
+    out = a_norm @ (h2 @ w.data).reshape(h.shape[:-1] + (w.shape[1],))
+    out += b.data
+
+    def rule(g):
+        pairs = []
+        if b.requires_grad:
+            pairs.append((b, g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True)))
+        if h.requires_grad or w.requires_grad:
+            dhw = (np.swapaxes(a_norm, -1, -2) @ g).reshape(-1, g.shape[-1])
+            if w.requires_grad:
+                pairs.append((w, h2.T @ dhw))
+            if h.requires_grad:
+                pairs.append((h, (dhw @ w.data.T).reshape(h.shape)))
+        return pairs
+
+    return activation(make_op(out, (h, w, b), rule))
 
 
 def inter_graph_mix(states: list[Tensor]) -> Tensor:

@@ -11,7 +11,10 @@ Forward path, one mini-batch at a time: embed tokens -> bidirectional
 LSTM -> {self-attention branch, graph-convolution branch over the three
 projected graphs} -> masked max-pool per branch -> concatenate ->
 affine classifier. Ablated branches are skipped and the classifier
-narrows accordingly.
+narrows accordingly. The BiLSTM and the attention branch are one tape
+record each, and each graph kind of a GCN layer is one record plus its
+tanh (see `layers`), so a training step records a few dozen entries
+however long its documents are.
 
 Encoding maps each document's tokens to ids once and projects the
 corpus graphs onto those ids. Documents are never padded, so an encoded

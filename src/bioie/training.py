@@ -150,7 +150,12 @@ def fit(model: ModelState, train: list[EncodedInstance],
         freeze_prefixes: tuple[str, ...] = (),
         log_path=None) -> float:
     """Train with early stopping on dev macro-F (restore-best-weights) and
-    return the best dev macro-F. Without a dev set, runs all epochs."""
+    return the best dev macro-F. Without a dev set, runs all epochs.
+
+    Tensors under `freeze_prefixes` have `requires_grad` cleared for the
+    run, so no backward computes their gradients, and restored on return:
+    a checkpoint's frozen flags keep meaning the registry's own
+    trainability."""
     optimizer = make_optimizer(model, plan.lr, freeze_prefixes)
     model.optimizer = optimizer
     best_f = -1.0
@@ -158,6 +163,11 @@ def fit(model: ModelState, train: list[EncodedInstance],
     since_best = 0
     dev_labels = np.array([inst.label for inst in dev or ()], dtype=np.int64)
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    training = set(optimizer.names)
+    frozen = [p for n, p in model.params.items()
+              if p.requires_grad and n not in training]
+    for p in frozen:
+        p.requires_grad = False
     try:
         for epoch in range(1, plan.epochs + 1):
             train_loss = train_epoch(model, train, optimizer, model.rng,
@@ -189,6 +199,8 @@ def fit(model: ModelState, train: list[EncodedInstance],
                 model.params[name].data = data
         return best_f
     finally:
+        for p in frozen:
+            p.requires_grad = True
         if log_fh:
             log_fh.close()
 

@@ -146,6 +146,22 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_record_names_line_exits_1(self, tmp_path, capsys):
+        """A record whose mention has no kind, on line 3, stops `ingest`
+        with a named error giving that line."""
+        good = {"id": "r1", "source": "TCGA", "text": "tumor is 2 cm .",
+                "mentions": [{"kind": "Size", "char_start": 9, "char_end": 13}],
+                "relations": []}
+        bad = dict(good, id="r3", mentions=[{"char_start": 9, "char_end": 13}])
+        data = tmp_path / "records.jsonl"
+        data.write_text("\n".join(json.dumps(r) for r in
+                                  (good, dict(good, id="r2"), bad)) + "\n")
+        code = main(["ingest", "--dataset", "pathology", "--data", str(data),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: line 3" in err and "'kind'" in err
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("no_such_key = 1\n")

@@ -221,6 +221,30 @@ class TestPathologyRecords:
         for kind in corpus.PATHOLOGY_KINDS:
             assert kind in str(err.value)
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda r: r["mentions"][1].pop("kind"), "mention missing field 'kind'"),
+        (lambda r: r["relations"][0].pop("head"), "relation missing field 'head'"),
+        (lambda r: r["mentions"][0].update(char_start="abc"),
+         "field 'char_start' is 'abc', expected an integer"),
+        (lambda r: r.update(mentions="Size"), "field 'mentions' is str"),
+        (lambda r: r.update(text=7), "field 'text' is int"),
+        (lambda r: r["relations"].append([0, 1]), "relation is not a JSON object"),
+    ], ids=["mention_kind", "relation_head", "char_start", "mentions_type",
+            "text_type", "relation_list"])
+    def test_malformed_field_named_with_line(self, tmp_path, mutate, message):
+        bad = self.record(id="r2")
+        mutate(bad)
+        path = self.write(tmp_path, [self.record(), bad])
+        with pytest.raises(CorpusFormatError, match="line 2: ") as err:
+            parse_pathology_records(path)
+        assert message in str(err.value)
+
+    def test_record_not_an_object(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(self.record()) + "\n[1, 2]\n")
+        with pytest.raises(CorpusFormatError, match="line 2: record is not a JSON object"):
+            parse_pathology_records(path)
+
     def test_round_trip_field_exact(self, tmp_path):
         docs, instances = parse_pathology_records(self.write(tmp_path, [self.record()]))
         out = tmp_path / "again.jsonl"
@@ -346,6 +370,24 @@ class TestPretrainedVectors:
         path.write_text("2 3\na 1 2 3\nb 1 2\n")
         with pytest.raises(CorpusFormatError, match="dims"):
             load_pretrained_vectors(path, vocab)
+
+    @pytest.mark.parametrize("text, line, value", [
+        ("2 3\na 1 2 3\nb 1 x 3\n", 3, "'x'"),
+        ("2 3\na 1 nan 3\nb 1 2 3\n", 2, "'nan'"),
+        ("a 1 2 inf\nb 1 2 3\n", 1, "'inf'"),
+        ("a 1 two 3\nb 1 2 3\n", 1, "'two'"),
+    ], ids=["non_numeric", "nan", "first_line_inf", "first_line_non_numeric"])
+    def test_bad_value_named_with_file_line_and_token(self, tmp_path, text,
+                                                      line, value):
+        vocab = build_vocabulary([make_doc("a b", [])])
+        path = tmp_path / "vec.txt"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError) as err:
+            load_pretrained_vectors(path, vocab)
+        message = str(err.value)
+        assert f"{path} line {line}:" in message and value in message
+        token = text.splitlines()[line - 1].split()[0]
+        assert f"vector of {token!r}" in message
 
     def test_seeded_missing_rows_reproducible(self, tmp_path):
         vocab = build_vocabulary([make_doc("a b c", [])])

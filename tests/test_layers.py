@@ -12,7 +12,6 @@ from bioie.layers import (
     gcn_propagate,
     glorot,
     inter_graph_mix,
-    lstm_sequence,
     multi_head_attention,
     scaled_dot_attention,
 )
@@ -37,8 +36,7 @@ def lstm_direction(rng: np.random.Generator, input_dim: int, hidden: int
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: tuple[Tensor, Tensor, Tensor]) -> tuple[Tensor, Tensor]:
     """One LSTM cell update on a (1, input) row with a (wx, wh, b) triple;
-    returns (h_t, c_t). The step-by-step oracle for the fused
-    `lstm_sequence`.
+    returns (h_t, c_t). The step-by-step oracle for the fused `bilstm`.
 
     Sigmoid input/forget/output gates, tanh candidate; gate blocks are
     ordered [input, forget, output, candidate]. The cell state and the
@@ -104,6 +102,109 @@ def stepwise(seq: np.ndarray, p: tuple[Tensor, Tensor, Tensor],
         h, c = lstm_step(Tensor(seq[t:t + 1]), h, c, p)
         rows[t] = h.data[0]
     return rows
+
+
+def lstm_sequence(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+                  reverse: bool = False, lengths=None) -> Tensor:
+    """Run one LSTM direction over an (n, input) sequence or a padded
+    (B, n, input) batch as a single fused tape record: the one-direction
+    reference for `bilstm`, which runs both directions in one loop.
+
+    `wx` is (input, 4*hidden), `wh` (hidden, 4*hidden) and `b`
+    (1, 4*hidden). Gate blocks are laid out [input, forget, output,
+    candidate], each `hidden` wide, so the two sigmoid blocks are
+    contiguous. `lengths` gives each batch row's real length (default:
+    all n). Steps past a row's length hold a zero state and output zero,
+    so the reverse direction of every row starts at its own last real
+    token.
+
+    The forward pass runs one (B, input) @ (input, 4*hidden) and one
+    (B, hidden) @ (hidden, 4*hidden) product per step. The
+    backward rule runs truncation-free BPTT, collecting per-step gate
+    gradients so the weight gradients reduce to single matmuls.
+    """
+    x = seq.data if seq.data.ndim == 3 else seq.data[None]
+    bsz, n, width = x.shape
+    hid = wh.shape[0]
+    lengths = np.full(bsz, n) if lengths is None else np.asarray(lengths)
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    # keep[t] zeroes the rows whose sequence has ended by step t; steps
+    # before the shortest length need no mask.
+    keep = (np.arange(n)[:, None] < lengths[None, :])[:, :, None].astype(np.float64)
+    full = int(lengths.min())
+
+    # Time-major working arrays: row t holds every sequence's step t.
+    x_t = np.ascontiguousarray(x.transpose(1, 0, 2))
+    acts = np.empty((n, bsz, 4 * hid))   # i, f, o gates and candidate g
+    tc_s = np.empty((n, bsz, hid))       # tanh of the unmasked cell
+    c_prev_s = np.empty((n, bsz, hid))
+    out = np.empty((n, bsz, hid))
+    h = np.zeros((bsz, hid))
+    c = np.zeros((bsz, hid))
+    for t in order:
+        c_prev_s[t] = c
+        z = x_t[t] @ wx.data + b.data + h @ wh.data
+        a = acts[t]
+        a[:, :3 * hid] = sigmoid_values(z[:, :3 * hid])
+        np.tanh(z[:, 3 * hid:], out=a[:, 3 * hid:])
+        c = a[:, hid:2 * hid] * c + a[:, :hid] * a[:, 3 * hid:]
+        np.tanh(c, out=tc_s[t])
+        h = a[:, 2 * hid:3 * hid] * tc_s[t]
+        if t >= full:
+            c = c * keep[t]
+            h = h * keep[t]
+        out[t] = h
+
+    def rule(g):
+        # Per-step products vectorized up front; the reverse loop only
+        # carries the two recurrent gradients and writes gate gradients
+        # straight into the dz rows.
+        g = np.swapaxes(g.reshape(bsz, n, hid), 0, 1)
+        i_s, f_s = acts[..., :hid], acts[..., hid:2 * hid]
+        o_s, g_s = acts[..., 2 * hid:3 * hid], acts[..., 3 * hid:]
+        pre_i = g_s * i_s * (1.0 - i_s)
+        pre_f = c_prev_s * f_s * (1.0 - f_s)
+        pre_o = tc_s * o_s * (1.0 - o_s)
+        pre_g = i_s * (1.0 - g_s * g_s)
+        pre_c = o_s * (1.0 - tc_s * tc_s)
+        h_prev_s = np.zeros_like(out)  # the state each step started from
+        if reverse:
+            h_prev_s[:-1] = out[1:]
+        else:
+            h_prev_s[1:] = out[:-1]
+        wh_t = np.ascontiguousarray(wh.data.T)
+        dz = np.empty((n, bsz, 4 * hid))
+        dh = np.empty((bsz, hid))
+        dc = np.zeros((bsz, hid))  # holds the incoming cell-state carry
+        dh_carry = np.zeros((bsz, hid))
+        for t in reversed(order):
+            np.add(g[t], dh_carry, out=dh)
+            if t >= full:
+                dh *= keep[t]
+                dc *= keep[t]
+            dc += dh * pre_c[t]
+            row = dz[t]
+            np.multiply(dc, pre_i[t], out=row[:, :hid])
+            np.multiply(dc, pre_f[t], out=row[:, hid:2 * hid])
+            np.multiply(dh, pre_o[t], out=row[:, 2 * hid:3 * hid])
+            np.multiply(dc, pre_g[t], out=row[:, 3 * hid:])
+            dc *= f_s[t]  # becomes the carry entering the previous step
+            np.matmul(row, wh_t, out=dh_carry)
+        dz_rows = dz.reshape(-1, 4 * hid)
+        pairs = []
+        if seq.requires_grad:
+            gx = np.swapaxes(dz @ wx.data.T, 0, 1)
+            pairs.append((seq, gx.reshape(seq.shape)))
+        if wx.requires_grad:
+            pairs.append((wx, x_t.reshape(-1, width).T @ dz_rows))
+        if wh.requires_grad:
+            pairs.append((wh, h_prev_s.reshape(-1, hid).T @ dz_rows))
+        if b.requires_grad:
+            pairs.append((b, dz_rows.sum(axis=0, keepdims=True)))
+        return pairs
+
+    return make_op(np.swapaxes(out, 0, 1).reshape(seq.shape[:-1] + (hid,)),
+                   (seq, wx, wh, b), rule)
 
 
 class TestModelConfig:
@@ -215,29 +316,35 @@ class TestLstm:
                       Tensor(np.zeros((1, 3))), p)
 
     def test_fused_sequence_matches_stepwise(self):
+        """Each half of `bilstm`'s output equals the step-by-step oracle
+        over the sequence in its own direction."""
         rng = np.random.default_rng(9)
         p = lstm_direction(rng, 5, 4)
+        q = lstm_direction(rng, 5, 4)
         seq = Tensor(rand((7, 5), 10))
-        fused = lstm_sequence(seq, *p)
+        fused = bilstm(seq, p, q)
         h = Tensor(np.zeros((1, 4)))
         c = Tensor(np.zeros((1, 4)))
         rows = []
         for t in range(7):
             h, c = lstm_step(ad.take_rows(seq, np.array([t])), h, c, p)
             rows.append(h.data[0].copy())
-        assert np.allclose(fused.data, np.array(rows), atol=1e-12)
+        assert np.allclose(fused.data[:, :4], np.array(rows), atol=1e-12)
+        assert np.allclose(fused.data[:, 4:], stepwise(seq.data, q, reverse=True),
+                           atol=1e-12)
 
     def test_fused_sequence_gradients(self):
         rng = np.random.default_rng(11)
         p = lstm_direction(rng, 4, 3)
+        q = lstm_direction(rng, 4, 3)
         seq = Tensor(rand((6, 4), 12))
-        weights = Tensor(rand((6, 3), 13))
+        weights = Tensor(rand((6, 6), 13))
 
         def f(_):
-            out = lstm_sequence(seq, *p, reverse=True)
+            out = bilstm(seq, p, q)
             return ad.hadamard(out, weights).sum()
 
-        for param in p:
+        for param in p + q:
             assert grad_check(f, param, epsilon=1e-5, samples=20) <= 1e-4
         assert grad_check(lambda s: f(None), seq, epsilon=1e-5, samples=20) <= 1e-4
 
@@ -245,37 +352,69 @@ class TestLstm:
     def test_batch_rows_match_stepwise_over_own_length(self):
         """Each row of a padded batch equals the step-by-step oracle on its
         real prefix, in both directions; padded positions output zero."""
-        p = lstm_direction(np.random.default_rng(14), 5, 4)
+        rng = np.random.default_rng(14)
+        p = lstm_direction(rng, 5, 4)
+        q = lstm_direction(rng, 5, 4)
         lengths = np.array([7, 2, 5])
         seq = rand((3, 7, 5), 15)
-        for reverse in (False, True):
-            out = lstm_sequence(Tensor(seq), *p, reverse=reverse, lengths=lengths).data
-            assert out.shape == (3, 7, 4)
-            for i, n in enumerate(lengths):
-                expected = stepwise(seq[i, :n], p, reverse=reverse)
-                assert np.max(np.abs(out[i, :n] - expected)) < 1e-12
-                assert np.array_equal(out[i, n:], np.zeros((7 - n, 4)))
+        out = bilstm(Tensor(seq), p, q, lengths=lengths).data
+        assert out.shape == (3, 7, 8)
+        for i, n in enumerate(lengths):
+            for half, params, reverse in ((slice(0, 4), p, False),
+                                          (slice(4, 8), q, True)):
+                expected = stepwise(seq[i, :n], params, reverse=reverse)
+                assert np.max(np.abs(out[i, :n, half] - expected)) < 1e-12
+            assert np.array_equal(out[i, n:], np.zeros((7 - n, 8)))
 
     def test_batch_gradients_unequal_lengths(self):
-        p = lstm_direction(np.random.default_rng(16), 4, 3)
+        rng = np.random.default_rng(16)
+        p = lstm_direction(rng, 4, 3)
+        q = lstm_direction(rng, 4, 3)
         seq = Tensor(rand((3, 6, 4), 17))
-        weights = Tensor(rand((3, 6, 3), 18))
+        weights = Tensor(rand((3, 6, 6), 18))
         lengths = np.array([6, 2, 4])
-        for reverse in (False, True):
-            def f(_):
-                out = lstm_sequence(seq, *p, reverse=reverse, lengths=lengths)
-                return ad.hadamard(out, weights).sum()
 
-            for param in p:
-                assert grad_check(f, param, epsilon=1e-5, samples=20) <= 1e-4
-            assert grad_check(f, seq, epsilon=1e-5, samples=30) <= 1e-4
+        def f(_):
+            out = bilstm(seq, p, q, lengths=lengths)
+            return ad.hadamard(out, weights).sum()
+
+        for param in p + q:
+            assert grad_check(f, param, epsilon=1e-5, samples=20) <= 1e-4
+        assert grad_check(f, seq, epsilon=1e-5, samples=30) <= 1e-4
 
     def test_lengths_must_fit_batch(self):
         p = lstm_direction(np.random.default_rng(0), 4, 3)
         seq = Tensor(np.zeros((2, 5, 4)))
         for bad in ([5, 6], [0, 3], [5]):
             with pytest.raises(ShapeError, match="lengths"):
-                lstm_sequence(seq, *p, lengths=np.array(bad))
+                bilstm(seq, p, p, lengths=np.array(bad))
+
+    def test_matches_one_direction_reference(self):
+        """Values and every gradient equal two runs of the one-direction
+        reference at uneven lengths, concatenated [forward, backward]."""
+        rng = np.random.default_rng(19)
+        p = lstm_direction(rng, 5, 4)
+        q = lstm_direction(rng, 5, 4)
+        seq = Tensor(rand((3, 6, 5), 20), requires_grad=True)
+        lengths = np.array([6, 1, 4])
+        weights = Tensor(rand((3, 6, 8), 21))
+        tensors = (seq,) + p + q
+
+        def grads(build):
+            ad.reset_tape()
+            for t in tensors:
+                t.grad = None
+            out = build()
+            ad.backward(ad.hadamard(out, weights).sum())
+            return out.data, [t.grad.copy() for t in tensors]
+
+        fused, fused_grads = grads(lambda: bilstm(seq, p, q, lengths))
+        ref, ref_grads = grads(lambda: ad.concat(
+            [lstm_sequence(seq, *p, lengths=lengths),
+             lstm_sequence(seq, *q, reverse=True, lengths=lengths)], axis=-1))
+        assert np.max(np.abs(fused - ref)) < 1e-12
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestBilstm:
@@ -426,6 +565,31 @@ class TestBatchedAttention:
             assert grad_check(f, param, epsilon=1e-5, samples=12) <= 1e-4
         assert grad_check(f, xt, epsilon=1e-5, samples=20) <= 1e-4
 
+    def test_matches_per_head_composition(self):
+        """Values and every gradient equal the per-head composition of
+        primitive ops through `scaled_dot_attention`, with masked keys."""
+        _, x, mask, heads, wo = self.setup_batch()
+        xt = Tensor(x, requires_grad=True)
+        weights = Tensor(rand((2, 5, 8), 33))
+        tensors = [xt, wo] + [t for triple in heads for t in triple]
+
+        def reference():
+            outs = [scaled_dot_attention(ad.matmul(xt, wq), ad.matmul(xt, wk),
+                                         ad.matmul(xt, wv), mask)
+                    for wq, wk, wv in heads]
+            return ad.matmul(ad.concat(outs, axis=-1), wo)
+
+        results = []
+        for build in (lambda: multi_head_attention(xt, heads, wo, mask), reference):
+            ad.reset_tape()
+            for t in tensors:
+                t.grad = None
+            out = build()
+            ad.backward(ad.hadamard(out, weights).sum())
+            results.append([out.data] + [t.grad.copy() for t in tensors])
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) < 1e-12
+
 
 def adjacency(matrix):
     m = np.asarray(matrix, dtype=float)
@@ -492,6 +656,40 @@ class TestGcn:
         for param in (h, w, b):
             assert grad_check(f, param, epsilon=1e-5) <= 1e-4
 
+    def test_matches_primitive_composition(self):
+        """On a padded batch, values and every gradient equal
+        tanh((A/d) h W + b) built from primitive ops."""
+        rng = np.random.default_rng(22)
+        matrix = np.tile(np.eye(5), (2, 1, 1))
+        for i, n in enumerate((5, 3)):
+            a = rng.uniform(0, 1, (n, n))
+            matrix[i, :n, :n] = (a + a.T) / 2 + np.eye(n)
+        adj = adjacency(matrix)
+        h = Tensor(rand((2, 5, 4), 23), requires_grad=True)
+        w = Tensor(rand((4, 3), 24), requires_grad=True)
+        b = Tensor(rand((1, 3), 25), requires_grad=True)
+        weights = Tensor(rand((2, 5, 3), 26))
+
+        def reference():
+            a_norm = Tensor(adj.normalized)
+            return ad.tanh(ad.add_rowvec(ad.matmul(ad.matmul(a_norm, h), w), b))
+
+        results = []
+        for build in (lambda: gcn_propagate(h, adj, w, b), reference):
+            ad.reset_tape()
+            for t in (h, w, b):
+                t.grad = None
+            out = build()
+            ad.backward(ad.hadamard(out, weights).sum())
+            results.append([out.data, h.grad.copy(), w.grad.copy(), b.grad.copy()])
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_weight_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="weight"):
+            gcn_propagate(Tensor(np.ones((3, 2))), adjacency(np.eye(3)),
+                          Tensor(np.ones((3, 2))), Tensor(np.zeros((1, 2))))
+
     def test_batch_shape_mismatch(self):
         with pytest.raises(ShapeError):
             gcn_propagate(Tensor(np.ones((2, 3, 2))), adjacency(np.ones((3, 3))),
@@ -538,14 +736,51 @@ class TestInterGraphMix:
                              Tensor(np.ones((2, 2)))])
 
 
+class TestTapeRecords:
+    """Each fused layer is one tape record (the GCN's activation is a
+    second), and none is recorded with gradients disabled, where the
+    outputs match the recorded run."""
+
+    def layer_calls(self):
+        rng = np.random.default_rng(40)
+        lengths = np.array([6, 3])
+        seq = Tensor(rand((2, 6, 8), 41), requires_grad=True)
+        fw, bw = lstm_direction(rng, 8, 4), lstm_direction(rng, 8, 4)
+        heads = [tuple(Tensor(glorot(rng, 8, 4), requires_grad=True)
+                       for _ in range(3)) for _ in range(2)]
+        wo = Tensor(glorot(rng, 8, 8), requires_grad=True)
+        bias = np.where(np.arange(6)[None, :] < lengths[:, None], 0.0, -1e30)
+        mask = Tensor(np.broadcast_to(bias[:, None, :], (2, 6, 6)))
+        adj = adjacency(np.tile(np.eye(6) + 0.5, (2, 1, 1)))
+        w = Tensor(glorot(rng, 8, 8), requires_grad=True)
+        b = Tensor(np.zeros((1, 8)), requires_grad=True)
+        return {
+            "bilstm": (1, lambda: bilstm(seq, fw, bw, lengths)),
+            "attention": (1, lambda: multi_head_attention(seq, heads, wo, mask)),
+            "gcn": (2, lambda: gcn_propagate(seq, adj, w, b)),
+        }
+
+    @pytest.mark.parametrize("layer", ["bilstm", "attention", "gcn"])
+    def test_records(self, layer):
+        records, call = self.layer_calls()[layer]
+        ad.reset_tape()
+        recorded = call().data
+        assert ad.tape_size() == records
+        ad.reset_tape()
+        with ad.no_grad():
+            plain = call().data
+        assert ad.tape_size() == 0
+        assert np.max(np.abs(plain - recorded)) < 1e-12
+
+
 def test_all_layers_finite_and_differentiable():
     """Random inputs in [-1, 1]: outputs finite, gradients within 1e-4."""
     rng = np.random.default_rng(20)
     seq = Tensor(rand((5, 6), 21))
     lstm = lstm_direction(rng, 6, 4)
-    out = lstm_sequence(seq, *lstm)
+    out = bilstm(seq, lstm, lstm)
     assert np.all(np.isfinite(out.data))
-    assert grad_check(lambda p: lstm_sequence(seq, *lstm).sum(), lstm[0],
+    assert grad_check(lambda p: bilstm(seq, lstm, lstm).sum(), lstm[0],
                       samples=16) <= 1e-4
 
     x = Tensor(rand((4, 8), 22))

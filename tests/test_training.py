@@ -445,6 +445,32 @@ class TestFitAndTransfer:
         for name, data in frozen.items():
             assert np.array_equal(model.params[name].data, data)
 
+    def test_fit_skips_gradients_of_frozen_tensors(self, tiny_task,
+                                                   small_config, monkeypatch):
+        """Under `fit`'s freeze prefixes no backward computes a frozen
+        tensor's gradient; the tensors stay bitwise unchanged, and their
+        `requires_grad` flags are restored afterwards."""
+        model = fresh_model(tiny_task, small_config, seed=6)
+        model.params["embed.word"].requires_grad = True  # trainable too
+        enc = encode_all(tiny_task, small_config)
+        freeze = ("lstm.", "embed.")
+        frozen = {n: p.data.copy() for n, p in model.params.items()
+                  if n.startswith(freeze)}
+        seen = []
+        backward = ad.backward
+
+        def checked_backward(loss):
+            backward(loss)
+            seen.append([model.params[n].grad is None for n in frozen])
+
+        monkeypatch.setattr(ad, "backward", checked_backward)
+        fit(model, enc[:8], enc[8:12], TrainPlan(epochs=2, batch_size=4, seed=0),
+            freeze_prefixes=freeze)
+        assert seen and all(all(step) for step in seen)
+        for name, data in frozen.items():
+            assert np.array_equal(model.params[name].data, data), name
+            assert model.params[name].requires_grad, name
+
     def test_classifier_head_remap_on_label_mismatch(self, tiny_task,
                                                      small_config, tmp_path):
         path, _ = self.ckpt(tiny_task, small_config, tmp_path)
