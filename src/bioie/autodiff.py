@@ -5,7 +5,21 @@ differentiable operation appends one record, and `backward` replays the
 records in reverse order (creation order is topological order by
 construction). The expected usage is one fresh tape per forward pass:
 call `reset_tape()` before building the next graph. Nothing is cached
-between passes.
+between passes. The tape and the grad mode (`no_grad`) belong to the
+thread that runs the op.
+
+`concat_branches(branches, x)` is `concat([f(x) for f in branches])`
+as one record whose branches may run concurrently: all but the last on
+one worker thread, started on first use, while the calling thread runs
+the last, in the forward pass and again in the backward replay. It does
+so only when `x` holds at least BRANCH_THREAD_MIN_FLOATS floats, so that
+numpy releases the GIL for most of a branch's time, and when the process
+may run on two or more CPUs; otherwise the branches run in order on the
+calling thread. Either way every array op is the same call on the same
+operands, and the backward replay hands gradients back in the order a
+serial replay makes them, so results are bitwise equal to `concat` of
+the branches. Pin BLAS to one thread (`OPENBLAS_NUM_THREADS=1`): a
+second BLAS thread then competes with the worker for the same cores.
 
 Only rank-preserving elementwise broadcasting with scalars is supported;
 everything else requires exactly matching shapes.
@@ -15,7 +29,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,6 +55,7 @@ __all__ = [
     "sigmoid",
     "identity",
     "concat",
+    "concat_branches",
     "softmax",
     "dropout",
     "max_pool_over_time",
@@ -55,6 +74,7 @@ __all__ = [
 # sets: 32 MiB is glibc's cap on the mmap threshold.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 256 << 20
 
@@ -72,7 +92,10 @@ def keep_freed_arrays() -> bool:
     2k-17k per 80-instance inference pass, and varied with the order of
     earlier allocations. Fixed thresholds keep arrays up to 32 MiB on
     the heap and keep up to 256 MiB of freed heap, so the next pass
-    reuses it. Called once when this module loads."""
+    reuses it. One arena serves every thread, so the `concat_branches`
+    worker allocates from and frees into the same heap rather than an
+    arena of its own that keeps its own freed memory. Called once when
+    this module loads."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -80,7 +103,8 @@ def keep_freed_arrays() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+                and mallopt(_M_ARENA_MAX, 1))
 
 
 keep_freed_arrays()
@@ -152,42 +176,52 @@ def as_tensor(x) -> Tensor:
 # Tape
 
 class _Record:
-    __slots__ = ("out", "rule")
+    __slots__ = ("out", "rule", "size")
 
-    def __init__(self, out: Tensor, rule):
+    def __init__(self, out: Tensor, rule, size: int = 1):
         self.out = out
         self.rule = rule
+        self.size = size  # records it stands for, branch tapes included
 
 
-_TAPE: list[_Record] = []
-_GRAD_ENABLED: bool = True
+class _ThreadState(threading.local):
+    """The running thread's tape and grad mode."""
+
+    def __init__(self):
+        self.tape: list[_Record] = []
+        self.grad = True
+
+
+_STATE = _ThreadState()
 
 
 def reset_tape() -> None:
     """Drop all recorded operations; leaf gradients are untouched."""
-    _TAPE.clear()
+    _STATE.tape.clear()
 
 
 def tape_size() -> int:
-    return len(_TAPE)
+    """Records on the tape, counting those on `concat_branches` branch
+    tapes."""
+    return sum(rec.size for rec in _STATE.tape)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable recording; ops executed inside produce constant tensors."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    state = _STATE
+    prev = state.grad
+    state.grad = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        state.grad = prev
 
 
 def recording(*tensors: Tensor) -> bool:
     """Whether an op over these inputs gets a tape record, so that a fused
     op can skip keeping intermediates its backward rule would need."""
-    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+    return _STATE.grad and any(t.requires_grad for t in tensors)
 
 
 def make_op(data: np.ndarray, parents, rule) -> Tensor:
@@ -202,7 +236,7 @@ def make_op(data: np.ndarray, parents, rule) -> Tensor:
     out = Tensor(data, requires_grad=track)
     if track:
         out.is_leaf = False
-        _TAPE.append(_Record(out, rule))
+        _STATE.tape.append(_Record(out, rule))
     return out
 
 
@@ -214,20 +248,35 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    buffers: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    if loss.is_leaf:
-        return
-    for rec in reversed(_TAPE):
+    if not loss.is_leaf:
+        _replay(_STATE.tape, loss, np.ones_like(loss.data))
+
+
+def _replay(tape: list[_Record], out: Tensor, g: np.ndarray,
+            crossing: list | None = None) -> list | None:
+    """Replay `tape` in reverse from the gradient `g` of `out`. Leaf
+    gradients accumulate and intermediates are buffered; with a
+    `crossing` list, the gradients of tensors this tape did not create,
+    leaves included, are appended to it as (tensor, gradient) pairs in
+    replay order instead, and the list is returned."""
+    inner = None if crossing is None else {id(rec.out) for rec in tape}
+    buffers: dict[int, np.ndarray] = {id(out): g}
+    for rec in reversed(tape):
         g = buffers.pop(id(rec.out), None)
         if g is None:
             continue
         for parent, contrib in rec.rule(g):
             if not parent.requires_grad:
                 continue
-            if parent.is_leaf:
+            if inner is not None and id(parent) not in inner:
+                crossing.append((parent, contrib))
+            elif parent.is_leaf:
+                # A first contribution is copied, since a rule may return
+                # its `g` or a view of it; later ones add in place.
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += contrib
+                    parent.grad = np.array(contrib, dtype=np.float64)
+                else:
+                    parent.grad += contrib
             else:
                 # No buffer is written in place, so a rule may return its
                 # `g` or a view of it, and one array may feed two buffers.
@@ -237,6 +286,7 @@ def backward(loss: Tensor) -> None:
                     buffers[key] = np.asarray(contrib, dtype=np.float64)
                 else:
                     buffers[key] = buf + contrib
+    return crossing
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +420,9 @@ def identity(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Structural ops
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+def _concat_layout(tensors: list[Tensor], axis: int) -> tuple[int, np.ndarray]:
+    """The concatenation axis of `tensors` and each tensor's offset
+    along it after the first; raises ShapeError on a mismatch."""
     if not tensors:
         raise ShapeError("concat: empty tensor list")
     ndim = tensors[0].data.ndim
@@ -388,14 +439,117 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 f"concat: shape {t.shape} does not conform to {tensors[0].shape} "
                 f"off axis {ax}"
             )
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    return ax, np.cumsum([t.shape[ax] for t in tensors])[:-1]
+
+
+def concat(tensors, axis: int = 0) -> Tensor:
+    tensors = [as_tensor(t) for t in tensors]
+    ax, offsets = _concat_layout(tensors, axis)
 
     def rule(g):
         pieces = np.split(g, offsets, axis=ax)
         return [(t, piece) for t, piece in zip(tensors, pieces)]
 
     return make_op(np.concatenate([t.data for t in tensors], axis=ax), tensors, rule)
+
+
+# Floats in `concat_branches`' input from which its branches run on two
+# threads. Below it, the branches' numpy calls are too short to release
+# the GIL for most of their time, and the hand-off costs more than the
+# second thread saves (see CHANGES.md for the sweep that set it).
+BRANCH_THREAD_MIN_FLOATS = 1 << 17
+
+
+@functools.cache
+def _worker() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="bioie-branch")
+
+
+def _threaded(x: Tensor, branch_count: int) -> bool:
+    if branch_count < 2 or x.size < BRANCH_THREAD_MIN_FLOATS:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _settle(task):
+    """`task()` as (result, None), or (None, the error it raised)."""
+    try:
+        return task(), None
+    except BaseException as err:
+        return None, err
+
+
+def _run_all(tasks: list, threaded: bool) -> list:
+    """The result of each task, in order. Threaded, all but the last run
+    on the worker thread while the calling thread runs the last. Every
+    task finishes before the first error, in task order, is raised."""
+    if threaded:
+        futures = [_worker().submit(_settle, task) for task in tasks[:-1]]
+        last = _settle(tasks[-1])  # run before waiting on the worker
+        outcomes = [f.result() for f in futures] + [last]
+    else:
+        outcomes = [_settle(task) for task in tasks]
+    for _, err in outcomes:
+        if err is not None:
+            raise err
+    return [result for result, _ in outcomes]
+
+
+def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
+    """`concat([f(x) for f in branches], axis)` as one tape record, with
+    the branches run concurrently when that pays (module docstring).
+
+    Each branch runs under the caller's grad mode and records on a tape
+    of its own, which the record keeps. Every branch finishes before an
+    error is raised, the first in branch order. The rule replays the
+    branch tapes, concurrently under the same rule as the forward pass,
+    and returns the gradients that cross a branch tape, its leaves' and
+    `x`'s, in the order a serial replay of `concat` would make them: the
+    last branch's first, each in its own reverse order. `backward` then
+    adds them up exactly as it would have, so values and gradients are
+    bitwise equal to `concat`'s. Branches must not share mutable state,
+    such as a random generator. Not reentrant: a branch must not call
+    `concat_branches`, since a nested call on the worker thread would
+    wait on that thread itself."""
+    grad = _STATE.grad
+    threaded = _threaded(x, len(branches))
+
+    def record(f):
+        state = _STATE  # the running thread's
+        saved = state.tape, state.grad
+        state.tape, state.grad = [], grad
+        try:
+            return as_tensor(f(x)), state.tape
+        finally:
+            state.tape, state.grad = saved
+
+    outs, tapes = zip(*_run_all([functools.partial(record, f) for f in branches],
+                                threaded))
+    ax, offsets = _concat_layout(list(outs), axis)
+    out = Tensor(np.concatenate([t.data for t in outs], axis=ax),
+                 requires_grad=recording(*outs))
+    if not out.requires_grad:
+        return out
+
+    def rule(g):
+        pieces = np.split(g, offsets, axis=ax)
+        # A branch output that its own tape did not create, such as `x`
+        # itself, gets its piece before any replay, as from `concat`.
+        first, replays = [], []
+        for t, piece, tape in zip(outs, pieces, tapes):
+            if any(rec.out is t for rec in tape):
+                replays.append(functools.partial(_replay, tape, t, piece, []))
+            else:
+                first.append((t, piece))
+        crossing = _run_all(replays, threaded and len(replays) > 1)
+        return first + [pair for part in reversed(crossing) for pair in part]
+
+    out.is_leaf = False
+    _STATE.tape.append(_Record(out, rule, 1 + sum(
+        rec.size for tape in tapes for rec in tape)))
+    return out
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -35,10 +35,21 @@ up to summation order. Train-mode dropout draws each instance's
 The graph-convolution branch keeps one node state m, starting from the
 LSTM output; each layer replaces it by mean_k tanh(A_k m W_k + b_k)
 over the graph kinds k, with A_k the degree-normalized adjacency.
+
+The attention and graph-convolution branches share only the LSTM
+output, so `forward` runs them through `autodiff.concat_branches`: when
+the padded (B, T, d_model) state holds at least
+`autodiff.BRANCH_THREAD_MIN_FLOATS` floats and the process may use two
+CPUs, the attention branch runs on a worker thread while the calling
+thread runs the graph branch, in the forward pass and in the backward
+replay; otherwise they run in order. Both ways give bitwise the same
+logits and gradients (see `autodiff`). Pin BLAS to one thread
+(`OPENBLAS_NUM_THREADS=1`) so that it does not compete with the worker.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -305,12 +316,13 @@ def forward(model: ModelState, batch: list[EncodedInstance],
         h = ad.hadamard(h, _dropout_mask(model.rng, cfg.dropout, lengths, h.shape))
 
     # Each branch returns its pooled (B, d_model) features, so its
-    # (B, T, .) intermediates are freed before the next branch runs.
+    # (B, T, .) intermediates are freed when it returns.
     key_bias = np.where(valid, 0.0, MASK_NEG)
-    branches = [_attention_features(model, h, key_bias)]
+    branches = [lambda x: _attention_features(model, x, key_bias)]
     if cfg.use_gcn:
-        branches.append(_gcn_features(model, batch, h, key_bias))
-    rep = ad.concat(branches, axis=-1) if len(branches) > 1 else branches[0]
+        branches.append(lambda x: _gcn_features(model, batch, x, key_bias))
+    rep = (ad.concat_branches(branches, h, axis=-1) if len(branches) > 1
+           else branches[0](h))
     return ad.add_rowvec(ad.matmul(rep, p["clf.w"]), p["clf.b"])
 
 
@@ -340,18 +352,22 @@ def _attention_features(model: ModelState, h: Tensor,
 
 def _gcn_features(model: ModelState, batch: list[EncodedInstance], h: Tensor,
                   key_bias: np.ndarray) -> Tensor:
-    # Each kind's padded adjacency is rebuilt in every layer, for the
-    # eval working set: under no_grad at most one is alive at a time.
-    # Building all three once before the loop raised a 64-instance
-    # `predict` chunk's tracemalloc peak from 89 to 100 MB at T = 100
-    # with the default model. In training the tape keeps every layer's
-    # normalized adjacency anyway, and the rebuild costs about 0.06 ms
-    # per kind at B = 8, T = 100.
-    steps = key_bias.shape[1]
+    # A recorded forward builds each kind's padded adjacency once and
+    # hands the same object, with its cached normalized matrix, to every
+    # layer: the tape keeps that matrix anyway. Without a record each
+    # layer rebuilds it, for the eval working set: at most one is alive
+    # at a time. Building all three once before the loop raised a
+    # 64-instance `predict` chunk's tracemalloc peak from 89 to 100 MB at
+    # T = 100 with the default model; a rebuild costs about 0.06 ms per
+    # kind at B = 8, T = 100.
+    adjacency = functools.partial(_batch_adjacency, batch, steps=key_bias.shape[1])
+    if ad.recording(h, *(t for name, t in model.params.items()
+                         if name.startswith("gcn."))):
+        adjacency = functools.cache(adjacency)
     m = h
     for layer in range(model.config.gcn_layers):
         m = inter_graph_mix([
-            gcn_propagate(m, _batch_adjacency(batch, kind, steps),
+            gcn_propagate(m, adjacency(kind),
                           model.params[f"gcn.layer{layer}.{kind}.w"],
                           model.params[f"gcn.layer{layer}.{kind}.b"])
             for kind in GRAPH_KINDS

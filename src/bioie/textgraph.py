@@ -96,7 +96,7 @@ class DocumentAdjacency:
     matrix: np.ndarray  # (n, n), symmetric, positive diagonal; or (B, n, n)
     degree: np.ndarray  # row sums, (n,) or (B, n)
 
-    @property
+    @cached_property
     def normalized(self) -> np.ndarray:
         return self.matrix / self.degree[..., None]
 

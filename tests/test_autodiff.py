@@ -1,7 +1,11 @@
 """Unit and property tests for the tensor engine."""
 
 import math
+import os
 import resource
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -368,7 +372,7 @@ def copying_backward(loss):
     """`backward` as it was before buffers could alias: every first
     contribution to a non-leaf is copied and later ones added in place."""
     buffers = {id(loss): np.ones_like(loss.data)}
-    for rec in reversed(ad._TAPE):
+    for rec in reversed(ad._STATE.tape):
         g = buffers.pop(id(rec.out), None)
         if g is None:
             continue
@@ -435,6 +439,218 @@ class TestGradientBuffersMayAlias:
     def test_grad_check(self, f):
         x = Tensor(rand((4, 4), seed=22), requires_grad=True)
         assert grad_check(f, x, epsilon=1e-6) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# concat_branches
+
+@pytest.fixture(params=["threaded", "serial"])
+def branch_mode(request, monkeypatch):
+    """Run `concat_branches` on two threads, whatever the input size and
+    CPU count, or always on the calling thread."""
+    threaded = request.param == "threaded"
+    monkeypatch.setattr(ad, "_threaded", lambda x, count: threaded and count > 1)
+    return request.param
+
+
+def branch_leaves(seed=30):
+    """`shared` feeds every branch; `own[i]` only branch i."""
+    rng = np.random.default_rng(seed)
+    shared = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
+    own = [Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True) for _ in range(4)]
+    return shared, own
+
+
+def make_branches(shared, own, count=2):
+    """Branch i: several records over x, `shared` and own[i], so that x
+    and `shared` each get more than one gradient per branch."""
+    def branch(i):
+        def f(x):
+            mixed = ad.tanh(ad.matmul(x, shared))
+            again = ad.matmul(ad.add(mixed, x), shared)
+            return ad.sigmoid(ad.matmul(ad.hadamard(again, mixed), own[i]))
+        return f
+    return [branch(i) for i in range(count)]
+
+
+def run_branches(fuse, branches, leaves, x_data, x_trains=True):
+    """Output, leaf gradients and input gradient of a weighted sum of
+    the concatenated branches, the input being an intermediate."""
+    x0 = Tensor(x_data, requires_grad=x_trains)
+    for t in leaves:
+        t.grad = None
+    reset_tape()
+    x = ad.hadamard(x0, 1.5)
+    if fuse:
+        out = ad.concat_branches(branches, x, axis=-1)
+    else:
+        out = ad.concat([f(x) for f in branches], axis=-1)
+    records = ad.tape_size()
+    weights = Tensor(rand(out.shape, seed=31))
+    backward(ad.sum_all(ad.hadamard(out, weights)))
+    reset_tape()
+    grads = [None if t.grad is None else t.grad.copy() for t in leaves]
+    return out.data, grads, x0.grad, records
+
+
+def assert_bitwise(got, expected):
+    out, grads, x_grad, records = got
+    assert out.tobytes() == expected[0].tobytes()
+    for a, b in zip(grads, expected[1]):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.tobytes() == b.tobytes()
+    if x_grad is None or expected[2] is None:
+        assert x_grad is None and expected[2] is None
+    else:
+        assert x_grad.tobytes() == expected[2].tobytes()
+    assert records == expected[3]
+
+
+class TestConcatBranches:
+    def test_equals_concat_bitwise(self, branch_mode):
+        shared, own = branch_leaves()
+        branches, leaves = make_branches(shared, own), [shared, *own[:2]]
+        x = rand((5, 4), seed=32)
+        assert_bitwise(run_branches(True, branches, leaves, x),
+                       run_branches(False, branches, leaves, x))
+
+    def test_frozen_input_trains_branch_leaves(self, branch_mode):
+        """As under `transfer --freeze lstm.,embed.`: the input needs no
+        gradient, the branch weights do."""
+        shared, own = branch_leaves(seed=33)
+        branches, leaves = make_branches(shared, own), [shared, *own[:2]]
+        x = rand((5, 4), seed=34)
+        got = run_branches(True, branches, leaves, x, x_trains=False)
+        assert got[2] is None and all(g is not None for g in got[1])
+        assert_bitwise(got, run_branches(False, branches, leaves, x, x_trains=False))
+
+    def test_branch_returning_its_input(self, branch_mode):
+        shared, own = branch_leaves(seed=35)
+        branches = [lambda x: x] + make_branches(shared, own, 1)
+        leaves = [shared, own[0]]
+        x = rand((5, 4), seed=36)
+        assert_bitwise(run_branches(True, branches, leaves, x),
+                       run_branches(False, branches, leaves, x))
+
+    def test_no_record_under_no_grad(self, branch_mode):
+        shared, own = branch_leaves(seed=37)
+        branches = make_branches(shared, own)
+        x = Tensor(rand((5, 4), seed=38), requires_grad=True)
+        reset_tape()
+        with ad.no_grad():
+            out = ad.concat_branches(branches, x)
+            plain = ad.concat([f(x) for f in branches], axis=-1)
+        assert ad.tape_size() == 0 and not out.requires_grad
+        assert out.data.tobytes() == plain.data.tobytes()
+
+    def test_branches_run_under_callers_grad_mode_on_own_thread(self, branch_mode):
+        seen = {}
+
+        def branch(i):
+            def f(x):
+                seen[i] = threading.get_ident(), ad.recording(x)
+                return ad.tanh(x)
+            return f
+
+        x = Tensor(rand((2, 3), seed=39), requires_grad=True)
+        with ad.no_grad():
+            ad.concat_branches([branch(0), branch(1)], x)
+        assert [seen[i][1] for i in (0, 1)] == [False, False]
+        reset_tape()
+        ad.concat_branches([branch(0), branch(1)], x)
+        reset_tape()
+        assert [seen[i][1] for i in (0, 1)] == [True, True]
+        caller = threading.get_ident()
+        assert (seen[0][0] != caller) == (branch_mode == "threaded")
+        assert seen[1][0] == caller
+
+    def test_error_raised_after_every_branch_finishes(self, branch_mode):
+        finished = []
+
+        def fails(x):
+            raise ValueError("branch 0")
+
+        def slow(x):
+            time.sleep(0.05)
+            finished.append(True)
+            return ad.tanh(x)
+
+        x = Tensor(rand((2, 3), seed=40), requires_grad=True)
+        reset_tape()
+        with pytest.raises(ValueError, match="branch 0"):
+            ad.concat_branches([fails, slow], x)
+        assert finished == [True]
+        assert ad.tape_size() == 0
+        out = ad.concat_branches([slow, slow], x)
+        assert out.shape == (2, 6) and ad.tape_size() == 3
+        reset_tape()
+
+    def test_first_error_in_branch_order(self, branch_mode):
+        def raiser(message):
+            def f(x):
+                time.sleep(0.02 if message == "first" else 0.0)
+                raise RuntimeError(message)
+            return f
+
+        x = Tensor(rand((2, 3), seed=41), requires_grad=True)
+        with pytest.raises(RuntimeError, match="first"):
+            ad.concat_branches([raiser("first"), raiser("second")], x)
+        reset_tape()
+
+    def test_grad_check(self, branch_mode):
+        shared, own = branch_leaves(seed=42)
+        branches = make_branches(shared, own)
+        weights = Tensor(rand((3, 6), seed=43))
+
+        def f(x):
+            return ad.sum_all(ad.hadamard(ad.concat_branches(branches, x), weights))
+
+        x = Tensor(rand((3, 4), seed=44))
+        assert grad_check(f, x, epsilon=1e-6) <= 1e-6
+        assert grad_check(lambda s: f(x), shared, epsilon=1e-6) <= 1e-6
+
+    def test_stress_four_branches_under_fast_switching(self, monkeypatch):
+        """Four branches sharing one leaf, the interpreter switching
+        threads every microsecond: 50 threaded runs equal the serial one."""
+        shared, own = branch_leaves(seed=45)
+        branches, leaves = make_branches(shared, own, 4), [shared, *own]
+        x = rand((6, 4), seed=46)
+        monkeypatch.setattr(ad, "_threaded", lambda x, count: False)
+        expected = run_branches(True, branches, leaves, x)
+        monkeypatch.setattr(ad, "_threaded", lambda x, count: count > 1)
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(50):
+                    assert_bitwise(run_branches(True, branches, leaves, x), expected)
+            except BaseException as err:  # re-raised on the test thread
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            helper = threading.Thread(target=hammer)
+            helper.start()
+            helper.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not helper.is_alive()
+        if errors:
+            raise errors[0]
+
+
+def test_branches_thread_from_the_size_constant_on_two_cpus(monkeypatch):
+    x = Tensor(np.zeros((4, 8)))
+    monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", 32)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert ad._threaded(x, 2) and not ad._threaded(x, 1)
+    monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", 33)
+    assert not ad._threaded(x, 2)
+    monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", 32)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not ad._threaded(x, 2)
 
 
 class TestAdam:

@@ -1,6 +1,7 @@
 """Model-assembly tests: init, variants, forward, loss, parameter counts."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +274,69 @@ class TestForward:
         rep = np.concatenate([attended.max(axis=0), m.max(axis=0)])
         expected = rep[None, :] @ p["clf.w"] + p["clf.b"]
         assert np.max(np.abs(logits - expected)) < 1e-12
+
+    def test_threaded_branches_bitwise_equal_serial(self, tiny_task, small_config,
+                                                    monkeypatch):
+        """With the size rule sending even the tiny task to the worker
+        thread, train-mode logits and every gradient equal the serial
+        run's bit for bit."""
+        model, enc = self.model_and_batch(tiny_task, small_config)
+        batch = uneven_batch(enc)
+        threads = set()
+        attention = pipeline._attention_features
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return attention(*args)
+
+        monkeypatch.setattr(pipeline, "_attention_features", spy)
+
+        def run(min_floats):
+            monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", min_floats)
+            model.rng = np.random.default_rng(3)
+            ad.reset_tape()
+            logits = forward(model, batch, "train")
+            ad.backward(ad.cross_entropy(logits, [e.label for e in batch]))
+            ad.reset_tape()
+            grads = {n: t.grad for n, t in model.params.items() if t.grad is not None}
+            for t in model.params.values():
+                t.grad = None
+            return logits.data, grads
+
+        serial_logits, serial_grads = run(1 << 62)
+        assert threads == {threading.get_ident()}
+        logits, grads = run(0)
+        assert logits.tobytes() == serial_logits.tobytes()
+        assert grads.keys() == serial_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == serial_grads[name].tobytes(), name
+        if ad._threaded(ad.Tensor(np.zeros(1)), 2):  # two CPUs available
+            assert len(threads) == 2
+
+    def test_recorded_forward_builds_each_adjacency_once(self, tiny_task,
+                                                         small_config, monkeypatch):
+        """A recorded two-layer forward builds one padded adjacency per
+        kind and shares it across layers; without a record each layer
+        rebuilds its own."""
+        cfg = replace(small_config, gcn_layers=2)
+        model, enc = self.model_and_batch(tiny_task, cfg)
+        built = []
+        build = pipeline._batch_adjacency
+
+        def counting(batch, kind, steps):
+            built.append(build(batch, kind, steps))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "_batch_adjacency", counting)
+        ad.reset_tape()
+        recorded = forward(model, enc[:3], "eval").data
+        ad.reset_tape()
+        assert len(built) == len(GRAPH_KINDS)
+        with ad.no_grad():
+            plain = forward(model, enc[:3], "eval").data
+        assert len(built) == 3 * len(GRAPH_KINDS)
+        assert recorded.tobytes() == plain.tobytes()
+        assert built[0].normalized is built[0].normalized
 
     def test_eval_mode_deterministic_bitwise(self, tiny_task, small_config):
         model, enc = self.model_and_batch(tiny_task, small_config)
