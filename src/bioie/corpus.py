@@ -563,20 +563,22 @@ def linear_chain_edges(n: int) -> list[tuple[int, int, str]]:
 
 def attach_dependencies(doc: Document, parse_file=None) -> Document:
     """Attach undirected (child, head) edges from a CoNLL-U-style file;
-    with no file, fall back to a linear token chain."""
+    with no file, fall back to a linear token chain. Each error names
+    the file and line."""
     if parse_file is None:
         return replace_edges(doc, linear_chain_edges(len(doc.tokens)))
     heads: list[tuple[int, str]] = []
     offsets: list[int] = []
+    lines: list[int] = []  # the line of each token row
     offset = 0
-    count = 0
+    lineno = 0
     with open(parse_file, encoding="utf-8") as fh:
         in_block = False
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 if in_block:
-                    offset = count
+                    offset = len(heads)
                     in_block = False
                 continue
             if line.startswith("#"):
@@ -584,23 +586,27 @@ def attach_dependencies(doc: Document, parse_file=None) -> Document:
             cols = line.split("\t")
             if not cols[0].isdigit():
                 continue  # multiword ranges and empty nodes carry no head
+            where = f"{parse_file} line {lineno}"
             if len(cols) < 8:
                 raise CorpusFormatError(
-                    f"{parse_file}: expected 10-column rows, got {len(cols)}")
+                    f"{where}: expected at least 8 columns, got {len(cols)}")
             try:
                 head = int(cols[6])
             except ValueError:
                 raise CorpusFormatError(
-                    f"{parse_file}: token {cols[0]} has non-integer head "
+                    f"{where}: token {cols[0]} has non-integer head "
                     f"{cols[6]!r}") from None
             in_block = True
             heads.append((head, cols[7]))
             offsets.append(offset)
-            count += 1
-    if count != len(doc.tokens):
+            lines.append(lineno)
+    if len(heads) != len(doc.tokens):
+        # The first token row past the document, or the end of the file.
+        at = (f"line {lines[len(doc.tokens)]}" if len(heads) > len(doc.tokens)
+              else f"line {lineno} (end of file)")
         raise CorpusFormatError(
-            f"{parse_file}: parse has {count} tokens but document "
-            f"{doc.id} has {len(doc.tokens)}")
+            f"{parse_file} {at}: parse has {len(heads)} tokens but "
+            f"document {doc.id} has {len(doc.tokens)}")
     sentence_len = Counter(offsets)  # sentence start -> token count
     edges = []
     for i, ((head, rel), base) in enumerate(zip(heads, offsets)):
@@ -608,9 +614,9 @@ def attach_dependencies(doc: Document, parse_file=None) -> Document:
             continue
         if not 0 < head <= sentence_len[base]:
             raise CorpusFormatError(
-                f"{parse_file}: token {i - base + 1} of the sentence starting "
-                f"at token {base + 1} has head {head} outside its "
-                f"{sentence_len[base]}-token sentence")
+                f"{parse_file} line {lines[i]}: token {i - base + 1} of the "
+                f"sentence starting at token {base + 1} has head {head} "
+                f"outside its {sentence_len[base]}-token sentence")
         edges.append((i, base + head - 1, rel))
     return replace_edges(doc, edges)
 

@@ -18,15 +18,21 @@ however long its documents are.
 
 Encoding maps each document's tokens to ids once and projects the
 corpus graphs onto those ids. Documents are never padded, so an encoded
-document is exactly as long as its text. `forward` pads each batch to
-its longest document (T steps) and carries a (B, T) validity mask that
-is false on batch padding:
+document is exactly as long as its text. Its adjacency is kept at
+word-type level (`textgraph.TypeAdjacency`): a token-to-type index
+shared by the three kinds and, per kind, a (u, u) matrix over the
+document's u distinct ids, about a fifth of the (n, n) token matrix.
+
+`forward` pads each batch to its longest document (T steps) and carries
+a (B, T) validity mask that is false on batch padding:
   * the LSTM runs each row over its own length, so the backward
     direction starts at the row's last real token;
   * attention adds MASK_NEG to the scores of invalid keys, one head at
     a time over (B, T, T) scores;
-  * each kind's adjacency is padded to (B, T, T), padded nodes keeping
-    only a unit self-loop, so no real node aggregates from them;
+  * each kind's (B, T, T) adjacency is gathered from the documents'
+    type matrices through one flat index per batch, shared by the kinds
+    and the layers; padded nodes keep only a unit self-loop, so no real
+    node aggregates from them;
   * max-pooling adds MASK_NEG at invalid positions.
 An instance's logits therefore do not depend on the batch it runs in,
 up to summation order. Train-mode dropout draws each instance's
@@ -71,6 +77,7 @@ from .textgraph import (
     GRAPH_KINDS,
     CorpusGraphs,
     DocumentAdjacency,
+    TypeAdjacency,
     project_adjacency,
     token_ids,
 )
@@ -208,7 +215,7 @@ def parameter_group_counts(model: ModelState) -> dict[str, int]:
 class DocEncoding:
     doc_id: str
     ids: np.ndarray                 # one token id per document token
-    adjacency: dict[str, DocumentAdjacency]  # len(ids) square per kind
+    adjacency: dict[str, TypeAdjacency]  # per kind, over the word types
 
 
 @dataclass
@@ -258,19 +265,36 @@ def encode_instances(instances: list[RelationInstance],
 # ---------------------------------------------------------------------------
 # Forward
 
-def _batch_adjacency(batch: list[EncodedInstance], kind: str,
-                     steps: int) -> DocumentAdjacency:
-    """One kind's adjacency for a padded batch, (B, steps, steps). Padded
-    nodes keep only a unit self-loop, so no real node sees them."""
-    matrix = np.zeros((len(batch), steps, steps))
-    matrix[:, np.arange(steps), np.arange(steps)] = 1.0
-    degree = np.ones((len(batch), steps))
+def _adjacency_index(batch: list[EncodedInstance], steps: int) -> np.ndarray:
+    """Where each entry of a padded (B, steps, steps) adjacency comes
+    from: flat positions into a kind's `_batch_adjacency` buffer, which
+    holds 0.0, 1.0 and then every instance's raveled (u, u) type matrix
+    in batch order. The kinds share each document's token-to-type index
+    and type count, so one index serves them all. The diagonal points at
+    the 1.0, and batch padding off it at the 0.0."""
+    index = np.zeros((len(batch), steps, steps), dtype=np.intp)
+    offset = 2
     for i, inst in enumerate(batch):
-        adj = inst.doc.adjacency[kind]
-        n = len(adj.degree)
-        matrix[i, :n, :n] = adj.matrix
-        degree[i, :n] = adj.degree
-    return DocumentAdjacency(matrix, degree)
+        adj = inst.doc.adjacency[GRAPH_KINDS[0]]
+        inv, u = adj.inv, len(adj.types)
+        np.add.outer(inv * u + offset, inv, out=index[i, :len(inv), :len(inv)])
+        offset += u * u
+    index[:, np.arange(steps), np.arange(steps)] = 1
+    return index
+
+
+def _batch_adjacency(batch: list[EncodedInstance], kind: str,
+                     index: np.ndarray) -> DocumentAdjacency:
+    """One kind's adjacency for a padded batch, (B, T, T), gathered
+    through `_adjacency_index`'s (B, T, T) `index`. Padded nodes keep
+    only a unit self-loop, so no real node sees them."""
+    flat = np.concatenate([(0.0, 1.0)] + [inst.doc.adjacency[kind].types.ravel()
+                                          for inst in batch])
+    degree = np.ones(index.shape[:2])
+    for i, inst in enumerate(batch):
+        own = inst.doc.adjacency[kind].degree
+        degree[i, :len(own)] = own
+    return DocumentAdjacency(np.take(flat, index), degree)
 
 
 def _dropout_mask(rng: np.random.Generator, p: float, lengths: np.ndarray,
@@ -356,11 +380,14 @@ def _gcn_features(model: ModelState, batch: list[EncodedInstance], h: Tensor,
     # hands the same object, with its cached normalized matrix, to every
     # layer: the tape keeps that matrix anyway. Without a record each
     # layer rebuilds it, for the eval working set: at most one is alive
-    # at a time. Building all three once before the loop raised a
-    # 64-instance `predict` chunk's tracemalloc peak from 89 to 100 MB at
-    # T = 100 with the default model; a rebuild costs about 0.06 ms per
-    # kind at B = 8, T = 100.
-    adjacency = functools.partial(_batch_adjacency, batch, steps=key_bias.shape[1])
+    # at a time, next to the gather index, which lives for the whole
+    # branch. Building all three once before the loop raised the
+    # tracemalloc peak of a 64-instance eval forward at T = 101 with the
+    # default model, branches in order, from 91 to 111 MB. At B = 8,
+    # T = 100 on a 2-vCPU VM the index took 0.15-0.23 ms and a rebuild
+    # 0.09-0.17 ms per kind.
+    index = _adjacency_index(batch, key_bias.shape[1])
+    adjacency = functools.partial(_batch_adjacency, batch, index=index)
     if ad.recording(h, *(t for name, t in model.params.items()
                          if name.startswith("gcn."))):
         adjacency = functools.cache(adjacency)
@@ -389,9 +416,18 @@ EVAL_ARRAY_FLOATS = 1 << 18
 def eval_logits(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray:
     """Eval-mode logits, (len(batch), label_count), with gradients
     disabled, from one forward per chunk of instances. A padded
-    forward's largest arrays, the (B, T, T) scores and adjacency and the
-    (B, T, d_model) states, hold B * T * max(T, d_model) floats, so B is
-    cut to keep them within EVAL_ARRAY_FLOATS at the batch's longest T."""
+    forward's largest arrays, the (B, T, T) scores, adjacency and gather
+    index and the (B, T, d_model) states, hold B * T * max(T, d_model)
+    elements, so B is cut to keep each of them within EVAL_ARRAY_FLOATS
+    at the batch's longest T. That bounds each array, not the chunk's
+    working set: a chunk large enough for `autodiff.concat_branches` to
+    run its branches on two threads holds both branches' arrays at once.
+    At `train_long`'s shapes (T = 100, default model) one 64-instance
+    `predict` call peaks at 14.4 MB (tracemalloc) with the branches in
+    order and 22-25 MB threaded. The chunk is not halved to fit both:
+    at those shapes 5-instance chunks fall below
+    `autodiff.BRANCH_THREAD_MIN_FLOATS` and would lose the second
+    thread."""
     steps = max((len(inst.doc.ids) for inst in batch), default=1)
     per_instance = steps * max(steps, model.config.d_model)
     chunk = max(1, EVAL_ARRAY_FLOATS // per_instance)

@@ -162,6 +162,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: line 3" in err and "'kind'" in err
 
+    def test_malformed_parse_names_file_and_line_exits_1(self, tmp_path, capsys):
+        """A `--parses` file whose second row has 7 columns stops the
+        command with a named error giving the file and that line."""
+        record = {"id": "r1", "source": "TCGA", "text": "tumor is 2 cm .",
+                  "mentions": [{"kind": "Size", "char_start": 9, "char_end": 13}],
+                  "relations": []}
+        data = tmp_path / "records.jsonl"
+        data.write_text(json.dumps(record) + "\n")
+        parses = tmp_path / "parses"
+        parses.mkdir()
+        rows = [["1", "tumor", "_", "_", "_", "_", "0", "root", "_", "_"],
+                ["2", "is", "_", "_", "_", "_", "1"]]
+        (parses / "r1.conllu").write_text("\n".join("\t".join(r) for r in rows) + "\n")
+        code = main(["build-graphs", "--dataset", "pathology", "--data", str(data),
+                     "--parses", str(parses), "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "r1.conllu line 2:" in err
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("no_such_key = 1\n")

@@ -322,6 +322,57 @@ class TestAttachDependencies:
         with pytest.raises(CorpusFormatError, match=f"head {head} outside"):
             attach_dependencies(doc, parse)
 
+    # Each error names the file and the line. The parse below has a
+    # comment on line 1, so token k sits on line k + 1.
+    def commented(self, tmp_path, rows):
+        path = tmp_path / "c.conllu"
+        path.write_text("# sent_id = 1\n" + "\n".join(rows) + "\n")
+        return path
+
+    @staticmethod
+    def row(i, head, columns=10):
+        return "\t".join([str(i), f"w{i}", "_", "_", "_", "_", str(head),
+                          "dep", "_", "_"][:columns])
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        parse = self.commented(tmp_path, [self.row(1, 0), self.row(2, 1, 7)])
+        with pytest.raises(CorpusFormatError,
+                           match=r"c\.conllu line 3: expected at least 8 "
+                                 r"columns, got 7"):
+            attach_dependencies(make_doc("wa wb", []), parse)
+
+    def test_eight_column_rows_accepted(self, tmp_path):
+        parse = self.commented(tmp_path, [self.row(1, 0, 8), self.row(2, 1, 8)])
+        out = attach_dependencies(make_doc("wa wb", []), parse)
+        assert [(i, j) for i, j, _ in out.dep_edges] == [(1, 0)]
+
+    def test_non_integer_head_names_file_and_line(self, tmp_path):
+        parse = self.commented(tmp_path, [self.row(1, 0), self.row(2, "x")])
+        with pytest.raises(CorpusFormatError,
+                           match=r"c\.conllu line 3: token 2 has non-integer"):
+            attach_dependencies(make_doc("wa wb", []), parse)
+
+    def test_head_outside_sentence_names_file_and_line(self, tmp_path):
+        parse = self.commented(tmp_path, [self.row(1, 0), self.row(2, 5)])
+        with pytest.raises(CorpusFormatError,
+                           match=r"c\.conllu line 3: token 2 .* head 5 outside"):
+            attach_dependencies(make_doc("wa wb", []), parse)
+
+    def test_too_many_tokens_names_first_extra_line(self, tmp_path):
+        parse = self.commented(tmp_path, [self.row(1, 0), self.row(2, 1),
+                                          self.row(3, 1)])
+        with pytest.raises(CorpusFormatError,
+                           match=r"c\.conllu line 4: parse has 3 tokens but "
+                                 r"document d0 has 2"):
+            attach_dependencies(make_doc("wa wb", []), parse)
+
+    def test_too_few_tokens_names_end_of_file(self, tmp_path):
+        parse = self.commented(tmp_path, [self.row(1, 0)])
+        with pytest.raises(CorpusFormatError,
+                           match=r"c\.conllu line 2 \(end of file\): parse "
+                                 r"has 1 tokens but document d0 has 2"):
+            attach_dependencies(make_doc("wa wb", []), parse)
+
 
 class TestVocabulary:
     def test_threshold_boundary(self):

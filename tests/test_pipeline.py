@@ -25,7 +25,7 @@ from bioie.pipeline import (
 )
 from bioie.textgraph import (
     GRAPH_KINDS,
-    DocumentAdjacency,
+    TypeAdjacency,
     project_adjacency,
     token_ids,
 )
@@ -42,10 +42,9 @@ def encode_all(task, config):
 def cut(inst, n):
     """The instance with its document cut to its first n tokens."""
     doc = inst.doc
-    adjacency = {}
-    for kind, a in doc.adjacency.items():
-        matrix = a.matrix[:n, :n]
-        adjacency[kind] = DocumentAdjacency(matrix, matrix.sum(axis=1))
+    inv = doc.adjacency[GRAPH_KINDS[0]].inv[:n].copy()
+    adjacency = {kind: TypeAdjacency(inv, a.types)
+                 for kind, a in doc.adjacency.items()}
     return replace(inst, doc=DocEncoding(doc.doc_id, doc.ids[:n], adjacency))
 
 
@@ -170,15 +169,25 @@ class TestEncoding:
                 assert np.array_equal(adj.degree, own[kind].degree)
 
     def test_adjacency_matrices_own_their_memory(self, tiny_task, small_config):
-        """Every stored matrix is its own C-contiguous (n, n) array, not a
-        view that keeps a larger padded projection alive."""
+        """Every stored array is C-contiguous and owns its memory, not a
+        view that keeps a larger array alive. Per kind, the float arrays
+        are the (u, u) type matrix and the (n,) degree, with u the
+        document's distinct ids, and the kinds share one index `inv`."""
         for e in encode_all(tiny_task, small_config):
-            n = len(e.doc.ids)
+            n, u = len(e.doc.ids), len(np.unique(e.doc.ids))
+            inv = e.doc.adjacency[GRAPH_KINDS[0]].inv
+            # np.unique returns the inverse as a view of an array of its
+            # own size.
+            assert inv.base is None or inv.base.nbytes == inv.nbytes
+            assert inv.shape == (n,) and inv.flags["C_CONTIGUOUS"]
             for adj in e.doc.adjacency.values():
-                for arr, shape in ((adj.matrix, (n, n)), (adj.degree, (n,))):
+                assert adj.inv is inv
+                for arr, shape in ((adj.types, (u, u)), (adj.degree, (n,))):
                     assert arr.shape == shape
                     assert arr.flags["C_CONTIGUOUS"]
                     assert arr.base is None
+                floats = [a for a in vars(adj).values() if a.dtype.kind == "f"]
+                assert max(a.size for a in floats) <= max(u * u, n)
 
     def test_gcn_without_graphs_names_them(self, tiny_task, small_config):
         with pytest.raises(ValueError, match="corpus graphs"):
@@ -323,8 +332,8 @@ class TestForward:
         built = []
         build = pipeline._batch_adjacency
 
-        def counting(batch, kind, steps):
-            built.append(build(batch, kind, steps))
+        def counting(batch, kind, index):
+            built.append(build(batch, kind, index))
             return built[-1]
 
         monkeypatch.setattr(pipeline, "_batch_adjacency", counting)
