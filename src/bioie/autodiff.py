@@ -11,15 +11,24 @@ thread that runs the op.
 `concat_branches(branches, x)` is `concat([f(x) for f in branches])`
 as one record whose branches may run concurrently: all but the last on
 one worker thread, started on first use, while the calling thread runs
-the last, in the forward pass and again in the backward replay. It does
-so only when `x` holds at least BRANCH_THREAD_MIN_FLOATS floats, so that
-numpy releases the GIL for most of a branch's time, and when the process
-may run on two or more CPUs; otherwise the branches run in order on the
-calling thread. Either way every array op is the same call on the same
-operands, and the backward replay hands gradients back in the order a
-serial replay makes them, so results are bitwise equal to `concat` of
-the branches. Pin BLAS to one thread (`OPENBLAS_NUM_THREADS=1`): a
-second BLAS thread then competes with the worker for the same cores.
+the last, in the forward pass and again in the backward replay.
+
+A backward rule may also hand back a leaf's gradient, such as a weight
+gradient, as a `Deferred` job: no later rule reads it, so it can be
+computed while the replay goes on to the input gradients. The job runs
+on the same worker thread, and `backward` adds the leaf gradients up
+only after the replay ends, in replay order. `Adam.step` updates the
+first half of its tensors (by size) on the worker while the calling
+thread updates the rest.
+
+Each of these runs on the worker only when the array it is sized by
+holds at least BRANCH_THREAD_MIN_FLOATS floats, so that numpy releases
+the GIL for most of its time, and when the process may run on two or
+more CPUs; otherwise it runs in order on the calling thread. Either way
+every array op is the same call on the same operands, and every sum is
+taken in the order a serial run takes it, so results are bitwise equal
+to a one-thread run. Pin BLAS to one thread (`OPENBLAS_NUM_THREADS=1`):
+a second BLAS thread then competes with the worker for the same cores.
 
 Only rank-preserving elementwise broadcasting with scalars is supported;
 everything else requires exactly matching shapes.
@@ -56,6 +65,7 @@ __all__ = [
     "identity",
     "concat",
     "concat_branches",
+    "Deferred",
     "softmax",
     "dropout",
     "max_pool_over_time",
@@ -229,8 +239,10 @@ def make_op(data: np.ndarray, parents, rule) -> Tensor:
 
     `rule(g)` receives the output gradient and must return an iterable of
     (parent_tensor, gradient_array) pairs, one per parent that needs a
-    gradient. Recording is skipped when gradients are globally disabled
-    or no parent requires them.
+    gradient; the gradient of a parent that is a leaf may be a `Deferred`
+    instead. No rule may write into its `g` or into an array it returns.
+    Recording is skipped when gradients are globally disabled or no
+    parent requires them.
     """
     track = recording(*parents)
     out = Tensor(data, requires_grad=track)
@@ -244,23 +256,49 @@ def backward(loss: Tensor) -> None:
     """Populate grad on every requires_grad leaf reachable from `loss`.
 
     Repeated calls without `zero_grad` accumulate. Intermediate tensors
-    never retain gradients.
+    never retain gradients. Leaf gradients are added up after the replay,
+    in replay order, once every `Deferred` job has finished. If a rule or
+    a job raises, every job queued on the worker finishes before the
+    error propagates.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if not loss.is_leaf:
-        _replay(_STATE.tape, loss, np.ones_like(loss.data))
+    if loss.is_leaf:
+        return
+    try:
+        pairs = _replay(_STATE.tape, loss, np.ones_like(loss.data))
+        # The worker runs its queue from the front; waiting from the back
+        # runs the jobs still queued there on this thread meanwhile.
+        for _, contrib in reversed(pairs):
+            if isinstance(contrib, Deferred):
+                contrib.result()
+        for i, (leaf, contrib) in enumerate(pairs):
+            pairs[i] = None  # frees each gradient once it has been added
+            if isinstance(contrib, Deferred):
+                contrib = contrib.result()
+            # A first contribution is copied, since a rule may return its
+            # `g` or a view of it; later ones add in place.
+            if leaf.grad is None:
+                leaf.grad = np.array(contrib, dtype=np.float64)
+            else:
+                leaf.grad += contrib
+    except BaseException:
+        _drain()
+        raise
 
 
 def _replay(tape: list[_Record], out: Tensor, g: np.ndarray,
-            crossing: list | None = None) -> list | None:
-    """Replay `tape` in reverse from the gradient `g` of `out`. Leaf
-    gradients accumulate and intermediates are buffered; with a
-    `crossing` list, the gradients of tensors this tape did not create,
-    leaves included, are appended to it as (tensor, gradient) pairs in
-    replay order instead, and the list is returned."""
-    inner = None if crossing is None else {id(rec.out) for rec in tape}
+            crossing: bool = False) -> list:
+    """Replay `tape` in reverse from the gradient `g` of `out`, buffering
+    the gradients of intermediates, and return the gradients of the
+    leaves as (tensor, gradient) pairs in replay order. With `crossing`,
+    the pairs hold the gradients of every tensor this tape did not
+    create, leaves included. Jobs for leaves are not waited on here: a
+    replay on the worker thread must never wait on a job queued behind
+    it. A `Deferred` gradient of an intermediate is resolved at once."""
+    inner = {id(rec.out) for rec in tape} if crossing else None
     buffers: dict[int, np.ndarray] = {id(out): g}
+    pairs = []
     for rec in reversed(tape):
         g = buffers.pop(id(rec.out), None)
         if g is None:
@@ -268,25 +306,20 @@ def _replay(tape: list[_Record], out: Tensor, g: np.ndarray,
         for parent, contrib in rec.rule(g):
             if not parent.requires_grad:
                 continue
-            if inner is not None and id(parent) not in inner:
-                crossing.append((parent, contrib))
-            elif parent.is_leaf:
-                # A first contribution is copied, since a rule may return
-                # its `g` or a view of it; later ones add in place.
-                if parent.grad is None:
-                    parent.grad = np.array(contrib, dtype=np.float64)
-                else:
-                    parent.grad += contrib
+            if parent.is_leaf or (inner is not None and id(parent) not in inner):
+                pairs.append((parent, contrib))
+                continue
+            if isinstance(contrib, Deferred):
+                contrib = contrib.result()
+            # No buffer is written in place, so a rule may return its `g`
+            # or a view of it, and one array may feed two buffers.
+            key = id(parent)
+            buf = buffers.get(key)
+            if buf is None:
+                buffers[key] = np.asarray(contrib, dtype=np.float64)
             else:
-                # No buffer is written in place, so a rule may return its
-                # `g` or a view of it, and one array may feed two buffers.
-                key = id(parent)
-                buf = buffers.get(key)
-                if buf is None:
-                    buffers[key] = np.asarray(contrib, dtype=np.float64)
-                else:
-                    buffers[key] = buf + contrib
-    return crossing
+                buffers[key] = buf + contrib
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +486,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return make_op(np.concatenate([t.data for t in tensors], axis=ax), tensors, rule)
 
 
-# Floats in `concat_branches`' input from which its branches run on two
-# threads. Below it, the branches' numpy calls are too short to release
-# the GIL for most of their time, and the hand-off costs more than the
+# Floats from which work may run on the worker thread: a
+# `concat_branches` input, a `Deferred` job's operand, or the tensors of
+# one `Adam.step`. Below it, numpy calls are too short to release the
+# GIL for most of their time, and the hand-off costs more than the
 # second thread saves (see CHANGES.md for the sweep that set it).
 BRANCH_THREAD_MIN_FLOATS = 1 << 17
 
@@ -465,12 +499,23 @@ def _worker() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="bioie-branch")
 
 
-def _threaded(x: Tensor, branch_count: int) -> bool:
-    if branch_count < 2 or x.size < BRANCH_THREAD_MIN_FLOATS:
+def _offload(floats: int) -> bool:
+    """Whether work sized by `floats` floats goes to the worker thread."""
+    if floats < BRANCH_THREAD_MIN_FLOATS:
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) >= 2
     return (os.cpu_count() or 1) >= 2
+
+
+def _threaded(x: Tensor, branch_count: int) -> bool:
+    return branch_count >= 2 and _offload(x.size)
+
+
+def _drain() -> None:
+    """Wait until everything queued on the worker so far has run."""
+    if _worker.cache_info().currsize:
+        _worker().submit(int).result()
 
 
 def _settle(task):
@@ -497,6 +542,67 @@ def _run_all(tasks: list, threaded: bool) -> list:
     return [result for result, _ in outcomes]
 
 
+class Deferred:
+    """A gradient that a backward rule hands back as a job, for a leaf
+    such as a weight: `fn()` computes it from arrays that nothing writes
+    any more. The job starts when the rule creates it: on the worker
+    thread when `operand`, the array it is sized by, holds at least
+    BRANCH_THREAD_MIN_FLOATS floats and the process may use two CPUs,
+    otherwise inline. `d[key]` is a Deferred for `fn()[key]` from the
+    same job, so one product can serve several tensors.
+
+    `result()` waits for the job; one still queued runs on the calling
+    thread instead, so the worker never waits on its own queue. Only the
+    thread that called `backward` resolves the gradients of leaves, after
+    its replay ends (see `backward`)."""
+
+    __slots__ = ("_job", "_keys")
+
+    def __init__(self, fn, operand: np.ndarray):
+        self._job = _Job(fn, _offload(operand.size))
+        self._keys = ()
+
+    def __getitem__(self, key) -> Deferred:
+        part = object.__new__(Deferred)
+        part._job, part._keys = self._job, self._keys + (key,)
+        return part
+
+    def result(self) -> np.ndarray:
+        value = self._job.result()
+        for key in self._keys:
+            value = value[key]
+        return value
+
+
+class _Job:
+    """One call, run once: on the worker thread or on the calling one."""
+
+    __slots__ = ("fn", "future", "outcome")
+
+    def __init__(self, fn, offload: bool):
+        self.fn, self.future, self.outcome = fn, None, None
+        if offload:
+            self.future = _worker().submit(self.run)
+        else:
+            self.run()
+
+    def run(self) -> None:
+        fn, self.fn = self.fn, None  # frees the operands once it has run
+        self.outcome = _settle(fn)
+
+    def result(self):
+        if self.future is not None:
+            if self.future.cancel():  # still queued: run it here
+                self.run()
+            else:
+                self.future.result()
+            self.future = None
+        value, err = self.outcome
+        if err is not None:
+            raise err
+        return value
+
+
 def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
     """`concat([f(x) for f in branches], axis)` as one tape record, with
     the branches run concurrently when that pays (module docstring).
@@ -507,12 +613,12 @@ def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
     branch tapes, concurrently under the same rule as the forward pass,
     and returns the gradients that cross a branch tape, its leaves' and
     `x`'s, in the order a serial replay of `concat` would make them: the
-    last branch's first, each in its own reverse order. `backward` then
-    adds them up exactly as it would have, so values and gradients are
-    bitwise equal to `concat`'s. Branches must not share mutable state,
-    such as a random generator. Not reentrant: a branch must not call
-    `concat_branches`, since a nested call on the worker thread would
-    wait on that thread itself."""
+    last branch's first, each in its own reverse order, a `Deferred` one
+    still unresolved. `backward` then adds them up exactly as it would
+    have, so values and gradients are bitwise equal to `concat`'s.
+    Branches must not share mutable state, such as a random generator.
+    Not reentrant: a branch must not call `concat_branches`, since a
+    nested call on the worker thread would wait on that thread itself."""
     grad = _STATE.grad
     threaded = _threaded(x, len(branches))
 
@@ -540,7 +646,7 @@ def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
         first, replays = [], []
         for t, piece, tape in zip(outs, pieces, tapes):
             if any(rec.out is t for rec in tape):
-                replays.append(functools.partial(_replay, tape, t, piece, []))
+                replays.append(functools.partial(_replay, tape, t, piece, True))
             else:
                 first.append((t, piece))
         crossing = _run_all(replays, threaded and len(replays) > 1)
@@ -712,7 +818,13 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
 # Optimizer
 
 class Adam:
-    """Adam with bias correction; `step` consumes and clears gradients."""
+    """Adam with bias correction; `step` consumes and clears gradients.
+
+    When the tensors hold at least BRANCH_THREAD_MIN_FLOATS floats in all
+    (and the process may use two CPUs), `step` updates the first half of
+    them, cut by cumulative size in list order, on the worker thread
+    while the calling thread updates the rest. Each tensor's update is
+    elementwise and its own, so the results are bitwise the same."""
 
     def __init__(self, params, names=None, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params: list[Tensor] = list(params)
@@ -728,23 +840,52 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        sizes = np.array([p.size for p in self.params], dtype=np.int64)
+        self._floats = int(sizes.sum())
+        # The worker's share: the tensors whose middle lies in the first
+        # half of the floats.
+        middles = np.cumsum(sizes) - sizes / 2
+        self._half = int(np.searchsorted(middles, self._floats / 2))
 
     def step(self) -> None:
-        self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        """One update of every tensor; raises before changing anything if
+        a tensor has no gradient."""
+        for name, p in zip(self.names, self.params):
             if p.grad is None:
-                raise ValueError(f"Adam.step: parameter '{self.names[i]}' has no gradient")
-            g = p.grad
-            m, v = self.m[i], self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+                raise ValueError(f"Adam.step: parameter '{name}' has no gradient")
+        self.t += 1
+        every = range(len(self.params))
+        halves = (every[:self._half], every[self._half:])
+        _run_all([functools.partial(self._update, half) for half in halves],
+                 _offload(self._floats))
         for p in self.params:
             p.grad = None
+
+    def _update(self, indices: range) -> None:
+        """m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2, and
+        p <- p - lr (m / b1c) / (sqrt(v / b2c) + eps), with the bias
+        corrections b1c and b2c. Two scratch arrays per tensor hold every
+        intermediate: each op is the one the formula makes, and a product's
+        operands commute exactly, so the results are bitwise the formula's."""
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for i in indices:
+            p, m, v = self.params[i], self.m[i], self.v[i]
+            g = p.grad
+            tmp = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))
+            m *= self.beta1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - self.beta2
+            v *= self.beta2
+            v += tmp
+            step = np.divide(m, b1c, out=np.empty_like(m))
+            step *= self.lr
+            np.divide(v, b2c, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step /= tmp
+            p.data -= step
 
     def state_arrays(self) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
         return self.t, self.m, self.v

@@ -217,6 +217,7 @@ def parse_pubtator(path) -> tuple[list[Document], list[RelationInstance]]:
     Each block holds `id|t|title`, `id|a|abstract`, tab-separated mention
     lines (pmid, start, end, text, type, normalized id) and tab-separated
     `CID` relation lines. Offsets index into title + " " + abstract.
+    Every `CorpusFormatError` names the file and the line.
     """
     docs: list[Document] = []
     instances: list[RelationInstance] = []
@@ -229,22 +230,23 @@ def parse_pubtator(path) -> tuple[list[Document], list[RelationInstance]]:
             block.append((lineno, raw))
             continue
         if block:
-            doc, inst = _parse_pubtator_block(block)
+            doc, inst = _parse_pubtator_block(block, path)
             docs.append(doc)
             instances.extend(inst)
             block = []
     if block:
-        doc, inst = _parse_pubtator_block(block)
+        doc, inst = _parse_pubtator_block(block, path)
         docs.append(doc)
         instances.extend(inst)
     return docs, instances
 
 
-def _parse_pubtator_block(block) -> tuple[Document, list[RelationInstance]]:
+def _parse_pubtator_block(block, path) -> tuple[Document, list[RelationInstance]]:
     (ln_t, line_t), *rest = block
     parts = line_t.split("|", 2)
     if len(parts) != 3 or parts[1] != "t":
-        raise CorpusFormatError(f"line {ln_t}: expected 'id|t|title', got {line_t!r}")
+        raise CorpusFormatError(
+            f"{path} line {ln_t}: expected 'id|t|title', got {line_t!r}")
     pmid, _, title = parts
     abstract = ""
     body = rest
@@ -253,7 +255,7 @@ def _parse_pubtator_block(block) -> tuple[Document, list[RelationInstance]]:
         if len(parts_a) == 3 and parts_a[1] == "a":
             if parts_a[0] != pmid:
                 raise CorpusFormatError(
-                    f"line {rest[0][0]}: abstract id {parts_a[0]} != {pmid}")
+                    f"{path} line {rest[0][0]}: abstract id {parts_a[0]} != {pmid}")
             abstract = parts_a[2]
             body = rest[1:]
     text = title + " " + abstract if abstract else title
@@ -262,27 +264,28 @@ def _parse_pubtator_block(block) -> tuple[Document, list[RelationInstance]]:
     mentions: list[EntityMention] = []
     cid_gold: set[tuple[str, str]] = set()
     for lineno, raw in body:
+        where = f"{path} line {lineno}"
         cols = raw.split("\t")
         if len(cols) == 4 and cols[1] == "CID":
             if cols[0] != pmid:
-                raise CorpusFormatError(f"line {lineno}: relation id {cols[0]} != {pmid}")
+                raise CorpusFormatError(f"{where}: relation id {cols[0]} != {pmid}")
             cid_gold.add((cols[2], cols[3]))
             continue
         if len(cols) not in (5, 6):
             raise CorpusFormatError(
-                f"line {lineno}: expected mention or CID line, got {raw!r}")
+                f"{where}: expected mention or CID line, got {raw!r}")
         try:
             start, end = int(cols[1]), int(cols[2])
         except ValueError as exc:
-            raise CorpusFormatError(f"line {lineno}: non-integer offsets") from exc
+            raise CorpusFormatError(f"{where}: non-integer offsets") from exc
         kind = cols[4]
         if kind not in ("Chemical", "Disease"):
-            raise CorpusFormatError(f"line {lineno}: unexpected mention type {kind!r}")
+            raise CorpusFormatError(f"{where}: unexpected mention type {kind!r}")
         if not 0 <= start < end <= len(text):
             raise CorpusFormatError(
-                f"line {lineno}: offsets [{start}, {end}) outside text of "
+                f"{where}: offsets [{start}, {end}) outside text of "
                 f"length {len(text)}")
-        span = _char_span_to_token_span(tokens, start, end, f"line {lineno}")
+        span = _char_span_to_token_span(tokens, start, end, where)
         norm = cols[5] if len(cols) == 6 else None
         mentions.append(EntityMention(f"m{len(mentions)}", kind, span, norm))
 
@@ -311,9 +314,10 @@ def parse_chemprot(abstract_file, entity_file, relation_file
 
     Abstracts become one document per sentence (pairs never cross a
     sentence); relation groups outside the evaluated five map to the
-    negative class, and cross-sentence gold pairs are skipped.
+    negative class, and cross-sentence gold pairs are skipped. Every
+    `CorpusFormatError` names the file and the line.
     """
-    texts: dict[str, str] = {}
+    texts: dict[str, tuple[str, int]] = {}  # pmid -> text, its line
     with open(abstract_file, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -322,9 +326,9 @@ def parse_chemprot(abstract_file, entity_file, relation_file
             if len(cols) < 3:
                 raise CorpusFormatError(
                     f"{abstract_file} line {lineno}: expected pmid/title/abstract")
-            texts[cols[0]] = cols[1] + "\t" + cols[2]
+            texts[cols[0]] = cols[1] + "\t" + cols[2], lineno
 
-    raw_entities: dict[str, dict[str, tuple[str, int, int]]] = {}
+    raw_entities: dict[str, dict[str, tuple[str, int, int, int]]] = {}
     with open(entity_file, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -340,9 +344,9 @@ def parse_chemprot(abstract_file, entity_file, relation_file
                 raise CorpusFormatError(
                     f"{entity_file} line {lineno}: non-integer offsets") from exc
             kind = "Chemical" if etype.upper().startswith("CHEMICAL") else "Gene/Protein"
-            raw_entities.setdefault(pmid, {})[eid] = (kind, start, end)
+            raw_entities.setdefault(pmid, {})[eid] = (kind, start, end, lineno)
 
-    raw_relations: dict[str, list[tuple[str, str, str]]] = {}
+    raw_relations: dict[str, list[tuple[str, str, str, int]]] = {}
     with open(relation_file, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -358,23 +362,28 @@ def parse_chemprot(abstract_file, entity_file, relation_file
                     f"{relation_file} line {lineno}: missing Arg1:/Arg2: columns")
             a1 = args[0].split(":", 1)[1]
             a2 = args[1].split(":", 1)[1]
-            raw_relations.setdefault(pmid, []).append((group, a1, a2))
+            raw_relations.setdefault(pmid, []).append((group, a1, a2, lineno))
 
     label_set = _label_set_for("chemprot")
     docs: list[Document] = []
     instances: list[RelationInstance] = []
     for pmid in sorted(texts):
-        text = texts[pmid]
+        text, text_line = texts[pmid]
         tokens = tokenize(text)
+        if not tokens:
+            raise CorpusFormatError(
+                f"{abstract_file} line {text_line}: abstract {pmid} has no tokens")
         ents = raw_entities.get(pmid, {})
         mention_of: dict[str, tuple[int, EntityMention]] = {}
         mentions = []
         for eid in sorted(ents):
-            kind, start, end = ents[eid]
+            kind, start, end, lineno = ents[eid]
+            where = f"{entity_file} line {lineno}: entity {eid} in {pmid}"
             if not 0 <= start < end <= len(text):
                 raise CorpusFormatError(
-                    f"entity {eid} in {pmid}: offsets outside text")
-            span = _char_span_to_token_span(tokens, start, end, f"entity {eid}")
+                    f"{where}: offsets [{start}, {end}) outside text of "
+                    f"length {len(text)}")
+            span = _char_span_to_token_span(tokens, start, end, where)
             mention = EntityMention(eid, kind, span)
             mention_of[eid] = (len(mentions), mention)
             mentions.append(mention)
@@ -409,11 +418,12 @@ def parse_chemprot(abstract_file, entity_file, relation_file
             sent_docs.append(sub)
 
         gold_by_sent: dict[int, dict[tuple[int, int], int]] = {}
-        for group, a1, a2 in raw_relations.get(pmid, []):
+        for group, a1, a2, lineno in raw_relations.get(pmid, []):
             for eid in (a1, a2):
                 if eid not in mention_of:
                     raise CorpusFormatError(
-                        f"relation in {pmid} references unknown entity id {eid!r}")
+                        f"{relation_file} line {lineno}: relation in {pmid} "
+                        f"references unknown entity id {eid!r}")
             mi1, mi2 = mention_of[a1][0], mention_of[a2][0]
             s1, s2 = sent_of_mention.get(mi1), sent_of_mention.get(mi2)
             if s1 is None or s1 != s2:

@@ -25,6 +25,18 @@ in the tests), recorded through this module's `make_op`:
 Without a record (`no_grad`, or no input needing a gradient) the layers
 keep none of it. `embed_sequence` and `scaled_dot_attention` compose the
 primitive autodiff ops; the latter is the per-head reference.
+
+The three weighted rules hand back their weight-gradient products as
+`autodiff.Deferred` jobs, started before the input gradient: the
+BiLSTM's (x^T dz, h_prev^T dz and the bias sum, one job each for both
+directions), attention's `wo` and fused Q/K/V products, and each GCN
+kind's h^T (A/d)^T g. No later rule reads a weight gradient, so each
+runs on the worker thread while the replay goes on, when the gradient
+array it reads holds at least `autodiff.BRANCH_THREAD_MIN_FLOATS`
+floats and two CPUs are usable, and inline otherwise. It is the same
+call either way, so gradients are bitwise equal. The GCN bias gradient
+is summed inline: its job would hold the layer's whole output gradient
+until the worker reached it.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    Deferred,
     ShapeError,
     Tensor,
     add,
@@ -278,20 +291,22 @@ def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
             dc *= f_g[s]  # becomes the carry entering the previous step
             np.matmul(row.reshape(2, bsz, 4 * hid), wh_t, out=dh_carry)
         dz = dz.reshape(2, n * bsz, 4 * hid)  # one row per step and batch row
-        pairs = []
-        if seq.requires_grad:
-            dxs = np.matmul(dz, wx.transpose(0, 2, 1)).reshape(2, n, bsz, width)
-            dx = dxs[0] + dxs[1, ::-1]  # back to position order
-            pairs.append((seq, dx.transpose(1, 0, 2).reshape(seq.shape)))
         h_prev = hs[:, :-1].reshape(2, n * bsz, hid)
         weight_grads = (  # a recorded call projected all n steps as one block
             lambda: np.matmul(xs.transpose(0, 2, 1), dz),
             lambda: np.matmul(h_prev.transpose(0, 2, 1), dz),
             lambda: dz.sum(axis=1, keepdims=True),
         )
-        for k, grad in enumerate(weight_grads):
-            if fw[k].requires_grad or bw[k].requires_grad:
-                both = grad()
+        # Started before the input gradient, which a worker can overlap.
+        jobs = [Deferred(grad, dz) if fw[k].requires_grad or bw[k].requires_grad
+                else None for k, grad in enumerate(weight_grads)]
+        pairs = []
+        if seq.requires_grad:
+            dxs = np.matmul(dz, wx.transpose(0, 2, 1)).reshape(2, n, bsz, width)
+            dx = dxs[0] + dxs[1, ::-1]  # back to position order
+            pairs.append((seq, dx.transpose(1, 0, 2).reshape(seq.shape)))
+        for k, both in enumerate(jobs):
+            if both is not None:
                 pairs += [(p[k], both[d]) for d, p in enumerate((fw, bw))
                           if p[k].requires_grad]
         return pairs
@@ -371,7 +386,7 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
         g2 = g.reshape(-1, g.shape[-1])
         pairs = []
         if wo.requires_grad:
-            pairs.append((wo, ctx2.T @ g2))
+            pairs.append((wo, Deferred(lambda: ctx2.T @ g2, g2)))
         dctx = (g2 @ wo.data.T).reshape(bsz, steps, count, hd)
         dqkv = np.empty_like(qkv)
         for k in range(count):
@@ -386,10 +401,11 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
             dqkv[:, :, 1, k] = np.swapaxes(ds, -1, -2) @ q
         dqkv[:, :, 0] *= scale
         d2 = dqkv.reshape(-1, 3 * count * hd)
+        gw = (Deferred(lambda: (x2.T @ d2).reshape(width, 3 * count, hd), d2)
+              if any(t.requires_grad for t in weights) else None)
         if x.requires_grad:
             pairs.append((x, (d2 @ w.T).reshape(x.shape)))
-        if any(t.requires_grad for t in weights):
-            gw = (x2.T @ d2).reshape(width, 3 * count, hd)
+        if gw is not None:
             pairs += [(t, gw[:, i]) for i, t in enumerate(weights) if t.requires_grad]
         return pairs
 
@@ -429,7 +445,7 @@ def gcn_propagate(h: Tensor, adj: DocumentAdjacency, w: Tensor, b: Tensor,
         if h.requires_grad or w.requires_grad:
             dhw = (np.swapaxes(a_norm, -1, -2) @ g).reshape(-1, g.shape[-1])
             if w.requires_grad:
-                pairs.append((w, h2.T @ dhw))
+                pairs.append((w, Deferred(lambda: h2.T @ dhw, dhw)))
             if h.requires_grad:
                 pairs.append((h, (dhw @ w.data.T).reshape(h.shape)))
         return pairs

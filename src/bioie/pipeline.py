@@ -48,9 +48,14 @@ the padded (B, T, d_model) state holds at least
 `autodiff.BRANCH_THREAD_MIN_FLOATS` floats and the process may use two
 CPUs, the attention branch runs on a worker thread while the calling
 thread runs the graph branch, in the forward pass and in the backward
-replay; otherwise they run in order. Both ways give bitwise the same
-logits and gradients (see `autodiff`). Pin BLAS to one thread
-(`OPENBLAS_NUM_THREADS=1`) so that it does not compete with the worker.
+replay; otherwise they run in order. The same worker computes the
+layers' weight-gradient products while the calling thread goes on with
+the input gradients (the rest of the GCN branch, then the BiLSTM; see
+`layers`), and it updates the first half of the tensors in each
+`Adam.step`, each under the same size rule. Every way gives bitwise the
+same logits, gradients and updates (see `autodiff`). Pin BLAS to one
+thread (`OPENBLAS_NUM_THREADS=1`) so that it does not compete with the
+worker.
 """
 
 from __future__ import annotations

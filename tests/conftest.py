@@ -1,14 +1,40 @@
 """Shared fixtures: small synthetic task data and model configs."""
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import bioie.autodiff as ad
 from bioie.corpus import build_vocabulary, normalize_corpus, random_embeddings, synth_corpus
 from bioie.layers import ModelConfig
 from bioie.textgraph import GRAPH_KINDS, build_corpus_graphs, pair_ids
 from bioie.training import CHECKPOINT_MAGIC, TaskData
+
+
+@pytest.fixture(autouse=True)
+def branch_worker_left_idle(monkeypatch):
+    """Fail a test that leaves work queued or running on the branch
+    worker thread, once that worker has started: every future submitted
+    during the test must be done or cancelled when it ends. Whatever is
+    left runs to its end here, so it cannot run into the next test."""
+    futures = []
+    submit = ThreadPoolExecutor.submit
+
+    def recording(self, fn, /, *args, **kwargs):
+        future = submit(self, fn, *args, **kwargs)
+        futures.append(future)
+        return future
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording)
+    yield
+    if not ad._worker.cache_info().currsize:
+        return
+    left = [f for f in futures if not f.done()]
+    for future in left:
+        future.exception(timeout=300)
+    assert not left, f"{len(left)} job(s) left on the branch worker"
 
 
 def build_synth_task(counts, seed, d_w=24, theta=0.9, window=5,

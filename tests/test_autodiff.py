@@ -22,6 +22,8 @@ from bioie.autodiff import (
     grad_check,
     reset_tape,
 )
+from bioie.layers import bilstm, gcn_propagate, multi_head_attention
+from bioie.textgraph import DocumentAdjacency
 
 # softmax([1, 2, 3]) evaluated by direct exp/sum in 50-digit arithmetic
 SOFTMAX_123 = (0.090030573170380457998, 0.24472847105479765247,
@@ -653,6 +655,260 @@ def test_branches_thread_from_the_size_constant_on_two_cpus(monkeypatch):
     assert not ad._threaded(x, 2)
 
 
+# ---------------------------------------------------------------------------
+# Deferred weight-gradient jobs
+
+@pytest.fixture(params=["worker", "inline"])
+def job_mode(request, monkeypatch):
+    """Run every `Deferred` job, `Adam.step` half and `concat_branches`
+    branch on the worker thread, whatever its size and CPU count, or
+    everything on the calling thread."""
+    on_worker = request.param == "worker"
+    monkeypatch.setattr(ad, "_offload", lambda floats: on_worker)
+    return request.param
+
+
+def job_leaves(seed=50):
+    """An LSTM triple, two attention heads, `wo` and one GCN layer's
+    weights, at d_model 8."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(-0.5, 0.5, shape), requires_grad=True)
+
+    return {"lstm": (leaf(3, 16), leaf(4, 16), leaf(1, 16)),
+            "heads": [(leaf(8, 4), leaf(8, 4), leaf(8, 4)) for _ in range(2)],
+            "wo": leaf(8, 8), "gcn": (leaf(8, 8), leaf(1, 8))}
+
+
+def flat_leaves(leaves):
+    return [*leaves["lstm"], *(t for head in leaves["heads"] for t in head),
+            leaves["wo"], *leaves["gcn"]]
+
+
+def serial_backward(loss):
+    """A one-thread replay that waits for each job as its rule returns it
+    and adds each leaf gradient as it comes: the order every sum must
+    keep."""
+    buffers = {id(loss): np.ones_like(loss.data)}
+    for rec in reversed(ad._STATE.tape):
+        g = buffers.pop(id(rec.out), None)
+        if g is None:
+            continue
+        for parent, contrib in rec.rule(g):
+            if not parent.requires_grad:
+                continue
+            if isinstance(contrib, ad.Deferred):
+                contrib = contrib.result()
+            if parent.is_leaf:
+                if parent.grad is None:
+                    parent.grad = np.array(contrib, dtype=np.float64)
+                else:
+                    parent.grad += contrib
+            elif id(parent) in buffers:
+                buffers[id(parent)] = buffers[id(parent)] + contrib
+            else:
+                buffers[id(parent)] = np.asarray(contrib, dtype=np.float64)
+
+
+def run_jobs(leaves, x_data, x_trains=True, backward=backward):
+    """Loss, every leaf gradient and the input gradient of a BiLSTM whose
+    two directions share one weight triple (two parts of one job reach
+    each of its leaves), then attention and three GCN layers that share
+    one weight (three jobs reach it) as `concat_branches` branches."""
+    x = Tensor(x_data, requires_grad=x_trains)
+    for t in flat_leaves(leaves):
+        t.grad = None
+    matrix = np.random.default_rng(55).uniform(0, 1, (2, 5, 5)) + np.eye(5)
+    adj = DocumentAdjacency(matrix, matrix.sum(axis=-1))
+    w, b = leaves["gcn"]
+
+    def convolve(h):
+        for _ in range(3):
+            h = gcn_propagate(h, adj, w, b)
+        return h
+
+    reset_tape()
+    h = bilstm(x, leaves["lstm"], leaves["lstm"])
+    out = ad.concat_branches(
+        [lambda h: multi_head_attention(h, leaves["heads"], leaves["wo"]),
+         convolve], h)
+    loss = ad.sum_all(ad.hadamard(out, Tensor(rand(out.shape, seed=51))))
+    backward(loss)
+    reset_tape()
+    return [loss.data, x.grad] + [t.grad for t in flat_leaves(leaves)]
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def serial_run(monkeypatch, *args, **kwargs):
+    """`run_jobs` on one thread through `serial_backward`."""
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_offload", lambda floats: False)
+        return run_jobs(*args, backward=serial_backward, **kwargs)
+
+
+class TestDeferred:
+    def test_bitwise_equal_to_serial_replay(self, job_mode, monkeypatch):
+        leaves, x = job_leaves(), rand((2, 5, 3), seed=52)
+        expected = serial_run(monkeypatch, leaves, x)
+        got = run_jobs(leaves, x)
+        assert all(g is not None for g in got)
+        assert_same_arrays(got, expected)
+
+    def test_frozen_lstm_and_input_queue_no_job(self, job_mode, monkeypatch):
+        """As under `transfer --freeze lstm.,embed.`: the frozen tensors get
+        no gradient and no job; attention queues two (`wo` and the fused
+        Q/K/V weights), and each GCN call one."""
+        leaves, x = job_leaves(seed=53), rand((2, 5, 3), seed=54)
+        for t in leaves["lstm"]:
+            t.requires_grad = False
+        expected = serial_run(monkeypatch, leaves, x, x_trains=False)
+        jobs = []
+        job = ad._Job
+
+        def counting(fn, offload):
+            jobs.append(offload)
+            return job(fn, offload)
+
+        monkeypatch.setattr(ad, "_Job", counting)
+        got = run_jobs(leaves, x, x_trains=False)
+        assert len(jobs) == 5 and set(jobs) == {job_mode == "worker"}
+        assert all(g is None for g in got[1:5])
+        assert all(g is not None for g in got[5:])
+        assert_same_arrays(got, expected)
+
+    @pytest.mark.parametrize("in_branch", [False, True])
+    def test_gradient_of_an_intermediate_is_resolved_in_the_replay(
+            self, job_mode, in_branch):
+        """A deferred gradient may reach a tensor that is not a leaf; the
+        replay then resolves it at once. In a branch replayed on the
+        worker, the worker runs the job itself rather than wait on its
+        own queue."""
+        w0 = Tensor(rand((3, 2), seed=56), requires_grad=True)
+        x = rand((4, 3), seed=57)
+
+        def op(w):
+            def rule(g):
+                both = ad.Deferred(lambda: np.stack([x.T @ g, -(x.T @ g)]), g)
+                return [(w, both[0])]
+            return ad.make_op(x @ w.data, (w,), rule)
+
+        def branch(_):
+            return op(ad.hadamard(w0, 2.0))
+
+        reset_tape()
+        if in_branch:
+            out = ad.concat_branches([branch, ad.tanh], Tensor(rand((4, 2), seed=58)))
+        else:
+            out = branch(None)
+        backward(ad.sum_all(out))
+        reset_tape()
+        assert w0.grad.tobytes() == (2.0 * (x.T @ np.ones((4, 2)))).tobytes()
+
+    @pytest.mark.parametrize("raiser", ["rule", "job"])
+    def test_error_raised_after_every_job_finishes(self, job_mode, raiser):
+        finished = []
+        w = Tensor(rand((3, 3), seed=58), requires_grad=True)
+        x = Tensor(rand((3, 3), seed=59), requires_grad=True)
+
+        def slow():
+            time.sleep(0.05)
+            finished.append(True)
+            return np.ones((3, 3))
+
+        def fails():
+            raise ValueError("job")
+
+        def op(inp, job=None):
+            def rule(g):
+                if job is None:
+                    raise ValueError("rule")
+                return [(inp, g), (w, ad.Deferred(job, g))]
+            return ad.make_op(inp.data * w.data, (inp, w), rule)
+
+        # The op recorded last replays first and queues its job before the
+        # other op raises, or before the failing job is waited on.
+        reset_tape()
+        if raiser == "rule":
+            loss = ad.sum_all(op(op(x), slow))
+        else:
+            loss = ad.sum_all(op(op(x, slow), fails))
+        with pytest.raises(ValueError, match=raiser):
+            backward(loss)
+        assert finished == [True]
+        reset_tape()
+        w.grad = None
+        backward(ad.sum_all(op(x, slow)))
+        reset_tape()
+        assert np.array_equal(w.grad, np.ones((3, 3))) and finished == [True] * 2
+
+    def test_stress_under_fast_switching(self, monkeypatch):
+        """Branches and jobs on the worker while the interpreter switches
+        threads every microsecond: 30 runs equal the serial one."""
+        leaves, x = job_leaves(seed=60), rand((2, 5, 3), seed=61)
+        expected = serial_run(monkeypatch, leaves, x)
+        monkeypatch.setattr(ad, "_offload", lambda floats: True)
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(30):
+                    assert_same_arrays(run_jobs(leaves, x), expected)
+            except BaseException as err:  # re-raised on the test thread
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            helper = threading.Thread(target=hammer)
+            helper.start()
+            helper.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not helper.is_alive()
+        if errors:
+            raise errors[0]
+
+
+def test_jobs_and_adam_use_the_worker_from_the_size_constant_on_two_cpus(
+        monkeypatch):
+    caller = threading.get_ident()
+
+    def job_thread(floats):
+        job = ad.Deferred(threading.get_ident, np.zeros(floats))
+        ad._drain()  # else `result` may find it queued and run it here
+        return job.result()
+
+    updates = []
+    monkeypatch.setattr(Adam, "_update", lambda self, indices: updates.append(
+        (threading.get_ident() == caller, list(indices))))
+
+    def adam_threads(floats_each):
+        updates.clear()
+        params = [Tensor(np.zeros(floats_each), requires_grad=True)
+                  for _ in range(4)]
+        for p in params:
+            p.grad = np.ones(floats_each)
+        Adam(params).step()
+        return sorted(updates)
+
+    monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", 32)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert job_thread(32) != caller and job_thread(31) == caller
+    assert adam_threads(8) == [(False, [0, 1]), (True, [2, 3])]
+    assert adam_threads(7) == [(True, [0, 1]), (True, [2, 3])]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert job_thread(32) == caller
+    assert adam_threads(8) == [(True, [0, 1]), (True, [2, 3])]
+
+
 class TestAdam:
     def _param(self, seed=0):
         return Tensor(rand((4, 3), seed=seed), requires_grad=True)
@@ -690,6 +946,22 @@ class TestAdam:
         opt = Adam([p], names=["clf.w"])
         with pytest.raises(ValueError, match="clf.w"):
             opt.step()
+
+    def test_missing_grad_on_last_tensor_changes_nothing(self):
+        params = [self._param(seed=k) for k in range(3)]
+        opt = Adam(params, names=["a", "b", "c"])
+        for k, p in enumerate(params):
+            p.grad = rand((4, 3), seed=10 + k)
+        opt.step()  # moments and t away from their initial values
+        for k, p in enumerate(params[:2]):
+            p.grad = rand((4, 3), seed=20 + k)
+        state = [[a.tobytes() for a in arrays] for arrays in
+                 ([p.data for p in params], opt.m, opt.v)]
+        with pytest.raises(ValueError, match="'c' has no gradient"):
+            opt.step()
+        assert opt.t == 1
+        assert state == [[a.tobytes() for a in arrays] for arrays in
+                         ([p.data for p in params], opt.m, opt.v)]
 
     def test_grads_cleared_after_step(self):
         p = self._param()

@@ -162,6 +162,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: line 3" in err and "'kind'" in err
 
+    def test_malformed_pubtator_and_chemprot_name_file_and_line_exit_1(
+            self, tmp_path, capsys):
+        """`ingest` of a PubTator file whose second line is no mention, and
+        of a ChemProt relation naming an unknown entity, stops with a
+        named error giving the file and the line."""
+        cdr = tmp_path / "cdr.txt"
+        cdr.write_text("9|t|Title here.\n9\tnot-a-mention\n")
+        abstracts, entities, relations = (tmp_path / f"{name}.tsv" for name in
+                                          ("abstracts", "entities", "relations"))
+        abstracts.write_text("11\tKinase study.\tDrugz inhibits ABC1.\n")
+        entities.write_text("11\tT1\tCHEMICAL\t14\t19\tDrugz\n"
+                            "11\tT2\tGENE-Y\t29\t33\tABC1\n")
+        relations.write_text("11\tCPR:4\tY\tINHIBITOR\tArg1:T1\tArg2:T2\n"
+                             "11\tCPR:4\tY\tINHIBITOR\tArg1:T1\tArg2:T7\n")
+        runs = [(["--dataset", "cdr", "--data", str(cdr)], "cdr.txt line 2: "),
+                (["--dataset", "chemprot", "--data", str(abstracts),
+                  "--entities", str(entities), "--relations", str(relations)],
+                 "relations.tsv line 2: ")]
+        for flags, where in runs:
+            code = main(["ingest", *flags, "--outdir", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and where in err, err
+
     def test_malformed_parse_names_file_and_line_exits_1(self, tmp_path, capsys):
         """A `--parses` file whose second row has 7 columns stops the
         command with a named error giving the file and that line."""

@@ -2,10 +2,11 @@
 hand-built fixtures."""
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bioie import corpus
@@ -41,6 +42,39 @@ PUBTATOR_FIXTURE = """\
 100\t33\t39\tnausea\tDisease\tD009325
 100\tCID\tD001241\tD009325
 """
+
+
+@st.composite
+def mutated(draw, lines):
+    """`lines` with one line deleted, cut short, or with one tab-separated
+    column dropped or replaced by 'nan', 'x' or ''."""
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    kind = draw(st.sampled_from(["delete", "truncate", "drop", "replace"]))
+    if kind == "delete":
+        return lines[:i] + lines[i + 1:]
+    if kind == "truncate":
+        changed = line[:draw(st.integers(0, len(line) - 1))]
+    else:
+        cols = line.split("\t")
+        j = draw(st.integers(0, len(cols) - 1))
+        if kind == "drop":
+            del cols[j]
+        else:
+            cols[j] = draw(st.sampled_from(["nan", "x", ""]))
+        changed = "\t".join(cols)
+    return lines[:i] + [changed] + lines[i + 1:]
+
+
+def assert_names_a_file_and_line(err, *paths):
+    files = "|".join(re.escape(str(p)) for p in paths)
+    assert re.match(rf"({files}) line [1-9][0-9]*: ", str(err)), str(err)
+
+
+# One file per test function, rewritten by every example.
+MUTATION_SETTINGS = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def make_doc(text, mention_specs, doc_id="d0", source="synthetic"):
@@ -106,6 +140,45 @@ class TestPubtator:
         with pytest.raises(CorpusFormatError, match="outside"):
             parse_pubtator(path)
 
+    @pytest.mark.parametrize("lines, lineno, message", [
+        (["2|x|Fever is bad."], 4, "expected 'id|t|title'"),
+        (["2|t|Fever is bad.", "3|a|An abstract."], 5, "abstract id 3 != 2"),
+        (["2|t|Fever is bad.", "3\tCID\tD1\tD2"], 5, "relation id 3 != 2"),
+        (["2|t|Fever is bad.", "2\tjunk"], 5, "expected mention or CID line"),
+        (["2|t|Fever is bad.", "2\tx\t5\tFever\tDisease\tD2"], 5,
+         "non-integer offsets"),
+        (["2|t|Fever is bad.", "2\t0\t5\tFever\tGene\tD2"], 5,
+         "unexpected mention type 'Gene'"),
+        (["2|t|Fever is bad.", "2\t0\t99\tFever\tDisease\tD2"], 5,
+         r"offsets \[0, 99\) outside text of length 13"),
+        (["2|t|Fever is bad.", "2\t5\t6\t \tDisease\tD2"], 5,
+         r"offsets \[5, 6\) cover no token"),
+    ], ids=["title", "abstract-id", "relation-id", "columns", "offset-type",
+            "mention-type", "offset-range", "no-token"])
+    def test_error_names_file_and_line(self, tmp_path, lines, lineno, message):
+        """Each malformed line of the second block raises an error that
+        names the file and that line."""
+        path = tmp_path / "cdr.txt"
+        path.write_text("1|t|Drugx causes fever.\n1\t0\t5\tDrugx\tChemical\tD1\n\n"
+                        + "\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match=f"^{re.escape(str(path))} line {lineno}: {message}"):
+            parse_pubtator(path)
+
+    @MUTATION_SETTINGS
+    @given(st.data())
+    def test_mutated_line_parses_or_names_file_and_line(self, tmp_path, data):
+        """A valid file with one line mutated parses, or raises a
+        CorpusFormatError that names the file and a line; never another
+        error."""
+        path = tmp_path / "cdr.txt"
+        lines = data.draw(mutated(PUBTATOR_FIXTURE.splitlines()))
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            parse_pubtator(path)
+        except CorpusFormatError as err:
+            assert_names_a_file_and_line(err, path)
+
     def test_negative_pair_labeled_null(self, tmp_path):
         fixture = ("8|t|Drugy and headache.\n"
                    "8\t0\t5\tDrugy\tChemical\tD333\n"
@@ -167,6 +240,50 @@ class TestChemprot:
         files = self.write(tmp_path, relations=rel)
         with pytest.raises(CorpusFormatError, match="T9"):
             parse_chemprot(*files)
+
+    @pytest.mark.parametrize("name, line, lineno, message", [
+        ("abstracts", "12\tonly a title", 2, "expected pmid/title/abstract"),
+        ("abstracts", "12\t \t ", 2, "abstract 12 has no tokens"),
+        ("entities", "11\tT4\tCHEMICAL\t14", 4, r"expected 5\+ columns"),
+        ("entities", "11\tT4\tCHEMICAL\tx\t19\tDrugz", 4, "non-integer offsets"),
+        ("entities", "11\tT4\tCHEMICAL\t14\t999\tDrugz", 4,
+         r"entity T4 in 11: offsets \[14, 999\) outside text of length 74"),
+        ("entities", "11\tT4\tCHEMICAL\t19\t20\t-", 4,
+         r"entity T4 in 11: offsets \[19, 20\) cover no token"),
+        ("relations", "11\tCPR:4", 3, "expected tab-separated relation"),
+        ("relations", "11\tCPR:4\tY\tINHIBITOR\tArg1:T1", 3,
+         "missing Arg1:/Arg2: columns"),
+        ("relations", "11\tCPR:4\tY\tINHIBITOR\tArg1:T1\tArg2:T9", 3,
+         "relation in 11 references unknown entity id 'T9'"),
+    ], ids=["abstract-columns", "abstract-no-tokens", "entity-columns", "entity-offset-type",
+            "entity-offset-range", "entity-no-token", "relation-columns",
+            "relation-args", "unknown-entity"])
+    def test_error_names_file_and_line(self, tmp_path, name, line, lineno, message):
+        """A malformed line appended to one of the three files raises an
+        error that names that file and that line."""
+        files = dict(zip(("abstracts", "entities", "relations"),
+                         self.write(tmp_path)))
+        with open(files[name], "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match=f"^{re.escape(str(files[name]))} line {lineno}: "
+                                 f"{message}"):
+            parse_chemprot(*files.values())
+
+    @MUTATION_SETTINGS
+    @given(st.data())
+    def test_mutated_line_parses_or_names_file_and_line(self, tmp_path, data):
+        """Valid files with one line of one file mutated parse, or raise a
+        CorpusFormatError that names one of the files and a line; never
+        another error."""
+        files = self.write(tmp_path)
+        path = data.draw(st.sampled_from(files))
+        lines = data.draw(mutated(path.read_text().splitlines()))
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            parse_chemprot(*files)
+        except CorpusFormatError as err:
+            assert_names_a_file_and_line(err, *files)
 
     def test_label_set_has_six_classes(self, tmp_path):
         _, instances = parse_chemprot(*self.write(tmp_path))

@@ -9,7 +9,7 @@ import pytest
 
 import bioie.autodiff as ad
 import bioie.pipeline as pipeline
-from bioie.corpus import PAD_ID
+from bioie.corpus import PAD_ID, PATHOLOGY_KINDS
 from bioie.layers import ModelConfig, bilstm, embed_sequence, multi_head_attention
 from bioie.pipeline import (
     ABLATION_VARIANTS,
@@ -321,6 +321,55 @@ class TestForward:
             assert g.tobytes() == serial_grads[name].tobytes(), name
         if ad._threaded(ad.Tensor(np.zeros(1)), 2):  # two CPUs available
             assert len(threads) == 2
+
+    def test_deferred_jobs_at_train_long_shapes_bitwise_equal_inline(
+            self, monkeypatch):
+        """At the shapes of the benchmark's `train_long` workload (batch 8
+        of reports carrying all seven kinds, the CLI default model), the
+        train-mode logits, every gradient and the parameters after one
+        Adam step equal a run with every job inline, bit for bit. With two
+        CPUs, the worker thread ran jobs."""
+        task = build_synth_task({kind: 6 for kind in PATHOLOGY_KINDS}, seed=4,
+                                d_w=100, theta=0.25, window=20)
+        config = ModelConfig(label_count=len(task.label_set))
+        batch = encode_all(task, config)[:8]
+        assert len(batch) == 8 and max(len(e.doc.ids) for e in batch) >= 90
+        caller, ran_on = threading.get_ident(), set()
+        run_job = ad._Job.run
+
+        def spy(job):
+            ran_on.add(threading.get_ident())
+            run_job(job)
+
+        monkeypatch.setattr(ad._Job, "run", spy)
+
+        def step(offload):
+            with monkeypatch.context() as m:
+                if not offload:
+                    m.setattr(ad, "_offload", lambda floats: False)
+                model = init_model(config, task.vocab, task.embeddings, seed=2,
+                                   label_set=task.label_set)
+                optimizer = make_optimizer(model, 1e-3)
+                ad.reset_tape()
+                logits = forward(model, batch, "train")
+                ad.backward(ad.cross_entropy(logits, [e.label for e in batch]))
+                ad.reset_tape()
+                grads = {n: t.grad.copy() for n, t in model.params.items()
+                         if t.grad is not None}
+                optimizer.step()
+                return logits.data, grads, {n: t.data for n, t in
+                                            model.params.items()}
+
+        inline = step(offload=False)
+        assert ran_on == {caller}
+        got = step(offload=True)
+        assert got[0].tobytes() == inline[0].tobytes()
+        for mine, theirs in zip(got[1:], inline[1:]):
+            assert mine.keys() == theirs.keys()
+            for name, value in mine.items():
+                assert value.tobytes() == theirs[name].tobytes(), name
+        if ad._offload(ad.BRANCH_THREAD_MIN_FLOATS):  # two CPUs available
+            assert ran_on - {caller}
 
     def test_recorded_forward_builds_each_adjacency_once(self, tiny_task,
                                                          small_config, monkeypatch):
