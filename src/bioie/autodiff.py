@@ -19,7 +19,19 @@ computed while the replay goes on to the input gradients. The job runs
 on the same worker thread, and `backward` adds the leaf gradients up
 only after the replay ends, in replay order. `Adam.step` updates the
 first half of its tensors (by size) on the worker while the calling
-thread updates the rest.
+thread updates the rest. `run_all(tasks, floats)` shares any list of
+independent tasks between the two threads, such as the chunks of one
+eval call (`pipeline.eval_logits`).
+
+All of these reach the worker through one path (`_hand_off` and
+`_join`) under two rules. A task list started on the worker thread
+runs there in order, so a forward run on the worker queues nothing and
+never waits on the worker's own queue. A task or job still queued
+behind unfinished work when its result is needed is cancelled and run
+by the thread that needs it; one at the front of the queue is left to
+the worker. So the worker takes a task list from the front while the
+calling thread takes it from the back, and a branch queued behind the
+worker's task runs on the calling thread.
 
 Each of these runs on the worker only when the array it is sized by
 holds at least BRANCH_THREAD_MIN_FLOATS floats, so that numpy releases
@@ -65,6 +77,7 @@ __all__ = [
     "identity",
     "concat",
     "concat_branches",
+    "run_all",
     "Deferred",
     "softmax",
     "dropout",
@@ -195,11 +208,14 @@ class _Record:
 
 
 class _ThreadState(threading.local):
-    """The running thread's tape and grad mode."""
+    """The running thread's tape and grad mode, whether it is the worker
+    thread, and the last future it queued on the worker."""
 
     def __init__(self):
         self.tape: list[_Record] = []
         self.grad = True
+        self.on_worker = False
+        self.handed = None
 
 
 _STATE = _ThreadState()
@@ -293,9 +309,10 @@ def _replay(tape: list[_Record], out: Tensor, g: np.ndarray,
     the gradients of intermediates, and return the gradients of the
     leaves as (tensor, gradient) pairs in replay order. With `crossing`,
     the pairs hold the gradients of every tensor this tape did not
-    create, leaves included. Jobs for leaves are not waited on here: a
-    replay on the worker thread must never wait on a job queued behind
-    it. A `Deferred` gradient of an intermediate is resolved at once."""
+    create, leaves included. Jobs for leaves are not waited on here, so
+    the replay goes on while they run; a replay on the worker thread
+    queues its jobs behind itself. A `Deferred` gradient of an
+    intermediate is resolved at once (`_join`)."""
     inner = {id(rec.out) for rec in tape} if crossing else None
     buffers: dict[int, np.ndarray] = {id(out): g}
     pairs = []
@@ -494,9 +511,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
 BRANCH_THREAD_MIN_FLOATS = 1 << 17
 
 
+def _mark_worker() -> None:
+    _STATE.on_worker = True
+
+
 @functools.cache
 def _worker() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="bioie-branch")
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="bioie-branch",
+                              initializer=_mark_worker)
 
 
 def _offload(floats: int) -> bool:
@@ -518,6 +540,35 @@ def _drain() -> None:
         _worker().submit(int).result()
 
 
+def _hand_off(run, offload: bool):
+    """Start `run()`: with `offload`, queue it on the worker thread and
+    return its future with the one this thread queued before it;
+    otherwise run it here and return None."""
+    if not offload:
+        run()
+        return None
+    ahead, _STATE.handed = _STATE.handed, _worker().submit(run)
+    return _STATE.handed, ahead
+
+
+def _join(handed, run) -> None:
+    """Return once the `run()` that `_hand_off` gave back `handed` for
+    has run. One still queued behind unfinished work is cancelled and
+    run here, as is one that the worker queued itself and now needs, so
+    the worker never waits on its own queue. One at the front of the
+    queue is left to the worker."""
+    if handed is None:
+        return
+    future, ahead = handed
+    behind = _STATE.on_worker or (ahead is not None and not ahead.done())
+    if behind and future.cancel():
+        if _STATE.handed is future:
+            _STATE.handed = ahead  # the last one still queued or running
+        run()
+    else:
+        future.result()
+
+
 def _settle(task):
     """`task()` as (result, None), or (None, the error it raised)."""
     try:
@@ -527,19 +578,33 @@ def _settle(task):
 
 
 def _run_all(tasks: list, threaded: bool) -> list:
-    """The result of each task, in order. Threaded, all but the last run
-    on the worker thread while the calling thread runs the last. Every
-    task finishes before the first error, in task order, is raised."""
-    if threaded:
-        futures = [_worker().submit(_settle, task) for task in tasks[:-1]]
-        last = _settle(tasks[-1])  # run before waiting on the worker
-        outcomes = [f.result() for f in futures] + [last]
-    else:
-        outcomes = [_settle(task) for task in tasks]
+    """The result of each task, in order. Threaded, all but the last are
+    handed to the worker thread while the calling thread runs the last,
+    then joined from the back; on the worker thread itself they all run
+    there, in order. Every task finishes before the first error, in task
+    order, is raised."""
+    outcomes = [None] * len(tasks)
+
+    def run(i: int) -> None:
+        outcomes[i] = _settle(tasks[i])
+
+    offload = threaded and not _STATE.on_worker
+    handed = [_hand_off(functools.partial(run, i), offload)
+              for i in range(len(tasks) - 1)]
+    run(len(tasks) - 1)
+    for i in reversed(range(len(handed))):
+        _join(handed[i], functools.partial(run, i))
     for _, err in outcomes:
         if err is not None:
             raise err
     return [result for result, _ in outcomes]
+
+
+def run_all(tasks: list, floats: int) -> list:
+    """`_run_all(tasks, threaded)` for tasks whose work is each sized by
+    `floats` floats: threaded when that passes the size rule
+    (`_offload`)."""
+    return _run_all(tasks, _offload(floats))
 
 
 class Deferred:
@@ -551,10 +616,10 @@ class Deferred:
     otherwise inline. `d[key]` is a Deferred for `fn()[key]` from the
     same job, so one product can serve several tensors.
 
-    `result()` waits for the job; one still queued runs on the calling
-    thread instead, so the worker never waits on its own queue. Only the
-    thread that called `backward` resolves the gradients of leaves, after
-    its replay ends (see `backward`)."""
+    `result()` waits for the job; one still queued behind other work
+    runs on the calling thread instead (`_join`). Only the thread that
+    called `backward` resolves the gradients of leaves, after its replay
+    ends (see `backward`)."""
 
     __slots__ = ("_job", "_keys")
 
@@ -575,28 +640,21 @@ class Deferred:
 
 
 class _Job:
-    """One call, run once: on the worker thread or on the calling one."""
+    """A `Deferred`'s call, run once through `_hand_off` and `_join`."""
 
-    __slots__ = ("fn", "future", "outcome")
+    __slots__ = ("fn", "handed", "outcome")
 
     def __init__(self, fn, offload: bool):
-        self.fn, self.future, self.outcome = fn, None, None
-        if offload:
-            self.future = _worker().submit(self.run)
-        else:
-            self.run()
+        self.fn, self.outcome = fn, None
+        self.handed = _hand_off(self.run, offload)
 
     def run(self) -> None:
         fn, self.fn = self.fn, None  # frees the operands once it has run
         self.outcome = _settle(fn)
 
     def result(self):
-        if self.future is not None:
-            if self.future.cancel():  # still queued: run it here
-                self.run()
-            else:
-                self.future.result()
-            self.future = None
+        _join(self.handed, self.run)
+        self.handed = None
         value, err = self.outcome
         if err is not None:
             raise err
@@ -617,8 +675,8 @@ def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
     still unresolved. `backward` then adds them up exactly as it would
     have, so values and gradients are bitwise equal to `concat`'s.
     Branches must not share mutable state, such as a random generator.
-    Not reentrant: a branch must not call `concat_branches`, since a
-    nested call on the worker thread would wait on that thread itself."""
+    A branch may itself call `concat_branches` or `run_all`: on the
+    worker thread those run in order."""
     grad = _STATE.grad
     threaded = _threaded(x, len(branches))
 

@@ -260,6 +260,8 @@ def _parse_pubtator_block(block, path) -> tuple[Document, list[RelationInstance]
             body = rest[1:]
     text = title + " " + abstract if abstract else title
     tokens = tokenize(text)
+    if not tokens:
+        raise CorpusFormatError(f"{path} line {ln_t}: document {pmid} has no tokens")
 
     mentions: list[EntityMention] = []
     cid_gold: set[tuple[str, str]] = set()
@@ -338,6 +340,10 @@ def parse_chemprot(abstract_file, entity_file, relation_file
                 raise CorpusFormatError(
                     f"{entity_file} line {lineno}: expected 5+ columns")
             pmid, eid, etype = cols[0], cols[1], cols[2]
+            if pmid not in texts:
+                raise CorpusFormatError(
+                    f"{entity_file} line {lineno}: entity {eid} is in {pmid}, "
+                    f"which has no abstract")
             try:
                 start, end = int(cols[3]), int(cols[4])
             except ValueError as exc:
@@ -356,6 +362,10 @@ def parse_chemprot(abstract_file, entity_file, relation_file
                 raise CorpusFormatError(
                     f"{relation_file} line {lineno}: expected tab-separated relation")
             pmid, group = cols[0], cols[1]
+            if pmid not in texts:
+                raise CorpusFormatError(
+                    f"{relation_file} line {lineno}: relation is in {pmid}, "
+                    f"which has no abstract")
             args = [c for c in cols if c.startswith(("Arg1:", "Arg2:"))]
             if len(args) != 2:
                 raise CorpusFormatError(
@@ -444,7 +454,8 @@ def parse_chemprot(abstract_file, entity_file, relation_file
 
 def parse_pathology_records(path) -> tuple[list[Document], list[RelationInstance]]:
     """Parse one JSON record per line with fields id, source, text,
-    mentions (kind/char_start/char_end) and relations (head/tail/kind)."""
+    mentions (kind/char_start/char_end) and relations (head/tail/kind).
+    Every `CorpusFormatError` names the line, then the file."""
     docs: list[Document] = []
     instances: list[RelationInstance] = []
     with open(path, encoding="utf-8") as fh:
@@ -454,8 +465,12 @@ def parse_pathology_records(path) -> tuple[list[Document], list[RelationInstance
             try:
                 rec = json.loads(raw)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid record: {exc}") from exc
-            doc, inst = _record_to_document(rec, lineno)
+                raise CorpusFormatError(
+                    f"line {lineno}: invalid record: {exc} (in {path})") from exc
+            try:
+                doc, inst = _record_to_document(rec, lineno)
+            except CorpusFormatError as err:
+                raise CorpusFormatError(f"{err} (in {path})") from err
             docs.append(doc)
             instances.extend(inst)
     return docs, instances
@@ -463,8 +478,8 @@ def parse_pathology_records(path) -> tuple[list[Document], list[RelationInstance
 
 def _record_fields(obj, what: str, lineno: int, **types) -> list:
     """The values of `types`' fields of one record object, in order, each
-    checked for presence and type. `int` fields also accept what `int()`
-    parses."""
+    checked for presence and type. `int` fields also accept an integral
+    float and a string that `int()` parses, but not a boolean."""
     if not isinstance(obj, dict):
         raise CorpusFormatError(f"line {lineno}: {what} is not a JSON object")
     values = []
@@ -473,12 +488,12 @@ def _record_fields(obj, what: str, lineno: int, **types) -> list:
             raise CorpusFormatError(f"line {lineno}: {what} missing field {key!r}")
         value = obj[key]
         if kind is int:
-            try:
-                value = int(value)
-            except (TypeError, ValueError):
+            number = _record_int(value)
+            if number is None:
                 raise CorpusFormatError(
                     f"line {lineno}: {what} field {key!r} is {value!r}, "
-                    f"expected an integer") from None
+                    f"expected an integer")
+            value = number
         elif not isinstance(value, kind):
             raise CorpusFormatError(
                 f"line {lineno}: {what} field {key!r} is "
@@ -487,7 +502,20 @@ def _record_fields(obj, what: str, lineno: int, **types) -> list:
     return values
 
 
-def _record_to_document(rec: dict, lineno: int
+def _record_int(value) -> int | None:
+    """`value` as an integer, or None when it is not one: a boolean, a
+    non-integral or non-finite float, or anything `int()` refuses."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _record_to_document(rec, lineno: int
                         ) -> tuple[Document, list[RelationInstance]]:
     doc_id, source, text, raw_mentions, raw_relations = _record_fields(
         rec, "record", lineno, id=str, source=str, text=str, mentions=list,
@@ -669,21 +697,18 @@ def load_pretrained_vectors(path, vocab: Vocabulary, seed: int = 0,
     file_rows: dict[str, np.ndarray] = {}
     file_dim = None
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if first:
-            parts = first.split()
-            if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-                file_dim = int(parts[1])
-            else:
-                tok, vec = _vector_row(parts, path, 1)
-                file_dim = vec.size
-                file_rows[tok] = vec
-        for lineno, raw in enumerate(fh, start=2):
+        for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts:
                 continue
+            if (lineno == 1 and len(parts) == 2
+                    and all(p.lstrip("-").isdigit() for p in parts)):
+                file_dim = int(parts[1])  # the word2vec "count dim" header
+                continue
             tok, vec = _vector_row(parts, path, lineno)
-            if vec.size != file_dim:
+            if file_dim is None:
+                file_dim = vec.size
+            elif vec.size != file_dim:
                 raise CorpusFormatError(
                     f"{path} line {lineno}: vector has {vec.size} dims, "
                     f"expected {file_dim}")

@@ -52,10 +52,12 @@ replay; otherwise they run in order. The same worker computes the
 layers' weight-gradient products while the calling thread goes on with
 the input gradients (the rest of the GCN branch, then the BiLSTM; see
 `layers`), and it updates the first half of the tensors in each
-`Adam.step`, each under the same size rule. Every way gives bitwise the
-same logits, gradients and updates (see `autodiff`). Pin BLAS to one
-thread (`OPENBLAS_NUM_THREADS=1`) so that it does not compete with the
-worker.
+`Adam.step`, each under the same size rule. `eval_logits` shares the
+chunks of one call between the two threads: the worker runs whole
+no-grad forwards, with their branches in order, while the calling
+thread runs others. Every way gives bitwise the same logits, gradients
+and updates (see `autodiff`). Pin BLAS to one thread
+(`OPENBLAS_NUM_THREADS=1`) so that it does not compete with the worker.
 """
 
 from __future__ import annotations
@@ -424,23 +426,37 @@ def eval_logits(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray:
     forward's largest arrays, the (B, T, T) scores, adjacency and gather
     index and the (B, T, d_model) states, hold B * T * max(T, d_model)
     elements, so B is cut to keep each of them within EVAL_ARRAY_FLOATS
-    at the batch's longest T. That bounds each array, not the chunk's
-    working set: a chunk large enough for `autodiff.concat_branches` to
-    run its branches on two threads holds both branches' arrays at once.
-    At `train_long`'s shapes (T = 100, default model) one 64-instance
-    `predict` call peaks at 14.4 MB (tracemalloc) with the branches in
-    order and 22-25 MB threaded. The chunk is not halved to fit both:
-    at those shapes 5-instance chunks fall below
-    `autodiff.BRANCH_THREAD_MIN_FLOATS` and would lose the second
-    thread."""
+    at the batch's longest T.
+
+    The chunks are independent, so `autodiff.run_all` shares them
+    between the worker thread and this one when the first chunk's
+    (B, T, d_model) state passes the size rule that its
+    `concat_branches` call would use. The worker runs whole forwards
+    from the front, their branches in order, while this thread runs
+    them from the back. Each chunk writes its own rows from the same ops
+    on the same operands, so the logits are bitwise those of an
+    all-inline run. Two chunks are alive at once: at `train_long`'s
+    shapes (T = 100, default model, chunks of 10) one 64-instance
+    `predict` call peaks at 30-34 MB (tracemalloc), against 24-28 MB
+    with the chunks in order and their branches threaded."""
     steps = max((len(inst.doc.ids) for inst in batch), default=1)
     per_instance = steps * max(steps, model.config.d_model)
     chunk = max(1, EVAL_ARRAY_FLOATS // per_instance)
     out = np.empty((len(batch), model.config.label_count))
-    for start in range(0, len(batch), chunk):
-        part = batch[start:start + chunk]
+    if not batch:
+        return out
+
+    def run(part: list[EncodedInstance], start: int) -> None:
         with ad.no_grad():
             out[start:start + len(part)] = forward(model, part, "eval").data
+
+    # Sized by the first chunk's padded (B, T, d_model) state, as its
+    # `concat_branches` call would be.
+    first = batch[:chunk]
+    floats = (len(first) * max(len(inst.doc.ids) for inst in first)
+              * model.config.d_model)
+    ad.run_all([functools.partial(run, batch[start:start + chunk], start)
+                for start in range(0, len(batch), chunk)], floats)
     return out
 
 

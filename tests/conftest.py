@@ -37,6 +37,16 @@ def branch_worker_left_idle(monkeypatch):
     assert not left, f"{len(left)} job(s) left on the branch worker"
 
 
+@pytest.fixture(params=["worker", "inline"])
+def job_mode(request, monkeypatch):
+    """Hand every `Deferred` job, `Adam.step` half, `concat_branches`
+    branch and `run_all` task list to the worker thread, whatever its
+    size and CPU count, or run everything on the calling thread."""
+    on_worker = request.param == "worker"
+    monkeypatch.setattr(ad, "_offload", lambda floats: on_worker)
+    return request.param
+
+
 def build_synth_task(counts, seed, d_w=24, theta=0.9, window=5,
                      normalize=True, style="a"):
     corpus = synth_corpus(counts, seed, style=style)

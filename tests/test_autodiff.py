@@ -6,6 +6,7 @@ import resource
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -658,16 +659,6 @@ def test_branches_thread_from_the_size_constant_on_two_cpus(monkeypatch):
 # ---------------------------------------------------------------------------
 # Deferred weight-gradient jobs
 
-@pytest.fixture(params=["worker", "inline"])
-def job_mode(request, monkeypatch):
-    """Run every `Deferred` job, `Adam.step` half and `concat_branches`
-    branch on the worker thread, whatever its size and CPU count, or
-    everything on the calling thread."""
-    on_worker = request.param == "worker"
-    monkeypatch.setattr(ad, "_offload", lambda floats: on_worker)
-    return request.param
-
-
 def job_leaves(seed=50):
     """An LSTM triple, two attention heads, `wo` and one GCN layer's
     weights, at d_model 8."""
@@ -907,6 +898,103 @@ def test_jobs_and_adam_use_the_worker_from_the_size_constant_on_two_cpus(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert job_thread(32) == caller
     assert adam_threads(8) == [(True, [0, 1]), (True, [2, 3])]
+
+
+# ---------------------------------------------------------------------------
+# run_all: tasks shared between the worker and the calling thread
+
+def on_worker() -> bool:
+    return threading.current_thread().name.startswith("bioie-branch")
+
+
+class TestRunAll:
+    def test_results_in_order_front_on_worker_rest_on_caller(self, job_mode):
+        """The worker takes the first task; every task queued behind it
+        that has not started when the caller reaches it runs on the
+        caller."""
+        where = {}
+
+        def task(i):
+            def f():
+                if i == 0:
+                    time.sleep(0.2)
+                where[i] = on_worker()
+                return i
+            return f
+
+        assert ad.run_all([task(i) for i in range(5)], 1) == list(range(5))
+        assert where == {0: job_mode == "worker", 1: False, 2: False, 3: False,
+                         4: False}
+
+    def test_hand_off_after_a_cancelled_task_is_still_behind(self, job_mode):
+        """A task that the caller took back and that hands off work of its
+        own: that work is queued behind the worker's running task, so the
+        caller takes it back as well rather than wait for the worker."""
+        where = {}
+
+        def slow():
+            time.sleep(0.3)
+
+        def nested(i):
+            def inner():
+                where[i] = on_worker()
+            return lambda: ad.run_all([inner, int], 1)
+
+        ad.run_all([slow, nested(1), nested(2)], 1)
+        assert where == {1: False, 2: False}
+
+    def test_error_raised_after_every_task_finishes(self, job_mode):
+        finished = []
+
+        def fails(message, delay):
+            def f():
+                time.sleep(delay)
+                raise ValueError(message)
+            return f
+
+        def slow():
+            time.sleep(0.05)
+            finished.append(True)
+
+        with pytest.raises(ValueError, match="first"):
+            ad.run_all([fails("first", 0.02), slow, fails("second", 0.0), slow], 1)
+        assert finished == [True, True]
+        assert ad.run_all([slow, lambda: 7], 1) == [None, 7]
+
+    def test_nothing_is_handed_off_from_the_worker(self, job_mode, monkeypatch):
+        """Branches and task lists run on the worker thread run there in
+        order: a forward with branches, recorded or not, queues nothing,
+        and so cannot wait on the worker's own queue."""
+        submitted_from_worker = []
+        submit = ThreadPoolExecutor.submit
+
+        def spy(self, fn, /, *args, **kwargs):
+            submitted_from_worker.append(on_worker())
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+        shared, own = branch_leaves(seed=62)
+        x = Tensor(rand((5, 4), seed=63), requires_grad=True)
+
+        def forward():
+            with ad.no_grad():
+                plain = ad.concat_branches(make_branches(shared, own), x).data
+            recorded = ad.concat_branches(make_branches(shared, own), x)
+            reset_tape()
+            return plain, recorded.data, ad.run_all([int, int], 1)
+
+        outcome = []
+        helper = threading.Thread(
+            target=lambda: outcome.append(ad._worker().submit(forward).result()))
+        helper.start()
+        helper.join(timeout=60)
+        assert not helper.is_alive()
+        plain, recorded, results = outcome[0]
+        expected = forward()
+        assert plain.tobytes() == expected[0].tobytes()
+        assert recorded.tobytes() == expected[1].tobytes()
+        assert results == [0, 0]
+        assert submitted_from_worker and not any(submitted_from_worker)
 
 
 class TestAdam:

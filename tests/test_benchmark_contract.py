@@ -10,6 +10,7 @@ them.
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,30 @@ def test_traced_names_exist(spans):
                        (autodiff, "make_op"),
                        (layers, "make_op")):
         assert callable(getattr(module, fn)), (module.__name__, fn)
+
+
+def test_inference_checks_pass_with_eval_chunks_shared(worker, monkeypatch):
+    """The benchmark's inference pass and batch-invariance check on the
+    `train_long` configuration, whose 24 tiny-corpus instances make
+    three eval chunks per `predict` call, two of them full: no check
+    fails, and with two CPUs the worker thread ran whole forwards."""
+    wl = worker.WORKLOADS["train_long"].tiny()
+    s = worker.set_up(wl, *worker.generate(wl, 0), 0)
+    steps = max(len(inst.doc.ids) for inst in s.encoded)
+    chunk = pipeline.EVAL_ARRAY_FLOATS // (steps * max(steps, s.model.config.d_model))
+    assert len(s.encoded) >= 2 * chunk
+    threads = set()
+    forward = pipeline.forward
+
+    def spy(model, part, mode="eval"):
+        threads.add(threading.current_thread().name)
+        return forward(model, part, mode)
+
+    monkeypatch.setattr(pipeline, "forward", spy)
+    checks = worker.Checks()
+    worker.infer_pass(s.model, s.encoded, checks)
+    worker.check_batch_invariance(checks, s.model, s.encoded, 0)
+    assert checks.failures == []
+    assert checks.attempted == 1 + worker.INVARIANCE_SAMPLE
+    if autodiff._offload(autodiff.BRANCH_THREAD_MIN_FLOATS):  # two CPUs
+        assert any(name.startswith("bioie-branch") for name in threads)

@@ -186,6 +186,18 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and where in err, err
 
+    def test_pubtator_document_without_text_names_file_and_line_exits_1(
+            self, tmp_path, capsys):
+        """A PubTator block whose title line `9|t|` carries no text stops
+        `ingest` with a named error giving the file and that line."""
+        cdr = tmp_path / "cdr.txt"
+        cdr.write_text("1|t|Drugx causes fever.\n\n9|t|\n")
+        code = main(["ingest", "--dataset", "cdr", "--data", str(cdr),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{cdr} line 3: " in err, err
+
     def test_malformed_parse_names_file_and_line_exits_1(self, tmp_path, capsys):
         """A `--parses` file whose second row has 7 columns stops the
         command with a named error giving the file and that line."""

@@ -2,6 +2,7 @@
 hand-built fixtures."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -45,25 +46,58 @@ PUBTATOR_FIXTURE = """\
 
 
 @st.composite
-def mutated(draw, lines):
-    """`lines` with one line deleted, cut short, or with one tab-separated
-    column dropped or replaced by 'nan', 'x' or ''."""
+def mutated(draw, lines, sep="\t"):
+    """`lines` with one line deleted, cut short, or with one column
+    (separated by `sep`) dropped or replaced by 'nan', 'x' or ''."""
     i = draw(st.integers(0, len(lines) - 1))
     line = lines[i]
     kind = draw(st.sampled_from(["delete", "truncate", "drop", "replace"]))
     if kind == "delete":
         return lines[:i] + lines[i + 1:]
     if kind == "truncate":
-        changed = line[:draw(st.integers(0, len(line) - 1))]
+        changed = line[:draw(st.integers(0, max(len(line) - 1, 0)))]
     else:
-        cols = line.split("\t")
+        cols = line.split(sep)
         j = draw(st.integers(0, len(cols) - 1))
         if kind == "drop":
             del cols[j]
         else:
             cols[j] = draw(st.sampled_from(["nan", "x", ""]))
-        changed = "\t".join(cols)
+        changed = sep.join(cols)
     return lines[:i] + [changed] + lines[i + 1:]
+
+
+def json_paths(value, path=()):
+    """The path to every value inside a parsed JSON value, depth first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_record(draw, line):
+    """One JSON record line with one object key deleted, one value
+    replaced by a value of another JSON type (NaN included), or the line
+    cut short."""
+    kind = draw(st.sampled_from(["delete", "retype", "truncate"]))
+    if kind == "truncate":
+        return line[:draw(st.integers(1, len(line) - 1))]
+    rec = json.loads(line)
+    path = draw(st.sampled_from([p for p in json_paths(rec)
+                                 if kind == "retype" or isinstance(p[-1], str)]))
+    parent = rec
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        old = parent[path[-1]]
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in (None, True, "x", 2.5, [], {}, math.nan)
+             if type(v) is not type(old)]))
+    return json.dumps(rec)
 
 
 def assert_names_a_file_and_line(err, *paths):
@@ -153,8 +187,11 @@ class TestPubtator:
          r"offsets \[0, 99\) outside text of length 13"),
         (["2|t|Fever is bad.", "2\t5\t6\t \tDisease\tD2"], 5,
          r"offsets \[5, 6\) cover no token"),
+        (["2|t|"], 4, "document 2 has no tokens"),
+        (["2|t| ", "2|a|"], 4, "document 2 has no tokens"),
     ], ids=["title", "abstract-id", "relation-id", "columns", "offset-type",
-            "mention-type", "offset-range", "no-token"])
+            "mention-type", "offset-range", "no-token", "no-text",
+            "blank-text"])
     def test_error_names_file_and_line(self, tmp_path, lines, lineno, message):
         """Each malformed line of the second block raises an error that
         names the file and that line."""
@@ -255,9 +292,14 @@ class TestChemprot:
          "missing Arg1:/Arg2: columns"),
         ("relations", "11\tCPR:4\tY\tINHIBITOR\tArg1:T1\tArg2:T9", 3,
          "relation in 11 references unknown entity id 'T9'"),
+        ("entities", "12\tT4\tCHEMICAL\t14\t19\tDrugz", 4,
+         "entity T4 is in 12, which has no abstract"),
+        ("relations", "12\tCPR:4\tY\tINHIBITOR\tArg1:T1\tArg2:T2", 3,
+         "relation is in 12, which has no abstract"),
     ], ids=["abstract-columns", "abstract-no-tokens", "entity-columns", "entity-offset-type",
             "entity-offset-range", "entity-no-token", "relation-columns",
-            "relation-args", "unknown-entity"])
+            "relation-args", "unknown-entity", "entity-no-abstract",
+            "relation-no-abstract"])
     def test_error_names_file_and_line(self, tmp_path, name, line, lineno, message):
         """A malformed line appended to one of the three files raises an
         error that names that file and that line."""
@@ -361,6 +403,59 @@ class TestPathologyRecords:
         path.write_text(json.dumps(self.record()) + "\n[1, 2]\n")
         with pytest.raises(CorpusFormatError, match="line 2: record is not a JSON object"):
             parse_pathology_records(path)
+
+    def test_error_names_line_then_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(self.record()) + "\n{\"id\": \n")
+        with pytest.raises(CorpusFormatError) as err:
+            parse_pathology_records(path)
+        assert re.fullmatch(rf"line 2: invalid record: .* \(in {re.escape(str(path))}\)",
+                            str(err.value))
+        path.write_text(json.dumps(self.record(text=7)) + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            parse_pathology_records(path)
+        assert str(err.value) == f"line 1: record field 'text' is int, expected str (in {path})"
+
+    @pytest.mark.parametrize("value", [True, 21.5, math.inf, math.nan],
+                             ids=["bool", "fraction", "inf", "nan"])
+    def test_offset_that_is_no_integer_named_with_line(self, tmp_path, value):
+        """JSON `true` and `21.5` used to parse as offsets 1 and 21, and
+        `Infinity` ended in an OverflowError."""
+        rec = self.record()
+        rec["mentions"][0]["char_start"] = value
+        path = self.write(tmp_path, [rec])
+        with pytest.raises(CorpusFormatError,
+                           match="line 1: mention field 'char_start' is .*, "
+                                 "expected an integer"):
+            parse_pathology_records(path)
+
+    def test_integral_offsets_in_other_forms_accepted(self, tmp_path):
+        rec = self.record()
+        rec["mentions"][0].update(char_start=21.0, char_end="30")
+        parsed = parse_pathology_records(self.write(tmp_path, [rec]))
+        assert parsed == parse_pathology_records(self.write(tmp_path, [self.record()]))
+
+    @MUTATION_SETTINGS
+    @given(st.data())
+    def test_mutated_record_parses_as_before_or_names_line_and_file(
+            self, tmp_path, data):
+        """Valid records with one key deleted, one value of another JSON
+        type or one line cut short parse exactly as before, or raise a
+        CorpusFormatError naming that line and the file; never another
+        error."""
+        lines = [json.dumps(self.record()), json.dumps(self.record(id="r2"))]
+        path = self.write(tmp_path, [json.loads(line) for line in lines])
+        expected = parse_pathology_records(path)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = data.draw(mutated_record(lines[i]))
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            got = parse_pathology_records(path)
+        except CorpusFormatError as err:
+            assert re.fullmatch(rf"line {i + 1}: .* \(in {re.escape(str(path))}\)",
+                                str(err), re.DOTALL), str(err)
+        else:
+            assert got == expected
 
     def test_round_trip_field_exact(self, tmp_path):
         docs, instances = parse_pathology_records(self.write(tmp_path, [self.record()]))
@@ -491,6 +586,21 @@ class TestAttachDependencies:
             attach_dependencies(make_doc("wa wb", []), parse)
 
 
+    @MUTATION_SETTINGS
+    @given(st.data())
+    def test_mutated_line_parses_or_names_file_and_line(self, tmp_path, data):
+        """A valid two-sentence parse with one line mutated attaches, or
+        raises a CorpusFormatError that names the file and a line; never
+        another error."""
+        rows = [self.row(1, 0), self.row(2, 1), "", self.row(1, 2), self.row(2, 0)]
+        parse = self.commented(tmp_path, data.draw(mutated(rows)))
+        try:
+            attach_dependencies(make_doc("wa wb wc wd", []), parse)
+        except CorpusFormatError as err:
+            assert re.match(rf"{re.escape(str(parse))} line [1-9][0-9]*"
+                            rf"( \(end of file\))?: ", str(err)), str(err)
+
+
 class TestVocabulary:
     def test_threshold_boundary(self):
         doc = make_doc("a a b", [])
@@ -556,6 +666,30 @@ class TestPretrainedVectors:
         assert f"{path} line {line}:" in message and value in message
         token = text.splitlines()[line - 1].split()[0]
         assert f"vector of {token!r}" in message
+
+    def test_blank_first_line_skipped(self, tmp_path):
+        """A blank first line ended in an IndexError."""
+        vocab = build_vocabulary([make_doc("a b", [])])
+        path = tmp_path / "vec.txt"
+        path.write_text("\na 1 2 3\n")
+        table = load_pretrained_vectors(path, vocab)
+        assert table.dim == 3
+        assert np.array_equal(table.vectors[vocab.id("a")], [1.0, 2.0, 3.0])
+
+    @MUTATION_SETTINGS
+    @given(st.data())
+    def test_mutated_line_loads_or_names_file_and_line(self, tmp_path, data):
+        """A valid vector file with one line mutated loads, or raises a
+        CorpusFormatError that names the file and a line; never another
+        error."""
+        vocab = build_vocabulary([make_doc("aspirin works fever", [])])
+        lines = ["3 3", "aspirin 0.5 0.25 -1.0", "works 1 2 3", "fever 0 0 1"]
+        path = tmp_path / "vec.txt"
+        path.write_text("\n".join(data.draw(mutated(lines, sep=" "))) + "\n")
+        try:
+            load_pretrained_vectors(path, vocab)
+        except CorpusFormatError as err:
+            assert_names_a_file_and_line(err, path)
 
     def test_seeded_missing_rows_reproducible(self, tmp_path):
         vocab = build_vocabulary([make_doc("a b c", [])])

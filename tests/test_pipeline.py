@@ -2,6 +2,8 @@
 
 import math
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -481,6 +483,110 @@ class TestForward:
                     f"{variant}: frozen tensor {name} changed"
             assert any(not np.array_equal(model.params[n].data, params_before[n])
                        for n in params_before), f"{variant}: nothing trained"
+
+
+def on_worker() -> bool:
+    return threading.current_thread().name.startswith("bioie-branch")
+
+
+class TestEvalChunksShared:
+    """`eval_logits` shares its chunks between the worker thread and the
+    calling thread; every mode gives the logits of an all-inline run."""
+
+    def model_batch_inline(self, task, config, monkeypatch, size,
+                           per_chunk=3):
+        """A model, `size` instances of uneven length, and an array budget
+        that cuts them into chunks of `per_chunk`."""
+        model = init_model(config, task.vocab, task.embeddings, seed=0,
+                           label_set=task.label_set)
+        enc = encode_all(task, config)
+        lengths = (40, 3, 17, 9, 28, 5, 12)
+        batch = [cut(enc[i % len(enc)], lengths[i % len(lengths)])
+                 for i in range(size)]
+        steps = max(len(inst.doc.ids) for inst in batch)
+        monkeypatch.setattr(pipeline, "EVAL_ARRAY_FLOATS", per_chunk * steps
+                            * max(steps, model.config.d_model))
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_offload", lambda floats: False)
+            inline = pipeline.eval_logits(model, batch)
+        return model, batch, inline
+
+    @pytest.mark.parametrize("size, chunks", [(2, 1), (5, 2), (8, 3), (20, 7)])
+    def test_bitwise_equal_inline(self, tiny_task, small_config, job_mode,
+                                  monkeypatch, size, chunks):
+        model, batch, inline = self.model_batch_inline(
+            tiny_task, small_config, monkeypatch, size)
+        sizes, lengths, workers = [], set(), []
+        real_forward = pipeline.forward
+
+        def spy(m, part, mode="eval"):
+            sizes.append(len(part))
+            lengths.add(max(len(inst.doc.ids) for inst in part))
+            workers.append(on_worker())
+            return real_forward(m, part, mode)
+
+        monkeypatch.setattr(pipeline, "forward", spy)
+        got = pipeline.eval_logits(model, batch)
+        assert got.tobytes() == inline.tobytes()
+        assert len(sizes) == chunks and sorted(sizes)[0] == size - 3 * (chunks - 1)
+        assert chunks < 3 or len(lengths) > 1
+        # The worker takes the first chunk whenever there is a second.
+        assert any(workers) == (job_mode == "worker" and chunks > 1)
+
+    @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)],
+                             ids=["first", "second", "both"])
+    def test_error_raised_after_both_chunks_finish(
+            self, tiny_task, small_config, job_mode, monkeypatch, failing):
+        """An error in either of two chunks is raised once both have
+        finished, the first in chunk order; the next call succeeds."""
+        model, batch, inline = self.model_batch_inline(
+            tiny_task, small_config, monkeypatch, 6)
+        finished = []
+        real_forward = pipeline.forward
+
+        def flaky(m, part, mode="eval"):
+            index = 0 if part[0] is batch[0] else 1
+            time.sleep(0.05 if index == 0 else 0.0)
+            if index in failing:
+                raise ValueError(f"chunk {index}")
+            out = real_forward(m, part, mode)
+            finished.append(index)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "forward", flaky)
+            with pytest.raises(ValueError, match=f"chunk {failing[0]}"):
+                pipeline.eval_logits(model, batch)
+        assert sorted(finished) == sorted({0, 1} - set(failing))
+        assert pipeline.eval_logits(model, batch).tobytes() == inline.tobytes()
+
+    def test_forward_on_the_worker_queues_nothing(
+            self, tiny_task, small_config, job_mode, monkeypatch):
+        """An eval forward run on the worker thread, branches included,
+        hands nothing to the worker and so finishes."""
+        model, batch, inline = self.model_batch_inline(
+            tiny_task, small_config, monkeypatch, 3)
+        from_worker = []
+        submit = ThreadPoolExecutor.submit
+
+        def spy(self, fn, /, *args, **kwargs):
+            from_worker.append(on_worker())
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+
+        def run():
+            with ad.no_grad():
+                return forward(model, batch, "eval").data
+
+        out = []
+        helper = threading.Thread(
+            target=lambda: out.append(ad._worker().submit(run).result()))
+        helper.start()
+        helper.join(timeout=60)
+        assert not helper.is_alive()
+        assert out[0].tobytes() == inline.tobytes()
+        assert from_worker == [False]
 
 
 class TestLoss:
