@@ -3,11 +3,13 @@
 The tape is define-by-run: while gradients are enabled, every
 differentiable operation appends one record, and `backward` replays the
 records in reverse order (creation order is topological order by
-construction). The expected usage is one fresh tape per forward pass:
-call `reset_tape()` before building the next graph. Nothing is cached
-between passes. Model layers are fused ops of one record each, so a
-default-model training step records 14 (see `pipeline`). The tape and
-the grad mode (`no_grad`) belong to the thread that runs the op.
+construction). `backward` consumes the tape: it takes each record off
+before running its rule, so what only the record holds is freed once
+the rule has run, and the next pass records a fresh tape; `reset_tape()`
+drops a tape that no `backward` consumes. Model layers are fused ops of
+one record each, so a default-model training step records 13 (see
+`pipeline`). The tape and the grad mode (`no_grad`) belong to the
+thread that runs the op.
 
 `concat_branches(branches, x)` is `concat([f(x) for f in branches])`
 as one record whose branches may run concurrently: all but the last on
@@ -63,6 +65,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NondeterministicFunction",
+    "LossNotRecorded",
     "make_op",
     "recording",
     "reset_tape",
@@ -140,6 +143,12 @@ class ShapeError(ValueError):
 
 class NondeterministicFunction(RuntimeError):
     """Raised by grad_check when two evaluations of f disagree."""
+
+
+class LossNotRecorded(RuntimeError):
+    """Raised by backward when no record on the calling thread's tape
+    made the loss: a backward has already consumed it, or the tape was
+    reset."""
 
 
 class Tensor:
@@ -255,20 +264,30 @@ def make_op(data: np.ndarray, parents, rule) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grad on every requires_grad leaf reachable from `loss`.
+    """Populate grad on every requires_grad leaf reachable from `loss`,
+    consuming the calling thread's tape (a leaf loss is a no-op).
 
-    Repeated calls without `zero_grad` accumulate. Intermediate tensors
-    never retain gradients. Leaf gradients are added up after the replay,
-    in replay order, once every `Deferred` job has finished. If a rule or
-    a job raises, every job queued on the worker finishes before the
-    error propagates.
+    Repeated forward-and-backward passes without `zero_grad` accumulate;
+    a second call on the same loss, or one after `reset_tape`, raises
+    LossNotRecorded. Intermediate tensors never retain gradients. Leaf
+    gradients are added up after the replay, in replay order, once every
+    `Deferred` job has finished. If a rule or a job raises, the rest of
+    the tape is dropped and every job queued on the worker finishes
+    before the error propagates.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     if loss.is_leaf:
         return
+    tape = _STATE.tape
+    if not any(rec.out is loss for rec in reversed(tape)):
+        raise LossNotRecorded(
+            "backward: no record on this thread's tape made the loss (a "
+            "backward consumed it, or the tape was reset); record a fresh "
+            "forward pass")
+    _STATE.tape = []
     try:
-        pairs = _replay(_STATE.tape, loss, np.ones_like(loss.data))
+        pairs = _replay(tape, loss, np.ones_like(loss.data))
         # The worker runs its queue from the front; waiting from the back
         # runs the jobs still queued there on this thread meanwhile.
         for _, contrib in reversed(pairs):
@@ -285,6 +304,7 @@ def backward(loss: Tensor) -> None:
             else:
                 leaf.grad += contrib
     except BaseException:
+        tape.clear()
         _drain()
         raise
 
@@ -293,16 +313,19 @@ def _replay(tape: list[_Record], out: Tensor, g: np.ndarray,
             crossing: bool = False) -> list:
     """Replay `tape` in reverse from the gradient `g` of `out`, buffering
     the gradients of intermediates, and return the gradients of the
-    leaves as (tensor, gradient) pairs in replay order. With `crossing`,
-    the pairs hold the gradients of every tensor this tape did not
-    create, leaves included. Jobs for leaves are not waited on here, so
-    the replay goes on while they run; a replay on the worker thread
-    queues its jobs behind itself. A `Deferred` gradient of an
-    intermediate is resolved at once (`_join`)."""
+    leaves as (tensor, gradient) pairs in replay order. Each record is
+    popped off `tape` before its rule runs, so it is freed once the rule
+    has run. With `crossing`, the pairs hold the gradients of every
+    tensor this tape did not create, leaves included. Jobs for leaves
+    are not waited on here, so the replay goes on while they run; a
+    replay on the worker thread queues its jobs behind itself. A
+    `Deferred` gradient of an intermediate is resolved at once
+    (`_join`)."""
     inner = {id(rec.out) for rec in tape} if crossing else None
     buffers: dict[int, np.ndarray] = {id(out): g}
     pairs = []
-    for rec in reversed(tape):
+    while tape:
+        rec = tape.pop()
         g = buffers.pop(id(rec.out), None)
         if g is None:
             continue
@@ -653,12 +676,12 @@ def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
 
     Each branch runs under the caller's grad mode and records on a tape
     of its own, which the record keeps. Every branch finishes before an
-    error is raised, the first in branch order. The rule replays the
-    branch tapes, concurrently under the same rule as the forward pass,
-    and returns the gradients that cross a branch tape, its leaves' and
-    `x`'s, in the order a serial replay of `concat` would make them: the
-    last branch's first, each in its own reverse order, a `Deferred` one
-    still unresolved. `backward` then adds them up exactly as it would
+    error is raised, the first in branch order. The rule replays and
+    consumes the branch tapes, concurrently under the same rule as the
+    forward pass, and returns the gradients that cross a branch tape,
+    its leaves' and `x`'s, in the order a serial replay of `concat`
+    would make them: the last branch's first, each in its own reverse
+    order, a `Deferred` one still unresolved. `backward` then adds them up exactly as it would
     have, so values and gradients are bitwise equal to `concat`'s.
     Branches must not share mutable state, such as a random generator.
     A branch may itself call `concat_branches` or `run_all`: on the

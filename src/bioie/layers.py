@@ -21,10 +21,11 @@ in the tests), recorded through this module's `make_op`:
   * `gcn_layer`: one whole GCN layer over all graph kinds, keeping each
     kind's tanh output and normalized adjacency.
 Without a record (`no_grad`, or no input needing a gradient) the layers
-keep none of it. `embed_sequence` composes the primitive autodiff ops.
-So do the references `scaled_dot_attention`, for one attention head,
-and `gcn_propagate` and `inter_graph_mix`, for one kind of a GCN layer
-and for the mean over kinds.
+keep none of it. `embed_sequence` gathers rows with `take_rows` and
+hands them to `bilstm` as column blocks, unjoined. The references
+`scaled_dot_attention`, for one attention head, and `gcn_propagate` and
+`inter_graph_mix`, for one kind of a GCN layer and for the mean over
+kinds, compose the primitive autodiff ops.
 
 The three weighted rules hand back their weight-gradient products as
 `autodiff.Deferred` jobs, started before the input gradient: the
@@ -50,7 +51,6 @@ from .autodiff import (
     Tensor,
     add,
     add_rowvec,
-    concat,
     hadamard,
     make_op,
     matmul,
@@ -132,12 +132,13 @@ def embedding_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 
 def embed_sequence(token_ids, head_start, tail_start,
                    word: Tensor, pos_head: Tensor | None,
-                   pos_tail: Tensor | None, max_dist: int) -> Tensor:
-    """Per-token feature rows: word vector, then (optionally) clipped
-    relative-distance vectors to the head and tail mention starts.
+                   pos_tail: Tensor | None, max_dist: int) -> list[Tensor]:
+    """Per-token feature rows as column blocks, which `bilstm` joins:
+    word vectors, then (optionally) clipped relative-distance vectors to
+    the head and tail mention starts.
 
     `token_ids` is one (n,) sequence with scalar mention starts, giving
-    (n, width), or a (B, n) batch with (B,) starts, giving (B, n, width).
+    (n, .) blocks, or a (B, n) batch with (B,) starts, giving (B, n, .).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     parts = [take_rows(word, ids)]
@@ -149,17 +150,20 @@ def embed_sequence(token_ids, head_start, tail_start,
         t_idx = np.clip(t_rel, -max_dist, max_dist) + max_dist
         parts.append(take_rows(pos_head, h_idx))
         parts.append(take_rows(pos_tail, t_idx))
-    return concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+    return parts
 
 
 # ---------------------------------------------------------------------------
 # LSTM
 
-def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
+def bilstm(seq, fw, bw, lengths=None) -> Tensor:
     """Forward and backward LSTM passes over an (n, input) sequence or a
     padded (B, n, input) batch, with independent (wx, wh, b) triples `fw`
     and `bw`, as one fused tape record. Each position's outputs are
-    concatenated [forward, backward] to width 2*hidden.
+    concatenated [forward, backward] to width 2*hidden. `seq` may be a
+    list of column blocks of the input, joined along the last axis; the
+    record keeps, and the rule returns a gradient for, only the blocks
+    that need one.
 
     `wx` is (input, 4*hidden), `wh` (hidden, 4*hidden) and `b`
     (1, 4*hidden). Gate blocks are laid out [input, forget, output,
@@ -186,10 +190,13 @@ def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
     gradient-equivalent to chaining single LSTM cell updates over each
     row's real prefix (checked in tests).
     """
-    if seq.shape[-2] < 1:
-        raise ShapeError("bilstm: empty sequence")
-    x = seq.data if seq.data.ndim == 3 else seq.data[None]
-    bsz, n, width = x.shape
+    blocks = [seq] if isinstance(seq, Tensor) else list(seq)
+    lead = blocks[0].shape[:-1]
+    if lead[-1] < 1 or any(t.shape[:-1] != lead for t in blocks):
+        raise ShapeError(f"bilstm: empty or unaligned inputs {[t.shape for t in blocks]}")
+    xb = [t.data if t.data.ndim == 3 else t.data[None] for t in blocks]
+    edges = np.cumsum([0] + [t.shape[-1] for t in blocks])
+    bsz, n, width = xb[0].shape[0], lead[-1], int(edges[-1])
     hid = fw[1].shape[0]
     if width != fw[0].shape[0] or width != bw[0].shape[0]:
         raise ShapeError(f"bilstm: input width {width} != {fw[0].shape[0]}")
@@ -205,9 +212,11 @@ def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
 
     def step_inputs(s0: int, s1: int) -> np.ndarray:
         """Inputs of steps s0..s1-1 per direction, (2, (s1-s0)*B, input)."""
-        fwd = x[:, s0:s1].transpose(1, 0, 2)
-        bwd = x[:, n - s1:n - s0][:, ::-1].transpose(1, 0, 2)
-        return np.stack([fwd, bwd]).reshape(2, -1, width)
+        xs = np.empty((2, s1 - s0, bsz, width))
+        for x, lo, hi in zip(xb, edges, edges[1:]):
+            xs[0, ..., lo:hi] = x[:, s0:s1].transpose(1, 0, 2)
+            xs[1, ..., lo:hi] = x[:, n - s1:n - s0][:, ::-1].transpose(1, 0, 2)
+        return xs.reshape(2, -1, width)
 
     # keep[s] zeroes, per direction, the rows whose sequence has ended
     # (forward) or not yet begun (backward) at step s.
@@ -220,7 +229,9 @@ def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
     # gate and cell arrays is reused instead of keeping all n, and the
     # input projection runs in blocks of n // 4 steps, so for n >= 4 no
     # array outgrows a (B, n, 2*hidden) state (`eval_logits`' budget).
-    track = recording(seq, *fw, *bw)
+    track = recording(*blocks, *fw, *bw)
+    trained = [(t, lo, hi) for t, lo, hi in zip(blocks, edges, edges[1:])
+               if t.requires_grad]  # the only blocks the rule keeps
     block = n if track else max(1, n // 4)
     rows = n if track else 1
     acts = np.empty((rows, 2, bsz, 4, hid))      # i, f, o gates, candidate g
@@ -300,17 +311,21 @@ def bilstm(seq: Tensor, fw, bw, lengths=None) -> Tensor:
         jobs = [Deferred(grad, dz) if fw[k].requires_grad or bw[k].requires_grad
                 else None for k, grad in enumerate(weight_grads)]
         pairs = []
-        if seq.requires_grad:
+        if trained:
+            # One product over every column: a product over one block's
+            # columns alone differed from those columns of it in the last
+            # bit at some shapes (OpenBLAS 0.3.31, 9-60 rows at the
+            # default widths), which would change training.
             dxs = np.matmul(dz, wx.transpose(0, 2, 1)).reshape(2, n, bsz, width)
-            dx = dxs[0] + dxs[1, ::-1]  # back to position order
-            pairs.append((seq, dx.transpose(1, 0, 2).reshape(seq.shape)))
+            dx = (dxs[0] + dxs[1, ::-1]).transpose(1, 0, 2)  # position order
+            pairs = [(t, dx[..., lo:hi].reshape(t.shape)) for t, lo, hi in trained]
         for k, both in enumerate(jobs):
             if both is not None:
                 pairs += [(p[k], both[d]) for d, p in enumerate((fw, bw))
                           if p[k].requires_grad]
         return pairs
 
-    return make_op(out.reshape(seq.shape[:-1] + (2 * hid,)), (seq, *fw, *bw), rule)
+    return make_op(out.reshape(lead + (2 * hid,)), (*blocks, *fw, *bw), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ projected graphs} -> masked max-pool per branch -> concatenate ->
 affine classifier. Ablated branches are skipped and the classifier
 narrows accordingly. The BiLSTM, the attention branch, each GCN layer
 and each masked max-pool are one tape record each (see `layers`), so a
-training step records 14 entries with the default model, however long
+training step records 13 entries with the default model, however long
 its documents are.
 
 Encoding maps each document's tokens to ids once and projects the

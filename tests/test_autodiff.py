@@ -6,6 +6,7 @@ import resource
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import bioie.autodiff as ad
 from bioie.autodiff import (
     Adam,
+    LossNotRecorded,
     NondeterministicFunction,
     ShapeError,
     Tensor,
@@ -367,12 +369,33 @@ class TestBackward:
             backward(Tensor(np.ones(3)))
 
     def test_accumulation_without_reset(self):
+        """Two forward-and-backward passes without `zero_grad` add up."""
+        x = Tensor(rand((2,)), requires_grad=True)
+        for _ in range(2):
+            reset_tape()
+            backward(x.sum())
+        assert np.allclose(x.grad, 2 * np.ones(2))
+
+    def test_second_backward_on_a_consumed_tape_raises(self):
         x = Tensor(rand((2,)), requires_grad=True)
         reset_tape()
-        loss = x.sum()
+        loss = ad.tanh(x).sum()
         backward(loss)
-        backward(loss)
-        assert np.allclose(x.grad, 2 * np.ones(2))
+        first = x.grad.copy()
+        assert ad.tape_size() == 0
+        with pytest.raises(LossNotRecorded, match="record a fresh forward"):
+            backward(loss)
+        assert np.array_equal(x.grad, first)
+
+    def test_backward_after_reset_tape_raises(self):
+        x = Tensor(rand((2,)), requires_grad=True)
+        reset_tape()
+        loss = ad.tanh(x).sum()
+        reset_tape()
+        with pytest.raises(LossNotRecorded, match="record a fresh forward"):
+            backward(loss)
+        assert x.grad is None
+        backward(Tensor(np.ones(1)))  # a leaf loss stays a no-op
 
     def test_reset_backward_idempotent_bitwise(self):
         x = Tensor(rand((4, 4), seed=8), requires_grad=True)
@@ -888,6 +911,123 @@ class TestDeferred:
         assert not helper.is_alive()
         if errors:
             raise errors[0]
+
+
+# ---------------------------------------------------------------------------
+# Tape consumption: `backward` frees each record once its rule has run
+
+def holding(x, seed=90, job=None):
+    """A record whose rule alone holds an array, and a weakref to that
+    array. With `job`, a (w, fn) pair, the rule also hands `w` the
+    gradient `fn()` as a `Deferred`."""
+    held = rand(x.shape, seed=seed)
+    ref = weakref.ref(held)
+
+    def rule(g):
+        pairs = [(x, g * held)]
+        if job is not None:
+            w, fn = job
+            pairs.append((w, ad.Deferred(fn, g)))
+        return pairs
+
+    return ad.make_op(x.data * held, (x,), rule), ref
+
+
+def checking(x, refs, dead):
+    """A record whose rule appends to `dead`, when it runs, whether each
+    weakref in `refs` is dead."""
+    def rule(g):
+        dead.append([ref() is None for ref in refs])
+        return [(x, g)]
+
+    return ad.make_op(x.data.copy(), (x,), rule)
+
+
+class TestTapeConsumption:
+    def test_record_freed_before_an_earlier_rule_runs(self, job_mode):
+        x = Tensor(rand((3, 4), seed=91), requires_grad=True)
+        refs, dead = [], []
+        reset_tape()
+        y, ref = holding(checking(x, refs, dead))
+        refs.append(ref)
+        loss = ad.sum_all(y)
+        assert ref() is not None and ad.tape_size() == 3
+        backward(loss)
+        assert dead == [[True]] and ad.tape_size() == 0
+        assert np.array_equal(x.grad, rand((3, 4), seed=90))
+
+    def test_branch_tapes_consumed_on_either_thread(self, job_mode):
+        """Each branch of a `concat_branches` record frees its own
+        records as its replay passes them, on whichever thread replays
+        it."""
+        x = Tensor(rand((3, 4), seed=92), requires_grad=True)
+        refs, dead, threads = ([[], []], [[], []], [None, None])
+
+        def branch(i):
+            def f(x):
+                threads[i] = threading.get_ident()
+                y, ref = holding(checking(x, refs[i], dead[i]), seed=93 + i)
+                refs[i].append(ref)
+                return y
+            return f
+
+        reset_tape()
+        out = ad.concat_branches([branch(0), branch(1)], x)
+        assert ad.tape_size() == 5
+        backward(ad.sum_all(out))
+        assert dead == [[[True]], [[True]]] and ad.tape_size() == 0
+        assert (threads[0] != threads[1]) == (job_mode == "worker")
+        assert np.array_equal(x.grad, rand((3, 4), seed=93) + rand((3, 4), seed=94))
+
+    def test_record_freed_while_its_job_is_in_flight(self, job_mode):
+        """A record's `Deferred` job holds only what it computes from: the
+        array that only the record held is dead while the job still runs
+        on the worker."""
+        x = Tensor(rand((3, 4), seed=95), requires_grad=True)
+        w = Tensor(np.zeros((3, 4)), requires_grad=True)
+        gate, finished = threading.Event(), []
+        if job_mode == "inline":
+            gate.set()  # the job runs when the rule creates it
+
+        def job():
+            assert gate.wait(timeout=60)
+            finished.append(True)
+            return np.ones((3, 4))
+
+        refs, dead = [], []
+
+        def check_then_open(g):
+            dead.append(([ref() is None for ref in refs], bool(finished)))
+            gate.set()
+            return [(x, g)]
+
+        reset_tape()
+        y, ref = holding(ad.make_op(x.data.copy(), (x,), check_then_open),
+                         job=(w, job))
+        refs.append(ref)
+        backward(ad.sum_all(y))
+        assert dead == [([True], job_mode == "inline")]
+        assert np.array_equal(w.grad, np.ones((3, 4))) and ad.tape_size() == 0
+
+    def test_next_pass_succeeds_after_a_rule_raises(self, job_mode):
+        """The records not yet replayed are dropped while the error is
+        still alive, and a fresh pass then runs as usual."""
+        x = Tensor(rand((3, 4), seed=96), requires_grad=True)
+
+        def failing(t):
+            def rule(g):
+                raise ValueError("rule")
+            return ad.make_op(t.data.copy(), (t,), rule)
+
+        reset_tape()
+        y, ref = holding(ad.tanh(x))
+        loss = ad.sum_all(failing(y))
+        with pytest.raises(ValueError, match="rule") as err:
+            backward(loss)
+        assert ref() is None and err.value is not None
+        assert ad.tape_size() == 0 and x.grad is None
+        backward(ad.sum_all(holding(x)[0]))
+        assert np.array_equal(x.grad, rand((3, 4), seed=90))
 
 
 def test_jobs_and_adam_use_the_worker_from_the_size_constant_on_two_cpus(

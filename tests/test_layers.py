@@ -230,6 +230,27 @@ class TestModelConfig:
         assert ModelConfig(hidden=8, heads=4, use_gcn=False).classifier_width == 16
 
 
+def joined(blocks):
+    """`embed_sequence`'s column blocks joined as `bilstm` joins them."""
+    return np.concatenate([t.data for t in blocks], axis=-1)
+
+
+def concatenated_rows(token_ids, head_start, tail_start, word, pos_head,
+                      pos_tail, max_dist):
+    """The rows `embed_sequence` gave as one recorded `concat`, before it
+    returned column blocks."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    parts = [ad.take_rows(word, ids)]
+    if pos_head is not None:
+        rel = np.arange(ids.shape[-1])
+        h_idx = np.clip(rel - np.expand_dims(head_start, -1), -max_dist,
+                        max_dist) + max_dist
+        t_idx = np.clip(rel - np.expand_dims(tail_start, -1), -max_dist,
+                        max_dist) + max_dist
+        parts += [ad.take_rows(pos_head, h_idx), ad.take_rows(pos_tail, t_idx)]
+    return ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+
+
 class TestEmbedSequence:
     def tables(self, vocab=6, d_w=100, d_p=20, max_dist=60):
         rng = np.random.default_rng(0)
@@ -241,33 +262,51 @@ class TestEmbedSequence:
     def test_width_arithmetic(self):
         word, ph, pt = self.tables()
         out = embed_sequence([0, 1, 2], 0, 2, word, ph, pt, 60)
-        assert out.shape == (3, 140)
+        assert [t.shape for t in out] == [(3, 100), (3, 20), (3, 20)]
+        assert joined(out).shape == (3, 140)
 
     def test_head_relative_zero_row(self):
         word, ph, pt = self.tables()
         out = embed_sequence([0, 1, 2], 1, 2, word, ph, pt, 60)
-        assert np.array_equal(out.data[1, 100:120], ph.data[60])
+        assert np.array_equal(joined(out)[1, 100:120], ph.data[60])
 
     def test_distance_clipped(self):
         word, ph, pt = self.tables(vocab=700)
         ids = list(range(650))
         out = embed_sequence(ids, 0, 0, word, ph, pt, 60)
-        assert np.array_equal(out.data[-1, 100:120], ph.data[120])
+        assert np.array_equal(joined(out)[-1, 100:120], ph.data[120])
 
     def test_no_position_tables(self):
         word, _, _ = self.tables()
         out = embed_sequence([0, 1], 0, 1, word, None, None, 60)
-        assert out.shape == (2, 100)
+        assert len(out) == 1 and out[0].shape == (2, 100)
 
     def test_batch_rows_match_single_sequences(self):
         word, ph, pt = self.tables()
         ids = np.array([[0, 1, 2, 3], [4, 5, 0, 0]])
         out = embed_sequence(ids, np.array([1, 0]), np.array([3, 1]),
                              word, ph, pt, 60)
-        assert out.shape == (2, 4, 140)
+        assert joined(out).shape == (2, 4, 140)
         for i, (hs, ts) in enumerate([(1, 3), (0, 1)]):
             single = embed_sequence(ids[i], hs, ts, word, ph, pt, 60)
-            assert np.array_equal(out.data[i], single.data)
+            assert np.array_equal(joined(out)[i], joined(single))
+
+    @pytest.mark.parametrize("position", [True, False])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_joined_blocks_equal_concatenated_rows_bitwise(self, position,
+                                                           batched):
+        word, ph, pt = self.tables(vocab=200)
+        if not position:
+            ph = pt = None
+        if batched:
+            args = (np.arange(150).reshape(2, 75) % 200, np.array([3, 70]),
+                    np.array([74, 0]))
+        else:
+            args = (np.arange(130) % 200, 5, 120)
+        got = joined(embed_sequence(*args, word, ph, pt, 60))
+        expected = concatenated_rows(*args, word, ph, pt, 60).data
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_id_out_of_range(self):
         word, ph, pt = self.tables(vocab=3)
@@ -457,6 +496,52 @@ class TestBilstm:
         rev = bilstm(Tensor(seq[::-1].copy()), fw, bw).data
         swapped = np.concatenate([rev[::-1, 4:], rev[::-1, :4]], axis=1)
         assert np.allclose(out, swapped, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [None, [4, 7, 2]])
+    def test_column_blocks_equal_the_joined_input_bitwise(self, lengths,
+                                                          job_mode):
+        """Blocks 2, 1 and 3 columns wide, the first frozen: the output,
+        the weight gradients and each trained block's gradient equal
+        those of the joined input bit for bit."""
+        fw, bw = self.params(width=6, seed=7)
+        seq = rand((7, 6) if lengths is None else (3, 7, 6), 8)
+        weights = (*fw, *bw)
+
+        def run(inp):
+            for t in weights:
+                t.grad = None
+            ad.reset_tape()
+            out = bilstm(inp, fw, bw, lengths)
+            ad.backward(ad.sum_all(ad.hadamard(out, Tensor(rand(out.shape, 9)))))
+            return [out.data] + [t.grad for t in weights]
+
+        joined = Tensor(seq, requires_grad=True)
+        expected = run(joined)
+        blocks = [Tensor(seq[..., :2]), Tensor(seq[..., 2:3], requires_grad=True),
+                  Tensor(seq[..., 3:], requires_grad=True)]
+        got = run(blocks)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        assert blocks[0].grad is None
+        for block, cols in zip(blocks[1:], (slice(2, 3), slice(3, 6))):
+            assert block.grad.tobytes() == joined.grad[..., cols].tobytes()
+
+    def test_rule_keeps_and_returns_no_frozen_block(self):
+        fw, bw = self.params(width=6, seed=10)
+        frozen = Tensor(rand((4, 2), 11))
+        trained = Tensor(rand((4, 4), 12), requires_grad=True)
+        ref = weakref.ref(frozen.data)
+        ad.reset_tape()
+        out = bilstm([frozen, trained], fw, bw)
+        del frozen
+        assert ref() is None and ad.tape_size() == 1
+        pairs = list(ad._STATE.tape[-1].rule(np.ones(out.shape)))
+        ad.reset_tape()
+        assert [p for p, _ in pairs if p not in (*fw, *bw)] == [trained]
+
+    def test_unaligned_blocks(self):
+        with pytest.raises(ShapeError, match="unaligned"):
+            bilstm([Tensor(rand((4, 2))), Tensor(rand((3, 3)))], *self.params())
 
 
 class TestAttention:

@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -201,6 +202,41 @@ class TestEncoding:
         encoded = encode_instances(tiny_task.instances, tiny_task.documents,
                                    tiny_task.vocab, None, no_gcn)
         assert all(e.doc.adjacency == {} for e in encoded)
+
+
+def saved_bytes(tape, ops) -> int:
+    """Bytes of the distinct arrays that the rules of the records made by
+    `ops` hold, on `tape` or on the branch tapes of its `concat_branches`
+    records, apart from the outputs of the records on `tape` itself."""
+    def owner(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    def closure(rule):
+        return dict(zip(rule.__code__.co_freevars,
+                        (c.cell_contents for c in rule.__closure__ or ())))
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield owner(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+
+    def walk(records):
+        for rec in records:
+            name = rec.rule.__qualname__.split(".")[0]
+            if name == "concat_branches":
+                for branch in closure(rec.rule)["tapes"]:
+                    yield from walk(branch)
+            elif name in ops:
+                for value in closure(rec.rule).values():
+                    yield from arrays(value)
+
+    outputs = {id(owner(rec.out.data)) for rec in tape}
+    found = {id(a): a.nbytes for a in walk(tape) if id(a) not in outputs}
+    return sum(found.values())
 
 
 class TestForward:
@@ -424,10 +460,51 @@ class TestForward:
         size = ad.tape_size()
         ad.reset_tape()
         assert Counter(recorded) == {
-            "take_rows": 2, "concat": 1, "bilstm": 1, "hadamard": 1,
+            "take_rows": 2, "bilstm": 1, "hadamard": 1,
             "multi_head_attention": 1, "gcn_layer": config.gcn_layers,
             "max_pool_over_time": 2, "matmul": 1, "add_rowvec": 1}
         assert size == len(recorded) + 1  # the `concat_branches` record
+
+    def test_attention_and_gcn_records_freed_before_the_bilstm_rule(
+            self, job_mode, monkeypatch):
+        """tracemalloc guard on one recorded default-model step at the
+        shapes of the benchmark's `train_long` workload: when the BiLSTM
+        rule starts, the live bytes are below those at the start of
+        `backward` minus every array that the attention and GCN records
+        saved, plus the gradients of their weights, which the replay has
+        made by then. Jobs still queued on the worker run first, so their
+        operands are not counted."""
+        task = build_synth_task({kind: 6 for kind in PATHOLOGY_KINDS}, seed=4,
+                                d_w=100, theta=0.25, window=20)
+        config = ModelConfig(label_count=len(task.label_set))
+        model = init_model(config, task.vocab, seed=0, label_set=task.label_set)
+        batch = encode_all(task, config)[:8]
+        live = {}
+        make = layers.make_op
+
+        def measuring(data, parents, rule):
+            if rule.__qualname__.startswith("bilstm"):
+                def rule(g, inner=rule):
+                    ad._drain()
+                    live["bilstm"] = tracemalloc.get_traced_memory()[0]
+                    return inner(g)
+            return make(data, parents, rule)
+
+        monkeypatch.setattr(layers, "make_op", measuring)
+        tracemalloc.start()
+        try:
+            ad.reset_tape()
+            batch_loss = loss(model, batch, "train")
+            saved = saved_bytes(ad._STATE.tape,
+                                ("multi_head_attention", "gcn_layer"))
+            live["start"] = tracemalloc.get_traced_memory()[0]
+            ad.backward(batch_loss)
+        finally:
+            tracemalloc.stop()
+        grads = sum(p.data.nbytes for name, p in model.params.items()
+                    if name.startswith(("attn.", "gcn.")))
+        assert saved > 4 * grads
+        assert live["bilstm"] < live["start"] - saved + grads
 
     def test_eval_mode_deterministic_bitwise(self, tiny_task, small_config):
         model, enc = self.model_and_batch(tiny_task, small_config)
