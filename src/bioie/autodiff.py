@@ -4,12 +4,13 @@ The tape is define-by-run: while gradients are enabled, every
 differentiable operation appends one record, and `backward` replays the
 records in reverse order (creation order is topological order by
 construction). `backward` consumes the tape: it takes each record off
-before running its rule, so what only the record holds is freed once
-the rule has run, and the next pass records a fresh tape; `reset_tape()`
-drops a tape that no `backward` consumes. Model layers are fused ops of
-one record each, so a default-model training step records 13 (see
-`pipeline`). The tape and the grad mode (`no_grad`) belong to the
-thread that runs the op.
+before running its rule, and holds neither the record nor its output
+while the rule runs, and each rule frees what it saved at its last
+read. So records and saved arrays are freed at their last read, and the
+next pass records a fresh tape; `reset_tape()` drops a tape that no
+`backward` consumes. Model layers are fused ops of one record each, so a
+default-model training step records 12 (see `pipeline`). The tape and
+the grad mode (`no_grad`) belong to the thread that runs the op.
 
 `concat_branches(branches, x)` is `concat([f(x) for f in branches])`
 as one record whose branches may run concurrently: all but the last on
@@ -252,8 +253,9 @@ def make_op(data: np.ndarray, parents, rule) -> Tensor:
     (parent_tensor, gradient_array) pairs, one per parent that needs a
     gradient; the gradient of a parent that is a leaf may be a `Deferred`
     instead. No rule may write into its `g` or into an array it returns.
-    Recording is skipped when gradients are globally disabled or no
-    parent requires them.
+    `backward` runs each rule once, so a rule may drop what it saved at
+    its last read. Recording is skipped when gradients are globally
+    disabled or no parent requires them.
     """
     track = recording(*parents)
     out = Tensor(data, requires_grad=track)
@@ -314,22 +316,25 @@ def _replay(tape: list[_Record], out: Tensor, g: np.ndarray,
     """Replay `tape` in reverse from the gradient `g` of `out`, buffering
     the gradients of intermediates, and return the gradients of the
     leaves as (tensor, gradient) pairs in replay order. Each record is
-    popped off `tape` before its rule runs, so it is freed once the rule
-    has run. With `crossing`, the pairs hold the gradients of every
-    tensor this tape did not create, leaves included. Jobs for leaves
-    are not waited on here, so the replay goes on while they run; a
-    replay on the worker thread queues its jobs behind itself. A
-    `Deferred` gradient of an intermediate is resolved at once
-    (`_join`)."""
+    popped off `tape` before its rule runs, and while the rule runs the
+    replay holds neither the record, its output, its `g` nor the last
+    rule's results: the rule frees what it saved at its last read. With
+    `crossing`, the pairs hold the gradients of every tensor this tape
+    did not create, leaves included. Jobs for leaves are not waited on
+    here, so the replay goes on while they run; a replay on the worker
+    thread queues its jobs behind itself. A `Deferred` gradient of an
+    intermediate is resolved at once (`_join`)."""
     inner = {id(rec.out) for rec in tape} if crossing else None
     buffers: dict[int, np.ndarray] = {id(out): g}
     pairs = []
+    del out, g
     while tape:
         rec = tape.pop()
-        g = buffers.pop(id(rec.out), None)
-        if g is None:
+        key, rule = id(rec.out), rec.rule
+        rec = parent = contrib = buf = None
+        if key not in buffers:
             continue
-        for parent, contrib in rec.rule(g):
+        for parent, contrib in rule(buffers.pop(key)):
             if not parent.requires_grad:
                 continue
             if parent.is_leaf or (inner is not None and id(parent) not in inner):
@@ -387,17 +392,13 @@ def sub(a, b) -> Tensor:
 def hadamard(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("hadamard", a, b)
-    ad, bd = a.data, b.data
+    # Each operand's gradient reads only the other's data.
+    factors = [(t, o.data) for t, o in ((a, b), (b, a)) if t.requires_grad]
 
     def rule(g):
-        pairs = []
-        if a.requires_grad:
-            pairs.append((a, _reduce_to(g * bd, a.shape)))
-        if b.requires_grad:
-            pairs.append((b, _reduce_to(g * ad, b.shape)))
-        return pairs
+        return [(t, _reduce_to(g * o, t.shape)) for t, o in factors]
 
-    return make_op(ad * bd, (a, b), rule)
+    return make_op(a.data * b.data, (a, b), rule)
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:

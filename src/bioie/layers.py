@@ -11,18 +11,23 @@ Every layer takes one (n, .) sequence or a padded (B, n, .) batch.
 Each model layer is one tape record with a hand-derived backward rule
 (validated by finite differences and against primitive-op references
 in the tests), recorded through this module's `make_op`:
-  * `bilstm`: both directions in one loop, keeping the input
-    projection's inputs and every step's gates, cell state and output.
-    Sigmoid gates are computed as (tanh(z/2) + 1) / 2 from weights whose
-    sigmoid columns are halved at call time, so one tanh covers all
-    four gates;
+  * `bilstm`: both directions in one loop, and train-mode dropout on
+    its output, keeping the stacked step inputs, every step's gates,
+    cell state and output, and the dropout mask. Sigmoid gates are
+    computed as (tanh(z/2) + 1) / 2 from weights whose sigmoid columns
+    are halved at call time, so one tanh covers all four gates;
   * `multi_head_attention`: all heads, keeping the fused Q/K/V
-    projection and every head's attention weights;
+    projection and one attention-weight array per head;
   * `gcn_layer`: one whole GCN layer over all graph kinds, keeping each
     kind's tanh output and normalized adjacency.
-Without a record (`no_grad`, or no input needing a gradient) the layers
-keep none of it. `embed_sequence` gathers rows with `take_rows` and
-hands them to `bilstm` as column blocks, unjoined. The references
+No record keeps a copy of its weights: a rule stacks or concatenates
+them again, as they do not change before the optimizer step. Each rule
+frees what it saved at its last read: a head's attention weights once
+that head's gradient is done, the projection before the input gradient,
+a kind's output and adjacency once that kind is done. Without a record
+(`no_grad`, or no input needing a gradient) the layers keep none of it.
+`embed_sequence` gathers rows with `take_rows` and hands them to
+`bilstm` as column blocks, unjoined. The references
 `scaled_dot_attention`, for one attention head, and `gcn_propagate` and
 `inter_graph_mix`, for one kind of a GCN layer and for the mean over
 kinds, compose the primitive autodiff ops.
@@ -156,14 +161,15 @@ def embed_sequence(token_ids, head_start, tail_start,
 # ---------------------------------------------------------------------------
 # LSTM
 
-def bilstm(seq, fw, bw, lengths=None) -> Tensor:
+def bilstm(seq, fw, bw, lengths=None, mask=None) -> Tensor:
     """Forward and backward LSTM passes over an (n, input) sequence or a
     padded (B, n, input) batch, with independent (wx, wh, b) triples `fw`
     and `bw`, as one fused tape record. Each position's outputs are
-    concatenated [forward, backward] to width 2*hidden. `seq` may be a
-    list of column blocks of the input, joined along the last axis; the
-    record keeps, and the rule returns a gradient for, only the blocks
-    that need one.
+    concatenated [forward, backward] to width 2*hidden, then multiplied
+    by `mask`, if given, such as shaped train-mode dropout multipliers.
+    `seq` may be a list of column blocks of the input, joined along the
+    last axis; the record keeps, and the rule returns a gradient for,
+    only the blocks that need one.
 
     `wx` is (input, 4*hidden), `wh` (hidden, 4*hidden) and `b`
     (1, 4*hidden). Gate blocks are laid out [input, forget, output,
@@ -183,12 +189,13 @@ def bilstm(seq, fw, bw, lengths=None) -> Tensor:
     are halved once per call, because sigmoid(z) = (tanh(z/2) + 1) / 2:
     one tanh covers all four gates, and no clip is needed.
 
-    The record keeps the input projection's inputs and every step's gate
-    activations, cell state and output. Its backward rule runs the same
-    loop in reverse, with one batched recurrent product per step, and
-    reduces each weight gradient to one batched GEMM. Value- and
-    gradient-equivalent to chaining single LSTM cell updates over each
-    row's real prefix (checked in tests).
+    The record keeps the input projection's inputs, every step's gate
+    activations, cell state and output, and `mask`, but not the stacked
+    weights, which the rule stacks again. Its backward rule frees each at
+    its last read. It runs the same loop in reverse, with one batched
+    recurrent product per step, and reduces each weight gradient to one
+    batched GEMM. Value- and gradient-equivalent to chaining single LSTM
+    cell updates over each row's real prefix (checked in tests).
     """
     blocks = [seq] if isinstance(seq, Tensor) else list(seq)
     lead = blocks[0].shape[:-1]
@@ -205,7 +212,11 @@ def bilstm(seq, fw, bw, lengths=None) -> Tensor:
         raise ShapeError(
             f"bilstm: lengths {lengths.tolist()} do not fit a "
             f"{bsz}-row batch of {n} steps")
-    wx, wh, b = (np.stack([fw[k].data, bw[k].data]) for k in range(3))
+
+    def stacked(k: int) -> np.ndarray:
+        return np.stack([fw[k].data, bw[k].data])
+
+    wx, wh, b = (stacked(k) for k in range(3))
     half = np.repeat([0.5, 0.5, 0.5, 1.0], hid)  # exact: a power of two
     wx_half, wh_half, b_half = wx * half, wh * half, b * half
     shift = 1.0 - half  # tanh(z/2) * 0.5 + 0.5 on the sigmoid gates
@@ -265,12 +276,17 @@ def bilstm(seq, fw, bw, lengths=None) -> Tensor:
     out = np.empty((bsz, n, 2, hid))
     out[:, :, 0] = hs[0, 1:].transpose(1, 0, 2)
     out[:, :, 1] = hs[1, :0:-1].transpose(1, 0, 2)
+    out = out.reshape(lead + (2 * hid,))
+    if mask is not None:
+        out *= mask
 
     def rule(g):
-        g = g.reshape(bsz, n, 2, hid)
+        nonlocal acts, cell, tc, mask  # each freed after its last read
+        g = (g if mask is None else g * mask).reshape(bsz, n, 2, hid)
         gs = np.empty((2, n, bsz, hid))  # output gradients in step order
         gs[0] = g[:, :, 0].transpose(1, 0, 2)
         gs[1] = g[:, ::-1, 1].transpose(1, 0, 2)
+        g = mask = None
         # Per-step factors vectorized up front: a gate's pre-activation
         # gradient is its factor times the cell gradient (i, f, g) or the
         # output gradient (o).
@@ -281,7 +297,10 @@ def bilstm(seq, fw, bw, lengths=None) -> Tensor:
         np.multiply(tc * o_g, 1.0 - o_g, out=pre[..., 2, :])
         np.multiply(i_g, 1.0 - g_g * g_g, out=pre[..., 3, :])
         pre_c = o_g * (1.0 - tc * tc)
-        wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
+        cell = tc = None
+        # The weights are stacked again rather than kept: they do not
+        # change before the optimizer step.
+        wh_t = np.ascontiguousarray(stacked(1).transpose(0, 2, 1))
         dz = np.empty((2, n, bsz, 4, hid))
         dh = np.empty((2, bsz, hid))
         tmp = np.empty((2, bsz, hid))
@@ -300,6 +319,7 @@ def bilstm(seq, fw, bw, lengths=None) -> Tensor:
             np.multiply(dc, pre[s, :, :, 3], out=row[:, :, 3])
             dc *= f_g[s]  # becomes the carry entering the previous step
             np.matmul(row.reshape(2, bsz, 4 * hid), wh_t, out=dh_carry)
+        acts = i_g = f_g = o_g = g_g = pre = pre_c = gs = None
         dz = dz.reshape(2, n * bsz, 4 * hid)  # one row per step and batch row
         h_prev = hs[:, :-1].reshape(2, n * bsz, hid)
         weight_grads = (  # a recorded call projected all n steps as one block
@@ -316,7 +336,7 @@ def bilstm(seq, fw, bw, lengths=None) -> Tensor:
             # columns alone differed from those columns of it in the last
             # bit at some shapes (OpenBLAS 0.3.31, 9-60 rows at the
             # default widths), which would change training.
-            dxs = np.matmul(dz, wx.transpose(0, 2, 1)).reshape(2, n, bsz, width)
+            dxs = np.matmul(dz, stacked(0).transpose(0, 2, 1)).reshape(2, n, bsz, width)
             dx = (dxs[0] + dxs[1, ::-1]).transpose(1, 0, 2)  # position order
             pairs = [(t, dx[..., lo:hi].reshape(t.shape)) for t, lo, hi in trained]
         for k, both in enumerate(jobs):
@@ -325,7 +345,7 @@ def bilstm(seq, fw, bw, lengths=None) -> Tensor:
                           if p[k].requires_grad]
         return pairs
 
-    return make_op(out.reshape(lead + (2 * hid,)), (*blocks, *fw, *bw), rule)
+    return make_op(out, (*blocks, *fw, *bw), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +382,11 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
     3*heads*head_dim) GEMM over the weights concatenated at call time.
     Heads then run one at a time, each head's context written into one
     (B, n, heads*head_dim) buffer before `wo`. The record keeps the
-    projections and every head's (B, n, n) attention weights for its
-    backward rule; without a record one score buffer is reused, so no
-    array holds more than one head's scores."""
+    projections and one (B, n, n) attention-weight array per head, but
+    not the concatenated weights. Its rule frees each head's array once
+    that head is done, and the projections before the input gradient,
+    which concatenates the weights again. Without a record one score
+    buffer is reused, so no array holds more than one head's scores."""
     if x.shape[-1] != heads[0][0].shape[0]:
         raise ShapeError(
             f"attention: input width {x.shape[-1]} != projection rows "
@@ -374,16 +396,21 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
     count, hd = len(heads), heads[0][0].shape[1]
     scale = 1.0 / math.sqrt(hd)
     weights = [p[j] for j in range(3) for p in heads]  # all q, all k, all v
+
+    def fused() -> np.ndarray:
+        return np.concatenate([t.data for t in weights], axis=1)
+
     x2 = xd.reshape(-1, width)
-    w = np.concatenate([t.data for t in weights], axis=1)
-    qkv = (x2 @ w).reshape(bsz, steps, 3, count, hd)
+    qkv = (x2 @ fused()).reshape(bsz, steps, 3, count, hd)
     qkv[:, :, 0] *= scale  # scaled queries, as in `scaled_dot_attention`
     bias = None if mask_bias is None else mask_bias.data
     track = recording(x, wo, *weights)
-    probs = np.empty((count if track else 1, bsz, steps, steps))
+    probs, p = [], None  # one array per head, or one reused without a record
     ctx = np.empty((bsz, steps, count, hd))
     for k in range(count):
-        p = probs[k if track else 0]
+        if track or p is None:
+            p = np.empty((bsz, steps, steps))
+            probs.append(p)
         # A contiguous kT, as the `transpose` op makes, keeps the scores
         # bitwise equal to `scaled_dot_attention`'s.
         key_t = np.swapaxes(qkv[:, :, 1, k], -1, -2).copy()
@@ -397,14 +424,16 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
     ctx2 = ctx.reshape(-1, count * hd)
 
     def rule(g):
+        nonlocal qkv
         g2 = g.reshape(-1, g.shape[-1])
         pairs = []
         if wo.requires_grad:
-            pairs.append((wo, Deferred(lambda: ctx2.T @ g2, g2)))
+            pairs.append((wo, Deferred(lambda g2=g2: ctx2.T @ g2, g2)))
         dctx = (g2 @ wo.data.T).reshape(bsz, steps, count, hd)
+        g = g2 = None  # the last read here; an unfinished `wo` job holds it
         dqkv = np.empty_like(qkv)
         for k in range(count):
-            p = probs[k]
+            p, probs[k] = probs[k], None  # freed once this head is done
             q, key, v = qkv[:, :, 0, k], qkv[:, :, 1, k], qkv[:, :, 2, k]
             dc = dctx[:, :, k]
             dqkv[:, :, 2, k] = np.swapaxes(p, -1, -2) @ dc
@@ -413,12 +442,13 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
             ds *= p                           # d loss / d scores
             dqkv[:, :, 0, k] = ds @ key
             dqkv[:, :, 1, k] = np.swapaxes(ds, -1, -2) @ q
+        p = q = key = v = dc = ds = dctx = qkv = None  # the projection's last read
         dqkv[:, :, 0] *= scale
         d2 = dqkv.reshape(-1, 3 * count * hd)
         gw = (Deferred(lambda: (x2.T @ d2).reshape(width, 3 * count, hd), d2)
               if any(t.requires_grad for t in weights) else None)
         if x.requires_grad:
-            pairs.append((x, (d2 @ w.T).reshape(x.shape)))
+            pairs.append((x, (d2 @ fused().T).reshape(x.shape)))
         if gw is not None:
             pairs += [(t, gw[:, i]) for i, t in enumerate(weights) if t.requires_grad]
         return pairs
@@ -471,10 +501,11 @@ def gcn_layer(m: Tensor, adjacencies, ws, bs) -> Tensor:
     each kind's `DocumentAdjacency`, in the order of `ws` and `bs`, and is
     read one kind at a time: without a record, at most one is alive.
 
-    The record keeps each kind's output y_k and A_k/d_k; its rule uses
-    tanh' = 1 - y_k^2. The mean sums (y_0 + y_1) + y_2, and the input
-    gradient adds kind 2's term, then kind 1's, then kind 0's: bitwise
-    the values and gradients of separate affine, tanh and mean records."""
+    The record keeps each kind's output y_k and A_k/d_k, which its rule
+    frees one kind at a time; it uses tanh' = 1 - y_k^2. The mean sums
+    (y_0 + y_1) + y_2, and the input gradient adds kind 2's term, then
+    kind 1's, then kind 0's: bitwise the values and gradients of
+    separate affine, tanh and mean records."""
     ws, bs, adjacencies = list(ws), list(bs), iter(adjacencies)
     m2 = m.data.reshape(-1, m.shape[-1])
     track = recording(m, *ws, *bs)
@@ -499,17 +530,20 @@ def gcn_layer(m: Tensor, adjacencies, ws, bs) -> Tensor:
     total *= scale
 
     def rule(g):
-        share = g * scale
+        share, g = g * scale, None
         pairs, dm = [], None
-        for y, a_norm, w, b in reversed(kept):
+        while kept:  # each kind's y_k and A_k/d_k are freed after their read
+            y, a_norm, w, b = kept.pop()
             gk = y * y
             np.subtract(1.0, gk, out=gk)
+            y = None
             gk *= share
             g2 = gk.reshape(-1, gk.shape[-1])
             if b.requires_grad:
                 pairs.append((b, g2.sum(axis=0, keepdims=True)))
             if m.requires_grad or w.requires_grad:
                 dhw = (np.swapaxes(a_norm, -1, -2) @ gk).reshape(g2.shape)
+                a_norm = gk = g2 = None
                 if w.requires_grad:
                     pairs.append((w, Deferred(lambda d=dhw: m2.T @ d, dhw)))
                 if m.requires_grad:

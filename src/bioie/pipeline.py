@@ -11,10 +11,10 @@ Forward path, one mini-batch at a time: embed tokens -> bidirectional
 LSTM -> {self-attention branch, graph-convolution branch over the three
 projected graphs} -> masked max-pool per branch -> concatenate ->
 affine classifier. Ablated branches are skipped and the classifier
-narrows accordingly. The BiLSTM, the attention branch, each GCN layer
-and each masked max-pool are one tape record each (see `layers`), so a
-training step records 13 entries with the default model, however long
-its documents are.
+narrows accordingly. The BiLSTM with its train-mode dropout, the
+attention branch, each GCN layer and each masked max-pool are one tape
+record each (see `layers`), so a training step records 12 entries with
+the default model, however long its documents are.
 
 Encoding maps each document's tokens to ids once and projects the
 corpus graphs onto those ids. Documents are never padded, so an encoded
@@ -35,8 +35,8 @@ a (B, T) validity mask that is false on batch padding:
     node aggregates from them;
   * max-pooling adds MASK_NEG at invalid positions.
 An instance's logits therefore do not depend on the batch it runs in,
-up to summation order. Train-mode dropout draws each instance's
-(n_i, d_model) mask in batch order, as one-at-a-time runs would.
+up to summation order. Train-mode dropout draws one mask over the valid
+rows in batch order, the draws that one-at-a-time runs would make.
 
 The graph-convolution branch keeps one node state m, starting from the
 LSTM output; each layer replaces it by mean_k tanh(A_k m W_k + b_k)
@@ -300,14 +300,14 @@ def _batch_adjacency(batch: list[EncodedInstance], kind: str,
     return DocumentAdjacency(np.take(flat, index), degree)
 
 
-def _dropout_mask(rng: np.random.Generator, p: float, lengths: np.ndarray,
-                  shape: tuple[int, ...]) -> np.ndarray:
-    """Inverted-dropout multipliers for a padded batch. Each instance
-    draws its own (n_i, width) block in batch order, so the random
-    stream, and with it training, does not depend on batch padding."""
-    mask = np.zeros(shape)
-    for i, n in enumerate(lengths):
-        mask[i, :n] = ad.dropout_mask(rng, p, (n, shape[-1]))
+def _dropout_mask(rng: np.random.Generator, p: float, valid: np.ndarray,
+                  width: int) -> np.ndarray:
+    """Inverted-dropout multipliers for a padded batch: one draw over the
+    valid rows, in batch order, is the draws of the instances one at a
+    time, so the random stream, and with it training, does not depend on
+    batch padding."""
+    mask = np.zeros(valid.shape + (width,))
+    mask[valid] = ad.dropout_mask(rng, p, (int(valid.sum()), width))
     return mask
 
 
@@ -330,11 +330,11 @@ def forward(model: ModelState, batch: list[EncodedInstance],
     p = model.params
     pos_head = p.get("embed.pos_head") if cfg.use_position else None
     pos_tail = p.get("embed.pos_tail") if cfg.use_position else None
+    mask = (_dropout_mask(model.rng, cfg.dropout, valid, cfg.d_model)
+            if mode == "train" and cfg.dropout > 0.0 else None)
     h = bilstm(embed_sequence(ids, heads, tails, p["embed.word"], pos_head,
                               pos_tail, cfg.max_dist),
-               _lstm_direction(p, "fw"), _lstm_direction(p, "bw"), lengths)
-    if mode == "train" and cfg.dropout > 0.0:
-        h = ad.hadamard(h, _dropout_mask(model.rng, cfg.dropout, lengths, h.shape))
+               _lstm_direction(p, "fw"), _lstm_direction(p, "bw"), lengths, mask)
 
     # Each branch returns its pooled (B, d_model) features, so its
     # (B, T, .) intermediates are freed when it returns.

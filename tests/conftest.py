@@ -1,6 +1,7 @@
 """Shared fixtures: small synthetic task data and model configs."""
 
 import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import bioie.autodiff as ad
 from bioie.corpus import build_vocabulary, normalize_corpus, random_embeddings, synth_corpus
 from bioie.layers import ModelConfig
+from bioie.pipeline import loss
 from bioie.textgraph import GRAPH_KINDS, build_corpus_graphs, pair_ids
 from bioie.training import CHECKPOINT_MAGIC, TaskData
 
@@ -62,6 +64,29 @@ def build_synth_task(counts, seed, d_w=24, theta=0.9, window=5,
     task = instances[0].task
     return TaskData({d.id: d for d in docs}, instances,
                     instances[0].label_set, vocab, embeddings, graphs, task)
+
+
+def traced_step(model, batch, before_backward=None) -> tuple[int, int]:
+    """One recorded train-mode step of `model` on `batch`, from an empty
+    tape, under tracemalloc: the live bytes when `backward` starts, and
+    the peak above them until `backward` has returned and every job
+    queued on the worker has run. `before_backward(tape)` sees the
+    recorded tape first. Code that `backward` calls may read
+    `tracemalloc.get_traced_memory()` meanwhile."""
+    tracemalloc.start()
+    try:
+        ad.reset_tape()
+        batch_loss = loss(model, batch, "train")
+        if before_backward is not None:
+            before_backward(ad._STATE.tape)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(batch_loss)
+        ad._drain()
+        return start, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+        ad.reset_tape()
 
 
 def counts_of(stats):

@@ -943,7 +943,40 @@ def checking(x, refs, dead):
     return ad.make_op(x.data.copy(), (x,), rule)
 
 
+def self_checking(x, dead):
+    """A record whose rule appends to `dead`, when it runs, whether its
+    own output array is dead."""
+    refs = []
+
+    def rule(g):
+        dead.append(refs[0]() is None)
+        return [(x, g)]
+
+    out = ad.make_op(x.data.copy(), (x,), rule)
+    refs.append(weakref.ref(out.data))
+    return out
+
+
 class TestTapeConsumption:
+    def test_output_dead_while_its_own_rule_runs(self, job_mode):
+        """An output that only its record holds is freed before the rule
+        runs: the replay holds neither the record nor the output."""
+        x = Tensor(rand((3, 4), seed=97), requires_grad=True)
+        dead = []
+        reset_tape()
+        backward(ad.sum_all(self_checking(x, dead)))
+        assert dead == [True]
+        assert np.array_equal(x.grad, np.ones((3, 4)))
+
+    def test_branch_outputs_dead_while_their_own_rules_run(self, job_mode):
+        x = Tensor(rand((3, 4), seed=98), requires_grad=True)
+        dead = [[], []]
+        branches = [lambda x, d=d: ad.max_pool_over_time(self_checking(x, d))
+                    for d in dead]
+        reset_tape()
+        backward(ad.sum_all(ad.concat_branches(branches, x)))
+        assert dead == [[True], [True]]
+
     def test_record_freed_before_an_earlier_rule_runs(self, job_mode):
         x = Tensor(rand((3, 4), seed=91), requires_grad=True)
         refs, dead = [], []

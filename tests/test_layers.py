@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bioie.autodiff as ad
+import bioie.layers as layer_module
 from bioie.autodiff import ShapeError, Tensor, grad_check, make_op, sigmoid_values
 from bioie.layers import (
     ModelConfig,
@@ -24,6 +25,55 @@ from bioie.textgraph import DocumentAdjacency
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, shape)
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of `a`."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def closure(fn) -> dict:
+    """The variables that a function closes over, by name."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (c.cell_contents for c in fn.__closure__ or ())))
+
+
+def held_arrays(fn) -> list[np.ndarray]:
+    """Every array that `fn`'s closure holds, through lists, tuples and
+    the closures of the functions it holds, tensors aside."""
+    found, seen, todo = [], set(), list(closure(fn).values())
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            todo.extend(closure(value).values())
+    return found
+
+
+def last_rule():
+    """The rule of the last record on this thread's tape."""
+    return ad._STATE.tape[-1].rule
+
+
+def dead_at_each_job(monkeypatch, refs) -> list[list[bool]]:
+    """For each `Deferred` that a layer makes from now on, whether each
+    weakref in `refs` is dead as it is made."""
+    seen, make = [], layer_module.Deferred
+
+    def spy(fn, operand):
+        seen.append([ref() is None for ref in refs])
+        return make(fn, operand)
+
+    monkeypatch.setattr(layer_module, "Deferred", spy)
+    return seen
 
 
 def lstm_direction(rng: np.random.Generator, input_dim: int, hidden: int
@@ -543,6 +593,59 @@ class TestBilstm:
         with pytest.raises(ShapeError, match="unaligned"):
             bilstm([Tensor(rand((4, 2))), Tensor(rand((3, 3)))], *self.params())
 
+    def test_mask_equals_hadamard_after_it_in_one_record(self, job_mode):
+        """With `mask`, the output and every gradient are bit for bit
+        those of `hadamard` on the unmasked output, from one record."""
+        fw, bw = self.params(width=6, seed=12)
+        lengths = [4, 7, 2]
+        seq = Tensor(rand((3, 7, 6), 13), requires_grad=True)
+        mask = ad.dropout_mask(np.random.default_rng(14), 0.5, (3, 7, 8))
+        weights = Tensor(rand((3, 7, 8), 15))
+        tensors = (seq, *fw, *bw)
+
+        def run(fused):
+            for t in tensors:
+                t.grad = None
+            ad.reset_tape()
+            out = (bilstm(seq, fw, bw, lengths, mask) if fused else
+                   ad.hadamard(bilstm(seq, fw, bw, lengths), Tensor(mask)))
+            records = ad.tape_size()
+            ad.backward(ad.sum_all(ad.hadamard(out, weights)))
+            return records, [out.data] + [t.grad for t in tensors]
+
+        (one, got), (two, want) = run(True), run(False)
+        assert (one, two) == (1, 2)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_steps_and_mask_freed_before_the_weight_jobs(self, job_mode,
+                                                         monkeypatch):
+        """The rule frees every step's gates, cell state and its tanh, and
+        the mask, at their last reads, before it makes its weight jobs."""
+        fw, bw = self.params(width=6, seed=18)
+        mask = ad.dropout_mask(np.random.default_rng(19), 0.5, (2, 5, 8))
+        ad.reset_tape()
+        out = bilstm(Tensor(rand((2, 5, 6), 20), requires_grad=True), fw, bw,
+                     [5, 3], mask)
+        saved = closure(last_rule())
+        refs = [weakref.ref(owner(saved[name]))
+                for name in ("acts", "cell", "tc", "mask")]
+        del saved, mask
+        seen = dead_at_each_job(monkeypatch, refs)
+        ad.backward(ad.sum_all(out))
+        assert seen == [[True] * len(refs)] * 3
+
+    def test_record_keeps_no_stacked_weights(self):
+        fw, bw = self.params(width=6, seed=16)
+        ad.reset_tape()
+        bilstm(Tensor(rand((2, 5, 6), 17), requires_grad=True), fw, bw)
+        held = held_arrays(last_rule())
+        ad.reset_tape()
+        for k in range(3):
+            copy = np.stack([fw[k].data, bw[k].data])
+            assert not any(a.shape == copy.shape and np.array_equal(a, copy)
+                           for a in held), k
+
 
 class TestAttention:
     def test_single_key_value_row(self):
@@ -633,6 +736,33 @@ class TestBatchedAttention:
                        for _ in range(3)) for _ in range(2)]
         wo = Tensor(glorot(rng, 8, 8), requires_grad=True)
         return lengths, x, mask, heads, wo
+
+    def test_heads_and_projection_freed_before_the_projection_job(
+            self, job_mode, monkeypatch):
+        """The rule frees each head's attention weights once that head is
+        done and the Q/K/V projection after its last read: none of them
+        is alive when the rule makes the Q/K/V weight job, and all are
+        when it makes the `wo` job."""
+        _, x, mask, heads, wo = self.setup_batch()
+        ad.reset_tape()
+        out = multi_head_attention(Tensor(x, requires_grad=True), heads, wo, mask)
+        saved = closure(last_rule())
+        refs = [weakref.ref(owner(a)) for a in [*saved["probs"], saved["qkv"]]]
+        del saved
+        seen = dead_at_each_job(monkeypatch, refs)
+        ad.backward(ad.sum_all(out))
+        assert len(refs) == len(heads) + 1
+        assert seen == [[False] * len(refs), [True] * len(refs)]
+
+    def test_record_keeps_no_concatenated_weights(self):
+        _, x, mask, heads, wo = self.setup_batch()
+        ad.reset_tape()
+        multi_head_attention(Tensor(x, requires_grad=True), heads, wo, mask)
+        held = held_arrays(last_rule())
+        ad.reset_tape()
+        copy = np.concatenate([p[j].data for j in range(3) for p in heads], axis=1)
+        assert not any(a.shape == copy.shape and np.array_equal(a, copy)
+                       for a in held)
 
     def test_rows_match_unpadded(self):
         lengths, x, mask, heads, wo = self.setup_batch()
@@ -932,6 +1062,22 @@ class TestGcnLayer:
             del h
             ad.reset_tape()
         assert live[1] - live[0] >= layers * len(mats) * state, live
+
+    def test_each_kind_freed_before_the_next_kind_job(self, job_mode,
+                                                      monkeypatch):
+        """The rule takes kinds 2, 1, 0 off its record in turn: when it
+        makes a kind's weight job, that kind's and every later kind's
+        output and A/d are dead, and every earlier kind's are alive."""
+        m, mats, ws, bs = self.layer_inputs(seed=64)
+        ad.reset_tape()
+        out = self.fused(m, mats, ws, bs)
+        kept = closure(last_rule())["kept"]
+        refs = [weakref.ref(owner(a)) for y, a_norm, *_ in kept for a in (y, a_norm)]
+        del kept
+        seen = dead_at_each_job(monkeypatch, refs)
+        ad.backward(ad.sum_all(out))
+        assert seen == [[k >= kind for k in range(3) for _ in range(2)]
+                        for kind in (2, 1, 0)]
 
     def test_shape_errors(self):
         m, mats, ws, bs = self.layer_inputs()

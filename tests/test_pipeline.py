@@ -36,7 +36,7 @@ from bioie.textgraph import (
 )
 from bioie.training import make_optimizer
 
-from conftest import build_synth_task
+from conftest import build_synth_task, traced_step
 
 
 def encode_all(task, config):
@@ -56,6 +56,26 @@ def cut(inst, n):
 def uneven_batch(enc):
     """Five instances whose documents have clearly different lengths."""
     return [enc[0], cut(enc[1], 3), cut(enc[2], 17), enc[3], cut(enc[4], 9)]
+
+
+def train_long_batch():
+    """The shapes of the benchmark's `train_long` workload: a batch of 8
+    reports carrying all seven kinds (about 100 tokens), and the CLI
+    default model. Returns the task, the config and the batch."""
+    task = build_synth_task({kind: 6 for kind in PATHOLOGY_KINDS}, seed=4,
+                            d_w=100, theta=0.25, window=20)
+    config = ModelConfig(label_count=len(task.label_set))
+    batch = encode_all(task, config)[:8]
+    assert len(batch) == 8 and max(len(e.doc.ids) for e in batch) >= 90
+    return task, config, batch
+
+
+# The peak of `backward` above the live bytes at its start, in MiB, on
+# one recorded step of `train_long_batch`. Measured at 6.4 inline and at
+# 10.0-11.1 with every job on the worker; before each rule freed what it
+# saved at its last read, 12.0 and 23.1-24.1. Inline it is deterministic;
+# on the worker it moves with thread scheduling.
+BACKWARD_PEAK_MIB = {"inline": 8.75, "worker": 16.0}
 
 
 class TestInitModel:
@@ -290,6 +310,26 @@ class TestForward:
         assert model.rng.bit_generator.state == after
         assert np.max(np.abs(batched - singles)) < 1e-10
 
+    def test_one_dropout_draw_equals_per_instance_draws(self):
+        """At uneven lengths, per-instance draws, concatenated, equal one
+        draw over all valid rows bit for bit and leave the generator in
+        the same state; the padded mask holds them instance by instance
+        and zeros on padding."""
+        lengths, width, p = np.array([5, 1, 7, 3]), 6, 0.3
+        valid = np.arange(7) < lengths[:, None]
+        one, each = np.random.default_rng(21), np.random.default_rng(21)
+        draw = one.random((int(lengths.sum()), width))
+        draws = np.concatenate([each.random((n, width)) for n in lengths])
+        assert draw.tobytes() == draws.tobytes()
+        assert one.bit_generator.state == each.bit_generator.state
+        one, each = np.random.default_rng(22), np.random.default_rng(22)
+        mask = pipeline._dropout_mask(one, p, valid, width)
+        expected = np.zeros((4, 7, width))
+        for i, n in enumerate(lengths):
+            expected[i, :n] = ad.dropout_mask(each, p, (n, width))
+        assert mask.tobytes() == expected.tobytes()
+        assert one.bit_generator.state == each.bit_generator.state
+
     def test_gcn_branch_matches_numpy_recomputation(self, tiny_task, small_config):
         """With two layers, the GCN branch is m <- mean_k tanh(A_k m W_k + b_k)
         from the LSTM states, A_k the row-normalized projected adjacency."""
@@ -369,11 +409,7 @@ class TestForward:
         train-mode logits, every gradient and the parameters after one
         Adam step equal a run with every job inline, bit for bit. With two
         CPUs, the worker thread ran jobs."""
-        task = build_synth_task({kind: 6 for kind in PATHOLOGY_KINDS}, seed=4,
-                                d_w=100, theta=0.25, window=20)
-        config = ModelConfig(label_count=len(task.label_set))
-        batch = encode_all(task, config)[:8]
-        assert len(batch) == 8 and max(len(e.doc.ids) for e in batch) >= 90
+        task, config, batch = train_long_batch()
         caller, ran_on = threading.get_ident(), set()
         run_job = ad._Job.run
 
@@ -440,8 +476,8 @@ class TestForward:
             self, tiny_task, monkeypatch):
         """A recorded train-mode forward of the default model makes one
         tape record per GCN layer and one per masked max-pool; every
-        other record is an embedding, BiLSTM, dropout, attention,
-        branch or classifier op."""
+        other record is an embedding, BiLSTM (dropout included),
+        attention, branch or classifier op."""
         config = ModelConfig(label_count=len(tiny_task.label_set))
         model = init_model(config, tiny_task.vocab, seed=0,
                            label_set=tiny_task.label_set)
@@ -460,9 +496,9 @@ class TestForward:
         size = ad.tape_size()
         ad.reset_tape()
         assert Counter(recorded) == {
-            "take_rows": 2, "bilstm": 1, "hadamard": 1,
-            "multi_head_attention": 1, "gcn_layer": config.gcn_layers,
-            "max_pool_over_time": 2, "matmul": 1, "add_rowvec": 1}
+            "take_rows": 2, "bilstm": 1, "multi_head_attention": 1,
+            "gcn_layer": config.gcn_layers, "max_pool_over_time": 2,
+            "matmul": 1, "add_rowvec": 1}
         assert size == len(recorded) + 1  # the `concat_branches` record
 
     def test_attention_and_gcn_records_freed_before_the_bilstm_rule(
@@ -474,11 +510,8 @@ class TestForward:
         saved, plus the gradients of their weights, which the replay has
         made by then. Jobs still queued on the worker run first, so their
         operands are not counted."""
-        task = build_synth_task({kind: 6 for kind in PATHOLOGY_KINDS}, seed=4,
-                                d_w=100, theta=0.25, window=20)
-        config = ModelConfig(label_count=len(task.label_set))
+        task, config, batch = train_long_batch()
         model = init_model(config, task.vocab, seed=0, label_set=task.label_set)
-        batch = encode_all(task, config)[:8]
         live = {}
         make = layers.make_op
 
@@ -491,20 +524,24 @@ class TestForward:
             return make(data, parents, rule)
 
         monkeypatch.setattr(layers, "make_op", measuring)
-        tracemalloc.start()
-        try:
-            ad.reset_tape()
-            batch_loss = loss(model, batch, "train")
-            saved = saved_bytes(ad._STATE.tape,
-                                ("multi_head_attention", "gcn_layer"))
-            live["start"] = tracemalloc.get_traced_memory()[0]
-            ad.backward(batch_loss)
-        finally:
-            tracemalloc.stop()
+        saved = []
+        start, _ = traced_step(model, batch, lambda tape: saved.append(
+            saved_bytes(tape, ("multi_head_attention", "gcn_layer"))))
         grads = sum(p.data.nbytes for name, p in model.params.items()
                     if name.startswith(("attn.", "gcn.")))
-        assert saved > 4 * grads
-        assert live["bilstm"] < live["start"] - saved + grads
+        assert saved[0] > 4 * grads
+        assert live["bilstm"] < start - saved[0] + grads
+
+    def test_backward_peak_at_train_long_shapes(self, job_mode):
+        """tracemalloc guard on one recorded default-model step at the
+        shapes of the benchmark's `train_long` workload: the peak of
+        `backward` above the live bytes at its start stays below
+        `BACKWARD_PEAK_MIB`, which holds only while the replay and the
+        rules free each record and saved array at its last read."""
+        task, config, batch = train_long_batch()
+        model = init_model(config, task.vocab, seed=0, label_set=task.label_set)
+        _, peak = traced_step(model, batch)
+        assert peak < BACKWARD_PEAK_MIB[job_mode] * 2 ** 20, peak / 2 ** 20
 
     def test_eval_mode_deterministic_bitwise(self, tiny_task, small_config):
         model, enc = self.model_and_batch(tiny_task, small_config)
