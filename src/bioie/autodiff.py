@@ -19,23 +19,20 @@ the last, in the forward pass and again in the backward replay.
 
 A backward rule may also hand back a leaf's gradient, such as a weight
 gradient, as a `Deferred` job: no later rule reads it, so it can be
-computed while the replay goes on to the input gradients. The job runs
-on the same worker thread, and `backward` adds the leaf gradients up
-only after the replay ends, in replay order. `Adam.step` updates the
-first half of its tensors (by size) on the worker while the calling
-thread updates the rest. `run_all(tasks, floats)` shares any list of
-independent tasks between the two threads, such as the chunks of one
-eval call (`pipeline.eval_logits`).
+computed while the replay goes on to the input gradients, and
+`backward` adds the leaf gradients up only after the replay ends, in
+replay order. `Adam.step` updates the first half of its tensors (by
+size) on the worker while the calling thread updates the rest.
+`run_all(tasks, floats)` shares any list of independent tasks between
+the two threads, such as the chunks of one eval call
+(`pipeline.eval_logits`).
 
-All of these reach the worker through one path (`_hand_off` and
-`_join`) under two rules. A task list started on the worker thread
-runs there in order, so a forward run on the worker queues nothing and
-never waits on the worker's own queue. A task or job still queued
-behind unfinished work when its result is needed is cancelled and run
-by the thread that needs it; one at the front of the queue is left to
-the worker. So the worker takes a task list from the front while the
-calling thread takes it from the back, and a branch queued behind the
-worker's task runs on the calling thread.
+All of these queue their work on the worker as `_Job`s under one rule:
+a job that has not started when its result is needed is cancelled and
+run by the thread that needs it. There is one worker thread, so a job
+it waits on has either finished or not started, and it never waits on
+its own queue. The worker takes a task list from the front while the
+calling thread takes it from the back.
 
 Each of these runs on the worker only when the array it is sized by
 holds at least BRANCH_THREAD_MIN_FLOATS floats, so that numpy releases
@@ -204,14 +201,11 @@ class _Record:
 
 
 class _ThreadState(threading.local):
-    """The running thread's tape and grad mode, whether it is the worker
-    thread, and the last future it queued on the worker."""
+    """The running thread's tape and grad mode."""
 
     def __init__(self):
         self.tape: list[_Record] = []
         self.grad = True
-        self.on_worker = False
-        self.handed = None
 
 
 _STATE = _ThreadState()
@@ -321,9 +315,9 @@ def _replay(tape: list[_Record], out: Tensor, g: np.ndarray,
     rule's results: the rule frees what it saved at its last read. With
     `crossing`, the pairs hold the gradients of every tensor this tape
     did not create, leaves included. Jobs for leaves are not waited on
-    here, so the replay goes on while they run; a replay on the worker
-    thread queues its jobs behind itself. A `Deferred` gradient of an
-    intermediate is resolved at once (`_join`)."""
+    here, so the replay goes on while they run. A `Deferred` gradient of
+    an intermediate is resolved at once, by this thread if its job has
+    not started (`_Job`)."""
     inner = {id(rec.out) for rec in tape} if crossing else None
     buffers: dict[int, np.ndarray] = {id(out): g}
     pairs = []
@@ -521,14 +515,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
 BRANCH_THREAD_MIN_FLOATS = 1 << 17
 
 
-def _mark_worker() -> None:
-    _STATE.on_worker = True
-
-
 @functools.cache
 def _worker() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="bioie-branch",
-                              initializer=_mark_worker)
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="bioie-branch")
 
 
 def _offload(floats: int) -> bool:
@@ -540,81 +529,68 @@ def _offload(floats: int) -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _threaded(x: Tensor, branch_count: int) -> bool:
-    return branch_count >= 2 and _offload(x.size)
-
-
 def _drain() -> None:
     """Wait until everything queued on the worker so far has run."""
     if _worker.cache_info().currsize:
         _worker().submit(int).result()
 
 
-def _hand_off(run, offload: bool):
-    """Start `run()`: with `offload`, queue it on the worker thread and
-    return its future with the one this thread queued before it;
-    otherwise run it here and return None."""
-    if not offload:
-        run()
-        return None
-    ahead, _STATE.handed = _STATE.handed, _worker().submit(run)
-    return _STATE.handed, ahead
+class _Job:
+    """One call `fn()`, the only unit of work that reaches the worker
+    thread: run here at once, or with `offload` queued on the worker.
 
+    `wait()` returns `(value, error)` once the call has run. A job that
+    has not started by then is cancelled and run by the waiting thread;
+    one that has started is waited for. Each job has exactly one thread
+    that waits on it, which may wait on it more than once."""
 
-def _join(handed, run) -> None:
-    """Return once the `run()` that `_hand_off` gave back `handed` for
-    has run. One still queued behind unfinished work is cancelled and
-    run here, as is one that the worker queued itself and now needs, so
-    the worker never waits on its own queue. One at the front of the
-    queue is left to the worker."""
-    if handed is None:
-        return
-    future, ahead = handed
-    behind = _STATE.on_worker or (ahead is not None and not ahead.done())
-    if behind and future.cancel():
-        if _STATE.handed is future:
-            _STATE.handed = ahead  # the last one still queued or running
-        run()
-    else:
-        future.result()
+    __slots__ = ("fn", "future", "outcome")
 
+    def __init__(self, fn, offload: bool):
+        self.fn, self.future, self.outcome = fn, None, None
+        if offload:
+            self.future = _worker().submit(self.run)
+        else:
+            self.run()
 
-def _settle(task):
-    """`task()` as (result, None), or (None, the error it raised)."""
-    try:
-        return task(), None
-    except BaseException as err:
-        return None, err
+    def run(self) -> None:
+        fn, self.fn = self.fn, None  # frees the operands once it has run
+        try:
+            self.outcome = fn(), None
+        except BaseException as err:
+            self.outcome = None, err
 
+    def wait(self) -> tuple:
+        if self.future is not None:
+            if self.future.cancel():
+                self.run()
+            else:
+                self.future.result()
+            self.future = None
+        return self.outcome
 
-def _run_all(tasks: list, threaded: bool) -> list:
-    """The result of each task, in order. Threaded, all but the last are
-    handed to the worker thread while the calling thread runs the last,
-    then joined from the back; on the worker thread itself they all run
-    there, in order. Every task finishes before the first error, in task
-    order, is raised."""
-    outcomes = [None] * len(tasks)
-
-    def run(i: int) -> None:
-        outcomes[i] = _settle(tasks[i])
-
-    offload = threaded and not _STATE.on_worker
-    handed = [_hand_off(functools.partial(run, i), offload)
-              for i in range(len(tasks) - 1)]
-    run(len(tasks) - 1)
-    for i in reversed(range(len(handed))):
-        _join(handed[i], functools.partial(run, i))
-    for _, err in outcomes:
+    def result(self):
+        value, err = self.wait()
         if err is not None:
             raise err
-    return [result for result, _ in outcomes]
+        return value
 
 
 def run_all(tasks: list, floats: int) -> list:
-    """`_run_all(tasks, threaded)` for tasks whose work is each sized by
-    `floats` floats: threaded when that passes the size rule
-    (`_offload`)."""
-    return _run_all(tasks, _offload(floats))
+    """The result of each task, in order, for tasks whose work is each
+    sized by `floats` floats. When that passes the size rule
+    (`_offload`), all but the last are queued on the worker thread while
+    the calling thread runs the last, then waited on from the back.
+    Every task finishes before the first error, in task order, is
+    raised."""
+    offload = _offload(floats)
+    jobs = [_Job(task, offload) for task in tasks[:-1]]
+    jobs += [_Job(task, False) for task in tasks[-1:]]
+    outcomes = [job.wait() for job in reversed(jobs)][::-1]
+    for _, err in outcomes:
+        if err is not None:
+            raise err
+    return [value for value, _ in outcomes]
 
 
 class Deferred:
@@ -626,10 +602,10 @@ class Deferred:
     otherwise inline. `d[key]` is a Deferred for `fn()[key]` from the
     same job, so one product can serve several tensors.
 
-    `result()` waits for the job; one still queued behind other work
-    runs on the calling thread instead (`_join`). Only the thread that
-    called `backward` resolves the gradients of leaves, after its replay
-    ends (see `backward`)."""
+    `result()` waits for the job, and runs it on the calling thread if
+    it has not started (`_Job`). Only the thread that called `backward`
+    resolves the gradients of leaves, after its replay ends (see
+    `backward`)."""
 
     __slots__ = ("_job", "_keys")
 
@@ -649,28 +625,6 @@ class Deferred:
         return value
 
 
-class _Job:
-    """A `Deferred`'s call, run once through `_hand_off` and `_join`."""
-
-    __slots__ = ("fn", "handed", "outcome")
-
-    def __init__(self, fn, offload: bool):
-        self.fn, self.outcome = fn, None
-        self.handed = _hand_off(self.run, offload)
-
-    def run(self) -> None:
-        fn, self.fn = self.fn, None  # frees the operands once it has run
-        self.outcome = _settle(fn)
-
-    def result(self):
-        _join(self.handed, self.run)
-        self.handed = None
-        value, err = self.outcome
-        if err is not None:
-            raise err
-        return value
-
-
 def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
     """`concat([f(x) for f in branches], axis)` as one tape record, with
     the branches run concurrently when that pays (module docstring).
@@ -685,10 +639,8 @@ def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
     order, a `Deferred` one still unresolved. `backward` then adds them up exactly as it would
     have, so values and gradients are bitwise equal to `concat`'s.
     Branches must not share mutable state, such as a random generator.
-    A branch may itself call `concat_branches` or `run_all`: on the
-    worker thread those run in order."""
+    A branch may itself call `concat_branches` or `run_all`."""
     grad = _STATE.grad
-    threaded = _threaded(x, len(branches))
 
     def record(f):
         state = _STATE  # the running thread's
@@ -699,8 +651,8 @@ def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
         finally:
             state.tape, state.grad = saved
 
-    outs, tapes = zip(*_run_all([functools.partial(record, f) for f in branches],
-                                threaded))
+    outs, tapes = zip(*run_all([functools.partial(record, f) for f in branches],
+                               x.size))
     ax, offsets = _concat_layout(list(outs), axis)
     out = Tensor(np.concatenate([t.data for t in outs], axis=ax),
                  requires_grad=recording(*outs))
@@ -717,7 +669,7 @@ def concat_branches(branches, x: Tensor, axis: int = -1) -> Tensor:
                 replays.append(functools.partial(_replay, tape, t, piece, True))
             else:
                 first.append((t, piece))
-        crossing = _run_all(replays, threaded and len(replays) > 1)
+        crossing = run_all(replays, x.size)
         return first + [pair for part in reversed(crossing) for pair in part]
 
     out.is_leaf = False
@@ -931,8 +883,8 @@ class Adam:
         self.t += 1
         every = range(len(self.params))
         halves = (every[:self._half], every[self._half:])
-        _run_all([functools.partial(self._update, half) for half in halves],
-                 _offload(self._floats))
+        run_all([functools.partial(self._update, half) for half in halves],
+                self._floats)
         for p in self.params:
             p.grad = None
 

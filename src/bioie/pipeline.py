@@ -415,13 +415,15 @@ def eval_logits(model: ModelState, batch: list[EncodedInstance]) -> np.ndarray:
     between the worker thread and this one when the first chunk's
     (B, T, d_model) state passes the size rule that its
     `concat_branches` call would use. The worker runs whole forwards
-    from the front, their branches in order, while this thread runs
-    them from the back. Each chunk writes its own rows from the same ops
-    on the same operands, so the logits are bitwise those of an
-    all-inline run. Two chunks are alive at once: at `train_long`'s
-    shapes (T = 100, default model, chunks of 10) one 64-instance
-    `predict` call peaks at 30-34 MB (tracemalloc), against 24-28 MB
-    with the chunks in order and their branches threaded."""
+    from the front while this thread runs them from the back; a branch
+    that a forward on the worker queues cannot start while that forward
+    runs, so the worker takes it back and runs it there. Each chunk
+    writes its own rows from the same ops on the same operands, so the
+    logits are bitwise those of an all-inline run. Two chunks are alive
+    at once: at `train_long`'s shapes (T = 100, default model, chunks of
+    10) one 64-instance `predict` call peaks at 30-34 MB (tracemalloc),
+    against 24-28 MB with the chunks in order and their branches
+    threaded."""
     steps = max((len(inst.doc.ids) for inst in batch), default=1)
     per_instance = steps * max(steps, model.config.d_model)
     chunk = max(1, EVAL_ARRAY_FLOATS // per_instance)

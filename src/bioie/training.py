@@ -431,10 +431,29 @@ def save_checkpoint(model: ModelState, optimizer: Adam | None, path) -> None:
         _write_graphs(fh, model.graphs)
 
 
+def _check_registry(params: dict[str, ad.Tensor], model: ModelState) -> None:
+    """Raise CheckpointError unless `params` holds exactly the tensors of
+    `model`, each of the same shape."""
+    for name, tensor in model.params.items():
+        if name not in params:
+            raise CheckpointError(f"checkpoint lacks tensor {name!r}; retrain the model")
+        if params[name].shape != tensor.shape:
+            raise CheckpointError(
+                f"checkpoint tensor {name!r} is {params[name].shape}, but its "
+                f"config makes it {tensor.shape}")
+    for name in params:
+        if name not in model.params:
+            raise CheckpointError(f"checkpoint tensor {name!r} is not in the "
+                                  f"model its config makes")
+
+
 def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
     """Rebuild a ModelState (and its optimizer) bit-exactly. When
     `expect_model` is given, its config digest must match the stored one;
-    nothing is loaded on mismatch."""
+    nothing is loaded on mismatch. The stored tensors must be those, by
+    name and shape, that `init_model` makes for the stored config,
+    vocabulary and label set; otherwise a CheckpointError names the
+    first that is missing, misshapen or unexpected."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -465,6 +484,9 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
             name = _read_block(fh).decode()
             (is_frozen,) = struct.unpack("<B", _read_exact(fh, 1))
             params[name] = ad.Tensor(_read_array(fh), requires_grad=not is_frozen)
+        vocab = Vocabulary(dict(vocab_map))
+        _check_registry(params, init_model(config, vocab,
+                                           label_set=tuple(blob["label_set"])))
         (has_opt,) = struct.unpack("<B", _read_exact(fh, 1))
         opt = None
         if has_opt:
@@ -484,7 +506,6 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
         rng.bit_generator.state = json.loads(_read_block(fh))
         graphs = _read_graphs(fh)
 
-    vocab = Vocabulary(dict(vocab_map))
     return ModelState(config, params, vocab,
                       tuple(blob["label_set"]), blob["seed"], rng, opt, graphs)
 

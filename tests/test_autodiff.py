@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -497,7 +496,7 @@ def branch_mode(request, monkeypatch):
     """Run `concat_branches` on two threads, whatever the input size and
     CPU count, or always on the calling thread."""
     threaded = request.param == "threaded"
-    monkeypatch.setattr(ad, "_threaded", lambda x, count: threaded and count > 1)
+    monkeypatch.setattr(ad, "_offload", lambda floats: threaded)
     return request.param
 
 
@@ -593,10 +592,16 @@ class TestConcatBranches:
         assert out.data.tobytes() == plain.data.tobytes()
 
     def test_branches_run_under_callers_grad_mode_on_own_thread(self, branch_mode):
-        seen = {}
+        """The calling thread's branch waits until the first branch has
+        started, so that one is never taken back from the worker."""
+        seen, started = {}, threading.Event()
 
         def branch(i):
             def f(x):
+                if i == 0:
+                    started.set()
+                else:
+                    assert started.wait(timeout=60)
                 seen[i] = threading.get_ident(), ad.recording(x)
                 return ad.tanh(x)
             return f
@@ -606,6 +611,7 @@ class TestConcatBranches:
             ad.concat_branches([branch(0), branch(1)], x)
         assert [seen[i][1] for i in (0, 1)] == [False, False]
         reset_tape()
+        started.clear()
         ad.concat_branches([branch(0), branch(1)], x)
         reset_tape()
         assert [seen[i][1] for i in (0, 1)] == [True, True]
@@ -664,9 +670,9 @@ class TestConcatBranches:
         shared, own = branch_leaves(seed=45)
         branches, leaves = make_branches(shared, own, 4), [shared, *own]
         x = rand((6, 4), seed=46)
-        monkeypatch.setattr(ad, "_threaded", lambda x, count: False)
+        monkeypatch.setattr(ad, "_offload", lambda floats: False)
         expected = run_branches(True, branches, leaves, x)
-        monkeypatch.setattr(ad, "_threaded", lambda x, count: count > 1)
+        monkeypatch.setattr(ad, "_offload", lambda floats: True)
         errors = []
 
         def hammer():
@@ -690,15 +696,29 @@ class TestConcatBranches:
 
 
 def test_branches_thread_from_the_size_constant_on_two_cpus(monkeypatch):
+    """All branches but the last are queued on the worker when the input
+    passes the size rule on two CPUs; a single branch never is."""
     x = Tensor(np.zeros((4, 8)))
+    queued, job = [], ad._Job
+
+    def counting(fn, offload):
+        queued.append(offload)
+        return job(fn, offload)
+
+    def branches_queued(count):
+        queued.clear()
+        ad.concat_branches([ad.tanh] * count, x)
+        return queued
+
+    monkeypatch.setattr(ad, "_Job", counting)
     monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", 32)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert ad._threaded(x, 2) and not ad._threaded(x, 1)
+    assert branches_queued(2) == [True, False] and branches_queued(1) == [False]
     monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", 33)
-    assert not ad._threaded(x, 2)
+    assert branches_queued(2) == [False, False]
     monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", 32)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not ad._threaded(x, 2)
+    assert branches_queued(2) == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -800,20 +820,20 @@ class TestDeferred:
 
     def test_frozen_lstm_and_input_queue_no_job(self, job_mode, monkeypatch):
         """As under `transfer --freeze lstm.,embed.`: the frozen tensors get
-        no gradient and no job; attention queues two (`wo` and the fused
-        Q/K/V weights), and each GCN call one."""
+        no gradient and no `Deferred` job; attention makes two (`wo` and
+        the fused Q/K/V weights), and each GCN call one."""
         leaves, x = job_leaves(seed=53), rand((2, 5, 3), seed=54)
         for t in leaves["lstm"]:
             t.requires_grad = False
         expected = serial_run(monkeypatch, leaves, x, x_trains=False)
         jobs = []
-        job = ad._Job
+        make = ad.Deferred.__init__
 
-        def counting(fn, offload):
-            jobs.append(offload)
-            return job(fn, offload)
+        def counting(self, fn, operand):
+            jobs.append(ad._offload(operand.size))
+            make(self, fn, operand)
 
-        monkeypatch.setattr(ad, "_Job", counting)
+        monkeypatch.setattr(ad.Deferred, "__init__", counting)
         got = run_jobs(leaves, x, x_trains=False)
         assert len(jobs) == 5 and set(jobs) == {job_mode == "worker"}
         assert all(g is None for g in got[1:5])
@@ -995,9 +1015,16 @@ class TestTapeConsumption:
         it."""
         x = Tensor(rand((3, 4), seed=92), requires_grad=True)
         refs, dead, threads = ([[], []], [[], []], [None, None])
+        started = threading.Event()
 
         def branch(i):
             def f(x):
+                # The calling thread's branch waits until the first has
+                # started, so that one is never taken back from the worker.
+                if i == 0:
+                    started.set()
+                else:
+                    assert started.wait(timeout=60)
                 threads[i] = threading.get_ident()
                 y, ref = holding(checking(x, refs[i], dead[i]), seed=93 + i)
                 refs[i].append(ref)
@@ -1072,12 +1099,22 @@ def test_jobs_and_adam_use_the_worker_from_the_size_constant_on_two_cpus(
         ad._drain()  # else `result` may find it queued and run it here
         return job.result()
 
-    updates = []
-    monkeypatch.setattr(Adam, "_update", lambda self, indices: updates.append(
-        (threading.get_ident() == caller, list(indices))))
+    updates, started = [], threading.Event()
+
+    def update(self, indices):
+        # The calling thread's half waits until the first half has
+        # started, so that one is never taken back from the worker.
+        if indices.start == 0:
+            started.set()
+        else:
+            assert started.wait(timeout=60)
+        updates.append((threading.get_ident() == caller, list(indices)))
+
+    monkeypatch.setattr(Adam, "_update", update)
 
     def adam_threads(floats_each):
         updates.clear()
+        started.clear()
         params = [Tensor(np.zeros(floats_each), requires_grad=True)
                   for _ in range(4)]
         for p in params:
@@ -1106,13 +1143,20 @@ class TestRunAll:
     def test_results_in_order_front_on_worker_rest_on_caller(self, job_mode):
         """The worker takes the first task; every task queued behind it
         that has not started when the caller reaches it runs on the
-        caller."""
-        where = {}
+        caller. The caller's own task waits until the first has started,
+        and the first holds the worker until the caller reaches task 1."""
+        where, started, reached = {}, threading.Event(), threading.Event()
 
         def task(i):
             def f():
                 if i == 0:
-                    time.sleep(0.2)
+                    started.set()
+                    if on_worker():
+                        assert reached.wait(timeout=60)
+                elif i == 4:
+                    assert started.wait(timeout=60)
+                elif i == 1:
+                    reached.set()
                 where[i] = on_worker()
                 return i
             return f
@@ -1156,18 +1200,12 @@ class TestRunAll:
         assert finished == [True, True]
         assert ad.run_all([slow, lambda: 7], 1) == [None, 7]
 
-    def test_nothing_is_handed_off_from_the_worker(self, job_mode, monkeypatch):
-        """Branches and task lists run on the worker thread run there in
-        order: a forward with branches, recorded or not, queues nothing,
-        and so cannot wait on the worker's own queue."""
-        submitted_from_worker = []
-        submit = ThreadPoolExecutor.submit
-
-        def spy(self, fn, /, *args, **kwargs):
-            submitted_from_worker.append(on_worker())
-            return submit(self, fn, *args, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+    def test_forward_on_the_worker_finishes_bitwise_equal(self, job_mode,
+                                                          monkeypatch):
+        """A forward with branches run on the worker thread, recorded or
+        not, and a task list run there, finish and give the results of
+        an all-inline run: the worker takes back what it queued rather
+        than wait on its own queue."""
         shared, own = branch_leaves(seed=62)
         x = Tensor(rand((5, 4), seed=63), requires_grad=True)
 
@@ -1178,18 +1216,103 @@ class TestRunAll:
             reset_tape()
             return plain, recorded.data, ad.run_all([int, int], 1)
 
-        outcome = []
-        helper = threading.Thread(
-            target=lambda: outcome.append(ad._worker().submit(forward).result()))
-        helper.start()
-        helper.join(timeout=60)
-        assert not helper.is_alive()
-        plain, recorded, results = outcome[0]
-        expected = forward()
+        plain, recorded, results = ad._worker().submit(forward).result(timeout=60)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_offload", lambda floats: False)
+            expected = forward()
         assert plain.tobytes() == expected[0].tobytes()
         assert recorded.tobytes() == expected[1].tobytes()
         assert results == [0, 0]
-        assert submitted_from_worker and not any(submitted_from_worker)
+
+    def test_one_rule_under_fast_switching(self, monkeypatch):
+        """The interpreter switching threads every microsecond, 50 rounds
+        each of: task lists of task lists, run from the worker thread and
+        from a second thread at once; and a `concat_branches` whose
+        worker-side branch replay makes a `Deferred` for an intermediate,
+        which the worker then takes back from its own queue. Every round
+        finishes and equals the all-inline run bit for bit."""
+        a = rand((6, 6), seed=64)
+        w0 = Tensor(rand((3, 2), seed=65), requires_grad=True)
+        x, h, weights = rand((4, 3), seed=66), rand((4, 2), seed=67), rand((4, 4), 68)
+
+        def nested():
+            def leaf(k):
+                return lambda: np.tanh(a * k) @ a
+
+            def middle(k):
+                return lambda: ad.run_all([leaf(k), leaf(k + 1), leaf(k + 2)], 1)
+
+            return ad.run_all([middle(0), middle(3), middle(6)], 1)
+
+        def branches(ran_on):
+            """The first branch ends in an op whose rule hands back its
+            input's gradient, an intermediate's, as a `Deferred`; the
+            second's rule waits until the first's has started, so the
+            worker replays the first whenever it is threaded."""
+            started = threading.Event()
+
+            def handing(w):
+                def rule(g):
+                    started.set()
+
+                    def job():
+                        ran_on.append(threading.current_thread().name)
+                        return x.T @ g
+                    return [(w, ad.Deferred(job, g))]
+                return ad.make_op(x @ w.data, (w,), rule)
+
+            def gate(t):
+                def rule(g):
+                    assert started.wait(timeout=60)
+                    return [(t, g)]
+                return ad.make_op(t.data.copy(), (t,), rule)
+
+            return [lambda _: handing(ad.hadamard(w0, 2.0)),
+                    lambda t: gate(ad.tanh(t))]
+
+        def branched():
+            ran_on, inp = [], Tensor(h, requires_grad=True)
+            w0.grad = None
+            reset_tape()
+            out = ad.concat_branches(branches(ran_on), inp)
+            backward(ad.sum_all(ad.hadamard(out, Tensor(weights))))
+            return [out.data, w0.grad, inp.grad], ran_on
+
+        def same(got, expected):
+            return [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+        monkeypatch.setattr(ad, "_offload", lambda floats: False)
+        expected_nested = nested()
+        expected_branched, ran_on = branched()
+        assert ran_on == [threading.current_thread().name]
+        monkeypatch.setattr(ad, "_offload", lambda floats: True)
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(50):
+                    queued = ad._worker().submit(nested)
+                    assert all(same(*pair) for pair in zip(nested(), expected_nested))
+                    assert all(same(*pair) for pair in
+                               zip(queued.result(timeout=60), expected_nested))
+                for _ in range(50):
+                    got, ran_on = branched()
+                    assert same(got, expected_branched)
+                    assert len(ran_on) == 1 and ran_on[0].startswith("bioie-branch")
+            except BaseException as err:  # re-raised on the test thread
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            helper = threading.Thread(target=hammer)
+            helper.start()
+            helper.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not helper.is_alive()
+        if errors:
+            raise errors[0]
 
 
 class TestAdam:

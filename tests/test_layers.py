@@ -2,9 +2,12 @@
 
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bioie.autodiff as ad
 import bioie.layers as layer_module
@@ -1146,3 +1149,138 @@ def test_all_layers_finite_and_differentiable():
     assert np.all(np.isfinite(att.data))
     assert grad_check(lambda p: multi_head_attention(x, [hp], wo).sum(),
                       hp[0], samples=16) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Shape-generated equivalence of the fused ops with their references
+
+def fused_and_reference(build, reference, leaves, weights):
+    """Output and every leaf gradient of a weighted sum of `build()`, run
+    with every job inline and with every job on the worker, and of
+    `reference()`: asserts that the two job modes agree bit for bit and
+    that the reference is within 1e-12 of them."""
+    def run(make):
+        ad.reset_tape()
+        for t in leaves:
+            t.grad = None
+        out = make()
+        ad.backward(ad.hadamard(out, Tensor(weights)).sum())
+        return [out.data] + [np.zeros(t.shape) if t.grad is None else t.grad
+                             for t in leaves]
+
+    modes = []
+    for on_worker in (False, True):
+        with mock.patch.object(ad, "_offload", lambda floats: on_worker):
+            modes.append(run(build))
+    for inline, threaded in zip(*modes):
+        assert inline.shape == threaded.shape
+        assert inline.tobytes() == threaded.tobytes()
+    for got, want in zip(modes[0], run(reference)):
+        assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
+
+
+def padded_lengths(draw, bsz, steps):
+    return np.array(draw(st.lists(st.integers(1, steps), min_size=bsz,
+                                  max_size=bsz)))
+
+
+@st.composite
+def lstm_shapes(draw):
+    bsz, steps = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    return (bsz, steps, draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            padded_lengths(draw, bsz, steps), draw(st.integers(0, 2 ** 31 - 1)))
+
+
+@st.composite
+def attention_shapes(draw):
+    bsz, steps = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    return (bsz, steps, draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), padded_lengths(draw, bsz, steps),
+            draw(st.integers(0, 2 ** 31 - 1)))
+
+
+@st.composite
+def gcn_shapes(draw):
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 5)),
+            draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 31 - 1)))
+
+
+class TestFusedOpProperties:
+    """Each fused op against its primitive-op reference over generated
+    batch sizes, lengths, widths and head counts, 1 included, with every
+    job inline and on the worker thread."""
+
+    @given(lstm_shapes())
+    @settings(max_examples=60, deadline=None)
+    def test_bilstm_equals_a_chain_of_lstm_cells(self, shape):
+        bsz, steps, width, hidden, lengths, seed = shape
+        rng = np.random.default_rng(seed)
+        seq = Tensor(rng.uniform(-1, 1, (bsz, steps, width)), requires_grad=True)
+        fw, bw = lstm_direction(rng, width, hidden), lstm_direction(rng, width, hidden)
+        weights = rng.uniform(-1, 1, (bsz, steps, 2 * hidden))
+
+        def chain():
+            """Each row's real prefix through `lstm_step`, both ways; the
+            padded steps output zero."""
+            rows = ad.reshape(seq, (bsz * steps, width))
+            zero = Tensor(np.zeros((1, hidden)))
+            outs = []
+            for b, n in enumerate(lengths.tolist()):
+                halves = []
+                for p, order in ((fw, range(n)), (bw, range(n - 1, -1, -1))):
+                    h, c, by_step = zero, zero, {}
+                    for t in order:
+                        h, c = lstm_step(ad.take_rows(rows, [b * steps + t]), h, c, p)
+                        by_step[t] = h
+                    halves.append([by_step[t] for t in range(n)]
+                                  + [zero] * (steps - n))
+                outs.append(ad.concat([ad.concat(pair, axis=-1)
+                                       for pair in zip(*halves)], axis=0))
+            return ad.reshape(ad.concat(outs, axis=0), (bsz, steps, 2 * hidden))
+
+        fused_and_reference(lambda: bilstm(seq, fw, bw, lengths), chain,
+                            [seq, *fw, *bw], weights)
+
+    @given(attention_shapes())
+    @settings(max_examples=60, deadline=None)
+    def test_multi_head_attention_equals_per_head_attention(self, shape):
+        bsz, steps, d_model, heads, head_dim, lengths, seed = shape
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.uniform(-1, 1, (bsz, steps, d_model)), requires_grad=True)
+        triples = [tuple(Tensor(glorot(rng, d_model, head_dim), requires_grad=True)
+                         for _ in range(3)) for _ in range(heads)]
+        wo = Tensor(glorot(rng, heads * head_dim, d_model), requires_grad=True)
+        bias = np.where(np.arange(steps)[None, :] < lengths[:, None], 0.0, -1e30)
+        mask = Tensor(np.broadcast_to(bias[:, None, :], (bsz, steps, steps)))
+
+        def per_head():
+            outs = [scaled_dot_attention(ad.matmul(x, wq), ad.matmul(x, wk),
+                                         ad.matmul(x, wv), mask)
+                    for wq, wk, wv in triples]
+            return ad.matmul(ad.concat(outs, axis=-1), wo)
+
+        fused_and_reference(lambda: multi_head_attention(x, triples, wo, mask),
+                            per_head, [x, wo, *(t for p in triples for t in p)],
+                            rng.uniform(-1, 1, (bsz, steps, d_model)))
+
+    @given(gcn_shapes())
+    @settings(max_examples=60, deadline=None)
+    def test_gcn_layer_equals_propagate_and_mix(self, shape):
+        bsz, steps, width, out_width, kinds, seed = shape
+        rng = np.random.default_rng(seed)
+        m = Tensor(rng.uniform(-1, 1, (bsz, steps, width)), requires_grad=True)
+        adjs = [adjacency(rng.uniform(0, 1, (bsz, steps, steps)) + np.eye(steps))
+                for _ in range(kinds)]
+        ws = [Tensor(rng.uniform(-1, 1, (width, out_width)), requires_grad=True)
+              for _ in range(kinds)]
+        bs = [Tensor(rng.uniform(-1, 1, (1, out_width)), requires_grad=True)
+              for _ in range(kinds)]
+
+        def composed():
+            return inter_graph_mix([gcn_propagate(m, a, w, b)
+                                    for a, w, b in zip(adjs, ws, bs)])
+
+        fused_and_reference(lambda: gcn_layer(m, adjs, ws, bs), composed,
+                            [m, *ws, *bs],
+                            rng.uniform(-1, 1, (bsz, steps, out_width)))

@@ -5,7 +5,6 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -371,17 +370,26 @@ class TestForward:
         run's bit for bit."""
         model, enc = self.model_and_batch(tiny_task, small_config)
         batch = uneven_batch(enc)
-        threads = set()
-        attention = pipeline._attention_features
+        threads, started = set(), threading.Event()
+        attention, gcn = pipeline._attention_features, pipeline._gcn_features
 
         def spy(*args):
             threads.add(threading.get_ident())
+            started.set()
             return attention(*args)
 
+        def gated(*args):
+            # The calling thread's branch waits until the attention branch
+            # has started, so that one is never taken back from the worker.
+            assert started.wait(timeout=60)
+            return gcn(*args)
+
         monkeypatch.setattr(pipeline, "_attention_features", spy)
+        monkeypatch.setattr(pipeline, "_gcn_features", gated)
 
         def run(min_floats):
             monkeypatch.setattr(ad, "BRANCH_THREAD_MIN_FLOATS", min_floats)
+            started.clear()
             model.rng = np.random.default_rng(3)
             ad.reset_tape()
             logits = forward(model, batch, "train")
@@ -399,7 +407,7 @@ class TestForward:
         assert grads.keys() == serial_grads.keys()
         for name, g in grads.items():
             assert g.tobytes() == serial_grads[name].tobytes(), name
-        if ad._threaded(ad.Tensor(np.zeros(1)), 2):  # two CPUs available
+        if ad._offload(ad.BRANCH_THREAD_MIN_FLOATS):  # two CPUs available
             assert len(threads) == 2
 
     def test_deferred_jobs_at_train_long_shapes_bitwise_equal_inline(
@@ -662,9 +670,15 @@ class TestEvalChunksShared:
         model, batch, inline = self.model_batch_inline(
             tiny_task, small_config, monkeypatch, size)
         sizes, lengths, workers = [], set(), []
-        real_forward = pipeline.forward
+        real_forward, started = pipeline.forward, threading.Event()
 
         def spy(m, part, mode="eval"):
+            if part[0] is batch[0]:
+                started.set()
+            elif part[-1] is batch[-1]:
+                # The calling thread's chunk waits until the first has
+                # started, so that one is never taken back from the worker.
+                assert started.wait(timeout=60)
             sizes.append(len(part))
             lengths.add(max(len(inst.doc.ids) for inst in part))
             workers.append(on_worker())
@@ -705,33 +719,20 @@ class TestEvalChunksShared:
         assert sorted(finished) == sorted({0, 1} - set(failing))
         assert pipeline.eval_logits(model, batch).tobytes() == inline.tobytes()
 
-    def test_forward_on_the_worker_queues_nothing(
+    def test_forward_on_the_worker_finishes_bitwise_equal(
             self, tiny_task, small_config, job_mode, monkeypatch):
         """An eval forward run on the worker thread, branches included,
-        hands nothing to the worker and so finishes."""
+        finishes and gives the logits of an all-inline run: the worker
+        takes back the branch it queued rather than wait on its own
+        queue."""
         model, batch, inline = self.model_batch_inline(
             tiny_task, small_config, monkeypatch, 3)
-        from_worker = []
-        submit = ThreadPoolExecutor.submit
-
-        def spy(self, fn, /, *args, **kwargs):
-            from_worker.append(on_worker())
-            return submit(self, fn, *args, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
 
         def run():
             with ad.no_grad():
                 return forward(model, batch, "eval").data
 
-        out = []
-        helper = threading.Thread(
-            target=lambda: out.append(ad._worker().submit(run).result()))
-        helper.start()
-        helper.join(timeout=60)
-        assert not helper.is_alive()
-        assert out[0].tobytes() == inline.tobytes()
-        assert from_worker == [False]
+        assert ad._worker().submit(run).result(timeout=60).tobytes() == inline.tobytes()
 
 
 class TestLoss:

@@ -271,6 +271,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="'clf.x'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda p: p.update({k: ad.Tensor(p[k].data[:, :1])
+                             for k in ("lstm.fw.b", "lstm.bw.b")}), "lstm.fw.b"),
+        (lambda p: p.pop("clf.b"), "clf.b"),
+        (lambda p: p.update({"gcn.layer5.semantic.w": ad.Tensor(np.ones((4, 4)))}),
+         "gcn.layer5.semantic.w"),
+    ], ids=["misshapen", "missing", "unexpected"])
+    def test_tensor_that_does_not_fit_the_config_named(
+            self, tiny_task, small_config, tmp_path, edit, named):
+        """Stored tensors are checked against the registry that the
+        stored config makes: a (1, 1) LSTM bias, which would broadcast
+        across the gate columns, a missing classifier bias and an extra
+        GCN weight are each refused by name."""
+        model = fresh_model(tiny_task, small_config)
+        edit(model.params)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, None, path)
+        with pytest.raises(CheckpointError, match=f"'{named}'"):
+            load_checkpoint(path)
+
     def test_moment_for_frozen_tensor_named(self, tiny_task, small_config,
                                             tmp_path):
         model, opt, _ = self.trained(tiny_task, small_config, steps=1)
