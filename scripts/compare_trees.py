@@ -5,6 +5,7 @@ seeded runs.
 Usage, from the repository root:
 
     python3 scripts/compare_trees.py PARENT_DIR [--workdir DIR]
+    python3 scripts/compare_trees.py PARENT_DIR --ab ROUNDS
 
 PARENT_DIR is another checkout of this repository, for example one made
 with `git archive`. Each tree runs the whole matrix below once, in a
@@ -19,13 +20,27 @@ first file that differs, in matrix order, and exits 1 when any file
 differs or exists in one tree only, 0 otherwise. With `--workdir` the
 run directories are kept there; otherwise they go in a temporary
 directory that is removed at the end.
+
+With `--ab ROUNDS` it times the two trees instead. For each workload of
+`perfbench/run.py`, each tree sets the workload up once, in a subprocess
+of its own that runs its own tree's `perfbench/worker.py` set-up, with
+BLAS on one thread. Then ROUNDS rounds alternate between the trees,
+the parent first in odd rounds: a round is one training epoch and one
+eval pass (`pipeline.predict` in 64-instance chunks) over the
+workload's training sample. The script prints each round's
+change/parent time ratios, each side's median seconds, the median ratio
+and how many rounds each side was faster, and whether the two trees'
+epoch losses were equal in every round. The trees train from the same
+seed, so equal code gives equal losses.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -93,17 +108,24 @@ def run_matrix(tree: Path) -> int:
     return 0
 
 
-def run_tree(tree: Path, workdir: Path) -> float:
-    """Run the matrix for `tree` in a fresh `workdir`; its wall seconds."""
-    workdir.mkdir(parents=True)
+def tree_env(tree: Path) -> dict:
+    """The environment of a subprocess that imports `bioie` from `tree`,
+    with BLAS on one thread."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     env.pop("BIOIE_SEED", None)
+    return env
+
+
+def run_tree(tree: Path, workdir: Path) -> float:
+    """Run the matrix for `tree` in a fresh `workdir`; its wall seconds."""
+    workdir.mkdir(parents=True)
     start = time.perf_counter()
     subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                    "--run-matrix", str(tree)], cwd=workdir, env=env, check=True)
+                    "--run-matrix", str(tree)], cwd=workdir, env=tree_env(tree),
+                   check=True)
     return time.perf_counter() - start
 
 
@@ -141,19 +163,109 @@ def compare(parent: Path, workdir: Path) -> int:
     return 1
 
 
+# The workloads of `perfbench/run.py`, timed with its seed default.
+AB_WORKLOADS = ("train_small", "train_long")
+AB_SEED = 1
+
+
+def ab_rounds(tree: Path, workload: str) -> int:
+    """Set `workload` up with `tree`'s own benchmark code, then run one
+    round per line read from stdin and print its times as JSON."""
+    sys.path.insert(0, str(tree / "perfbench"))
+    import worker as bench
+    from bioie import pipeline, training
+
+    wl = bench.WORKLOADS[workload]
+    docs, instances = bench.generate(wl, AB_SEED)
+    s = bench.set_up(wl, docs, instances, AB_SEED)
+    train_set, model = bench.train_sample(wl, s.encoded, AB_SEED), s.model
+    del s
+    optimizer = training.make_optimizer(model, bench.LR)
+    print("ready", flush=True)
+    for _ in sys.stdin:
+        t0 = time.perf_counter()
+        loss = training.train_epoch(model, train_set, optimizer, model.rng,
+                                    wl.batch_size)
+        t1 = time.perf_counter()
+        for lo in range(0, len(train_set), 64):
+            pipeline.predict(model, train_set[lo:lo + 64])
+        t2 = time.perf_counter()
+        print(json.dumps({"train": t1 - t0, "eval": t2 - t1, "loss": loss}),
+              flush=True)
+    return 0
+
+
+def ab(parent: Path, rounds: int) -> int:
+    trees = {"parent": parent, "change": HERE}
+    equal = True
+    for workload in AB_WORKLOADS:
+        procs = {tag: subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--ab-rounds",
+             str(tree), workload], cwd=tree, env=tree_env(tree),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            for tag, tree in trees.items()}
+        try:
+            for tag, proc in procs.items():
+                if proc.stdout.readline().strip() != "ready":
+                    print(f"{tag}: {workload} set-up failed", file=sys.stderr)
+                    return 2
+            times = {tag: [] for tag in trees}
+            for r in range(rounds):
+                for tag in ("parent", "change")[::1 if r % 2 == 0 else -1]:
+                    procs[tag].stdin.write("round\n")
+                    procs[tag].stdin.flush()
+                    line = procs[tag].stdout.readline()
+                    if not line:
+                        print(f"{tag}: {workload} round {r + 1} failed",
+                              file=sys.stderr)
+                        return 2
+                    times[tag].append(json.loads(line))
+                mine, theirs = times["change"][-1], times["parent"][-1]
+                equal &= mine["loss"] == theirs["loss"]
+                print(f"{workload} round {r + 1}: change/parent train "
+                      f"{mine['train'] / theirs['train']:.3f}, eval "
+                      f"{mine['eval'] / theirs['eval']:.3f}", flush=True)
+        finally:
+            for proc in procs.values():
+                proc.stdin.close()
+                proc.wait()
+        mid = statistics.median
+        for phase in ("train", "eval"):
+            parent_s = [t[phase] for t in times["parent"]]
+            change_s = [t[phase] for t in times["change"]]
+            ratios = [c / p for c, p in zip(change_s, parent_s)]
+            wins = sum(c < p for c, p in zip(change_s, parent_s))
+            print(f"{workload} {phase}: median parent {mid(parent_s):.4f} s, "
+                  f"change {mid(change_s):.4f} s; median ratio {mid(ratios):.3f}; "
+                  f"change faster in {wins} of {rounds}, parent in {rounds - wins}")
+    print("epoch losses equal in every round" if equal
+          else "epoch losses DIFFER between the trees")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", nargs="?", help="the other source tree")
     parser.add_argument("--workdir", help="keep the run directories here")
+    parser.add_argument("--ab", type=int, metavar="ROUNDS",
+                        help="time the trees in ROUNDS alternating rounds")
     parser.add_argument("--run-matrix", metavar="TREE", help=argparse.SUPPRESS)
+    parser.add_argument("--ab-rounds", nargs=2, metavar=("TREE", "WORKLOAD"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run_matrix:
         return run_matrix(Path(args.run_matrix).resolve())
+    if args.ab_rounds:
+        return ab_rounds(Path(args.ab_rounds[0]).resolve(), args.ab_rounds[1])
     if not args.parent:
         parser.error("PARENT_DIR is required")
     parent = Path(args.parent).resolve()
     if not (parent / "src" / "bioie").is_dir():
         parser.error(f"{parent} holds no src/bioie")
+    if args.ab is not None:
+        if args.ab < 1:
+            parser.error("--ab needs at least one round")
+        return ab(parent, args.ab)
     if args.workdir:
         workdir = Path(args.workdir).resolve()
         if workdir.exists() and any(workdir.iterdir()):

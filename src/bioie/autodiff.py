@@ -6,8 +6,10 @@ records in reverse order (creation order is topological order by
 construction). `backward` consumes the tape: it takes each record off
 before running its rule, and holds neither the record nor its output
 while the rule runs, and each rule frees what it saved at its last
-read. So records and saved arrays are freed at their last read, and the
-next pass records a fresh tape; `reset_tape()` drops a tape that no
+read. A fused rule may also recompute what is cheap rather than save
+it, and write its gradients over arrays it saved (see `layers`). So
+records and saved arrays are freed at their last read, and the next
+pass records a fresh tape; `reset_tape()` drops a tape that no
 `backward` consumes. Model layers are fused ops of one record each, so a
 default-model training step records 12 (see `pipeline`). The tape and
 the grad mode (`no_grad`) belong to the thread that runs the op.

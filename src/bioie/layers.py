@@ -16,18 +16,20 @@ in the tests), recorded through this module's `make_op`:
     cell state and output, and the dropout mask. Sigmoid gates are
     computed as (tanh(z/2) + 1) / 2 from weights whose sigmoid columns
     are halved at call time, so one tanh covers all four gates;
-  * `multi_head_attention`: all heads, keeping the fused Q/K/V
-    projection and one attention-weight array per head;
+  * `multi_head_attention`: all heads, keeping only the fused Q/K/V
+    projection: its rule rebuilds each head's attention weights, and
+    writes the projection gradients over the projection;
   * `gcn_layer`: one whole GCN layer over all graph kinds, keeping each
     kind's tanh output and normalized adjacency.
 No record keeps a copy of its weights: a rule stacks or concatenates
 them again, as they do not change before the optimizer step. Each rule
-frees what it saved at its last read: a head's attention weights once
-that head's gradient is done, the projection before the input gradient,
-a kind's output and adjacency once that kind is done. Without a record
-(`no_grad`, or no input needing a gradient) the layers keep none of it.
-`embed_sequence` gathers rows with `take_rows` and hands them to
-`bilstm` as column blocks, unjoined. The references
+frees what it saved at its last read: the BiLSTM's gates, cell states
+and mask before its weight jobs, attention's projection (by then its
+gradient) once its weight job has run, a kind's output and adjacency
+once that kind is done. Without a record (`no_grad`, or no input
+needing a gradient) the layers keep none of it. `embed_sequence` gathers
+rows with `take_rows` and hands them to `bilstm` as column blocks,
+unjoined. The references
 `scaled_dot_attention`, for one attention head, and `gcn_propagate` and
 `inter_graph_mix`, for one kind of a GCN layer and for the mean over
 kinds, compose the primitive autodiff ops.
@@ -192,8 +194,11 @@ def bilstm(seq, fw, bw, lengths=None, mask=None) -> Tensor:
     The record keeps the input projection's inputs, every step's gate
     activations, cell state and output, and `mask`, but not the stacked
     weights, which the rule stacks again. Its backward rule frees each at
-    its last read. It runs the same loop in reverse, with one batched
-    recurrent product per step, and reduces each weight gradient to one
+    its last read. It computes every step's gate factors up front, in the
+    (direction, step, row, gate, unit) layout of the gate gradients dz,
+    and runs the same loop in reverse, with one batched recurrent product
+    per step, writing each step's dz over its factors: factors and
+    gradients share one array. Each weight gradient reduces to one
     batched GEMM. Value- and gradient-equivalent to chaining single LSTM
     cell updates over each row's real prefix (checked in tests).
     """
@@ -287,11 +292,13 @@ def bilstm(seq, fw, bw, lengths=None, mask=None) -> Tensor:
         gs[0] = g[:, :, 0].transpose(1, 0, 2)
         gs[1] = g[:, ::-1, 1].transpose(1, 0, 2)
         g = mask = None
-        # Per-step factors vectorized up front: a gate's pre-activation
-        # gradient is its factor times the cell gradient (i, f, g) or the
-        # output gradient (o).
+        # Per-step factors vectorized up front, in the layout of dz: a
+        # gate's pre-activation gradient is its factor times the cell
+        # gradient (i, f, g) or the output gradient (o), which the reverse
+        # loop writes over the factor.
         i_g, f_g, o_g, g_g = (acts[..., k, :] for k in range(4))
-        pre = np.empty((n, 2, bsz, 4, hid))
+        dz = np.empty((2, n, bsz, 4, hid))
+        pre = dz.transpose(1, 0, 2, 3, 4)  # in step order, as `acts`
         np.multiply(g_g * i_g, 1.0 - i_g, out=pre[..., 0, :])
         np.multiply(cell[:-1] * f_g, 1.0 - f_g, out=pre[..., 1, :])
         np.multiply(tc * o_g, 1.0 - o_g, out=pre[..., 2, :])
@@ -301,7 +308,6 @@ def bilstm(seq, fw, bw, lengths=None, mask=None) -> Tensor:
         # The weights are stacked again rather than kept: they do not
         # change before the optimizer step.
         wh_t = np.ascontiguousarray(stacked(1).transpose(0, 2, 1))
-        dz = np.empty((2, n, bsz, 4, hid))
         dh = np.empty((2, bsz, hid))
         tmp = np.empty((2, bsz, hid))
         dc = np.zeros((2, bsz, hid))  # holds the incoming cell-state carry
@@ -314,9 +320,9 @@ def bilstm(seq, fw, bw, lengths=None, mask=None) -> Tensor:
             np.multiply(dh, pre_c[s], out=tmp)
             dc += tmp
             row = dz[:, s]
-            np.multiply(dc[:, :, None], pre[s, :, :, :2], out=row[:, :, :2])
-            np.multiply(dh, pre[s, :, :, 2], out=row[:, :, 2])
-            np.multiply(dc, pre[s, :, :, 3], out=row[:, :, 3])
+            np.multiply(dc[:, :, None], row[:, :, :2], out=row[:, :, :2])
+            np.multiply(dh, row[:, :, 2], out=row[:, :, 2])
+            np.multiply(dc, row[:, :, 3], out=row[:, :, 3])
             dc *= f_g[s]  # becomes the carry entering the previous step
             np.matmul(row.reshape(2, bsz, 4 * hid), wh_t, out=dh_carry)
         acts = i_g = f_g = o_g = g_g = pre = pre_c = gs = None
@@ -380,13 +386,19 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
 
     The projections of all heads are one (B*n, d_model) @ (d_model,
     3*heads*head_dim) GEMM over the weights concatenated at call time.
-    Heads then run one at a time, each head's context written into one
-    (B, n, heads*head_dim) buffer before `wo`. The record keeps the
-    projections and one (B, n, n) attention-weight array per head, but
-    not the concatenated weights. Its rule frees each head's array once
-    that head is done, and the projections before the input gradient,
-    which concatenates the weights again. Without a record one score
-    buffer is reused, so no array holds more than one head's scores."""
+    Heads then run one at a time in one reused (B, n, n) buffer of
+    attention weights, each head's context written into one
+    (B, n, heads*head_dim) buffer before `wo`.
+
+    The record keeps only the projections `qkv`: not the concatenated
+    weights, and no head's attention weights or context. Its rule
+    rebuilds each head's weights, and its context if `wo` trains, with
+    the forward's ops on the same operands, so both are bitwise the
+    forward's. It then writes the head's dq, dk and dv over that head's
+    slices of `qkv`, after their last read there. That buffer is the
+    operand of the Q/K/V weight job and of the input gradient, which
+    concatenates the weights again; the `wo` job is made after the head
+    loop, from the rebuilt context."""
     if x.shape[-1] != heads[0][0].shape[0]:
         raise ShapeError(
             f"attention: input width {x.shape[-1]} != projection rows "
@@ -404,13 +416,10 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
     qkv = (x2 @ fused()).reshape(bsz, steps, 3, count, hd)
     qkv[:, :, 0] *= scale  # scaled queries, as in `scaled_dot_attention`
     bias = None if mask_bias is None else mask_bias.data
-    track = recording(x, wo, *weights)
-    probs, p = [], None  # one array per head, or one reused without a record
-    ctx = np.empty((bsz, steps, count, hd))
-    for k in range(count):
-        if track or p is None:
-            p = np.empty((bsz, steps, steps))
-            probs.append(p)
+
+    def head(k: int, p: np.ndarray, ctx: np.ndarray | None) -> None:
+        """Head k's attention weights, written into the (B, n, n) `p`, and
+        its context, written into ctx[:, :, k] unless `ctx` is None."""
         # A contiguous kT, as the `transpose` op makes, keeps the scores
         # bitwise equal to `scaled_dot_attention`'s.
         key_t = np.swapaxes(qkv[:, :, 1, k], -1, -2).copy()
@@ -420,31 +429,41 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        ctx[:, :, k] = p @ qkv[:, :, 2, k]
-    ctx2 = ctx.reshape(-1, count * hd)
+        if ctx is not None:
+            ctx[:, :, k] = p @ qkv[:, :, 2, k]
+
+    scores = np.empty((bsz, steps, steps))  # one buffer, reused by every head
+    ctx = np.empty((bsz, steps, count, hd))
+    for k in range(count):
+        head(k, scores, ctx)
+    out = (ctx.reshape(-1, count * hd) @ wo.data).reshape(x.shape[:-1] + (wo.shape[1],))
 
     def rule(g):
         nonlocal qkv
         g2 = g.reshape(-1, g.shape[-1])
-        pairs = []
-        if wo.requires_grad:
-            pairs.append((wo, Deferred(lambda g2=g2: ctx2.T @ g2, g2)))
         dctx = (g2 @ wo.data.T).reshape(bsz, steps, count, hd)
-        g = g2 = None  # the last read here; an unfinished `wo` job holds it
-        dqkv = np.empty_like(qkv)
+        g, g2 = None, g2 if wo.requires_grad else None  # kept for the `wo` job alone
+        p = np.empty((bsz, steps, steps))
+        ctx = np.empty((bsz, steps, count, hd)) if wo.requires_grad else None
         for k in range(count):
-            p, probs[k] = probs[k], None  # freed once this head is done
+            head(k, p, ctx)  # the forward's ops on the same operands
             q, key, v = qkv[:, :, 0, k], qkv[:, :, 1, k], qkv[:, :, 2, k]
             dc = dctx[:, :, k]
-            dqkv[:, :, 2, k] = np.swapaxes(p, -1, -2) @ dc
             ds = dc @ np.swapaxes(v, -1, -2)  # d loss / d attention weights
+            v[...] = np.swapaxes(p, -1, -2) @ dc  # each gradient over its factor
             ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p                           # d loss / d scores
-            dqkv[:, :, 0, k] = ds @ key
-            dqkv[:, :, 1, k] = np.swapaxes(ds, -1, -2) @ q
-        p = q = key = v = dc = ds = dctx = qkv = None  # the projection's last read
-        dqkv[:, :, 0] *= scale
-        d2 = dqkv.reshape(-1, 3 * count * hd)
+            ds *= p                               # d loss / d scores
+            dq = ds @ key
+            key[...] = np.swapaxes(ds, -1, -2) @ q
+            q[...] = dq
+        p = q = key = v = dc = ds = dq = dctx = None
+        qkv[:, :, 0] *= scale
+        d2, qkv = qkv.reshape(-1, 3 * count * hd), None  # now dq, dk and dv
+        pairs = []
+        if ctx is not None:
+            pairs.append((wo, Deferred(
+                lambda c=ctx.reshape(-1, count * hd), g2=g2: c.T @ g2, g2)))
+        ctx = g2 = None  # an unfinished `wo` job holds them
         gw = (Deferred(lambda: (x2.T @ d2).reshape(width, 3 * count, hd), d2)
               if any(t.requires_grad for t in weights) else None)
         if x.requires_grad:
@@ -453,8 +472,7 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
             pairs += [(t, gw[:, i]) for i, t in enumerate(weights) if t.requires_grad]
         return pairs
 
-    return make_op((ctx2 @ wo.data).reshape(x.shape[:-1] + (wo.shape[1],)),
-                   (x, wo, *weights), rule)
+    return make_op(out, (x, wo, *weights), rule)
 
 
 # ---------------------------------------------------------------------------

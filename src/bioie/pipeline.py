@@ -14,7 +14,9 @@ affine classifier. Ablated branches are skipped and the classifier
 narrows accordingly. The BiLSTM with its train-mode dropout, the
 attention branch, each GCN layer and each masked max-pool are one tape
 record each (see `layers`), so a training step records 12 entries with
-the default model, however long its documents are.
+the default model, however long its documents are. Of the attention
+branch a step keeps only the Q/K/V projection: its backward rebuilds
+the attention weights.
 
 Encoding maps each document's tokens to ids once and projects the
 corpus graphs onto those ids. Documents are never padded, so an encoded
@@ -28,7 +30,7 @@ a (B, T) validity mask that is false on batch padding:
   * the LSTM runs each row over its own length, so the backward
     direction starts at the row's last real token;
   * attention adds MASK_NEG to the scores of invalid keys, one head at
-    a time over (B, T, T) scores;
+    a time over one reused (B, T, T) buffer of scores;
   * each kind's (B, T, T) adjacency is gathered from the documents'
     type matrices through one flat index per batch, shared by the kinds
     and the layers; padded nodes keep only a unit self-loop, so no real

@@ -1168,15 +1168,20 @@ class TestRunAll:
     def test_hand_off_after_a_cancelled_task_is_still_behind(self, job_mode):
         """A task that the caller took back and that hands off work of its
         own: that work is queued behind the worker's running task, so the
-        caller takes it back as well rather than wait for the worker."""
-        where = {}
+        caller takes it back as well rather than wait for the worker. The
+        first task, if the worker runs it, holds the worker until both
+        nested tasks have run."""
+        where, both = {}, threading.Event()
 
         def slow():
-            time.sleep(0.3)
+            if on_worker():
+                assert both.wait(timeout=60)
 
         def nested(i):
             def inner():
                 where[i] = on_worker()
+                if len(where) == 2:
+                    both.set()
             return lambda: ad.run_all([inner, int], 1)
 
         ad.run_all([slow, nested(1), nested(2)], 1)

@@ -740,22 +740,44 @@ class TestBatchedAttention:
         wo = Tensor(glorot(rng, 8, 8), requires_grad=True)
         return lengths, x, mask, heads, wo
 
-    def test_heads_and_projection_freed_before_the_projection_job(
+    def test_record_keeps_qkv_alone_and_rule_overwrites_it(
             self, job_mode, monkeypatch):
-        """The rule frees each head's attention weights once that head is
-        done and the Q/K/V projection after its last read: none of them
-        is alive when the rule makes the Q/K/V weight job, and all are
-        when it makes the `wo` job."""
+        """The record keeps the Q/K/V projection `qkv` and no attention
+        weights or context: every array it holds is `qkv`, the input or
+        the mask. Its rule rebuilds them, writes dq, dk and dv over
+        `qkv`, and then makes the `wo` job while `g` is alive. `qkv` is
+        the Q/K/V weight job's operand, and is freed once that job has
+        run, while the job's `Deferred` is still held."""
         _, x, mask, heads, wo = self.setup_batch()
         ad.reset_tape()
         out = multi_head_attention(Tensor(x, requires_grad=True), heads, wo, mask)
-        saved = closure(last_rule())
-        refs = [weakref.ref(owner(a)) for a in [*saved["probs"], saved["qkv"]]]
-        del saved
-        seen = dead_at_each_job(monkeypatch, refs)
-        ad.backward(ad.sum_all(out))
-        assert len(refs) == len(heads) + 1
-        assert seen == [[False] * len(refs), [True] * len(refs)]
+        rule = last_rule()
+        kept = {id(owner(a)) for a in held_arrays(rule)}
+        assert closure(rule)["qkv"].shape == (2, 5, 3, len(heads), 4)
+        qkv = owner(closure(rule)["qkv"])
+        assert kept == {id(qkv), id(owner(x)), id(owner(mask.data))}
+        forward_qkv, g = qkv.copy(), rand(out.shape, 34)
+        refs = [weakref.ref(qkv), weakref.ref(owner(g))]
+        box, seen, operands, made = [g], [], [], []
+        del rule, qkv, g
+        loss = make_op(np.zeros(()), (out,), lambda _: [(out, box.pop())])
+        make = layer_module.Deferred
+
+        def spy(fn, operand):
+            qkv = refs[0]()
+            seen.append((qkv is None, refs[1]() is None,
+                         qkv is not None and np.array_equal(qkv, forward_qkv)))
+            operands.append(operand)
+            made.append(make(fn, operand))
+            return made[-1]
+
+        monkeypatch.setattr(layer_module, "Deferred", spy)
+        ad.backward(loss)
+        wo_job, qkv_job = operands
+        assert wo_job.shape == (2 * 5, 8) and seen[0] == (False, False, False)
+        assert owner(qkv_job) is refs[0]()
+        del operands, wo_job, qkv_job
+        assert refs[0]() is None and len(made) == 2
 
     def test_record_keeps_no_concatenated_weights(self):
         _, x, mask, heads, wo = self.setup_batch()
