@@ -27,11 +27,12 @@ of its own that runs its own tree's `perfbench/worker.py` set-up, with
 BLAS on one thread. Then ROUNDS rounds alternate between the trees,
 the parent first in odd rounds: a round is one training epoch and one
 eval pass (`pipeline.predict` in 64-instance chunks) over the
-workload's training sample. The script prints each round's
-change/parent time ratios, each side's median seconds, the median ratio
-and how many rounds each side was faster, and whether the two trees'
-epoch losses were equal in every round. The trees train from the same
-seed, so equal code gives equal losses.
+workload's training sample, then one more set-up of the workload from
+the same generated reports, timed and discarded. The script prints
+each round's change/parent time ratios, each side's median seconds, the
+median ratio and how many rounds each side was faster, per phase, and
+whether the two trees' epoch losses were equal in every round. The
+trees train from the same seed, so equal code gives equal losses.
 """
 
 import argparse
@@ -166,11 +167,13 @@ def compare(parent: Path, workdir: Path) -> int:
 # The workloads of `perfbench/run.py`, timed with its seed default.
 AB_WORKLOADS = ("train_small", "train_long")
 AB_SEED = 1
+AB_PHASES = ("train", "eval", "setup")
 
 
 def ab_rounds(tree: Path, workload: str) -> int:
     """Set `workload` up with `tree`'s own benchmark code, then run one
-    round per line read from stdin and print its times as JSON."""
+    round per line read from stdin and print its times as JSON. Every
+    set-up uses `tree`'s own `perfbench/worker.py`."""
     sys.path.insert(0, str(tree / "perfbench"))
     import worker as bench
     from bioie import pipeline, training
@@ -190,8 +193,10 @@ def ab_rounds(tree: Path, workload: str) -> int:
         for lo in range(0, len(train_set), 64):
             pipeline.predict(model, train_set[lo:lo + 64])
         t2 = time.perf_counter()
-        print(json.dumps({"train": t1 - t0, "eval": t2 - t1, "loss": loss}),
-              flush=True)
+        bench.set_up(wl, docs, instances, AB_SEED)
+        t3 = time.perf_counter()
+        print(json.dumps({"train": t1 - t0, "eval": t2 - t1, "setup": t3 - t2,
+                          "loss": loss}), flush=True)
     return 0
 
 
@@ -222,15 +227,15 @@ def ab(parent: Path, rounds: int) -> int:
                     times[tag].append(json.loads(line))
                 mine, theirs = times["change"][-1], times["parent"][-1]
                 equal &= mine["loss"] == theirs["loss"]
-                print(f"{workload} round {r + 1}: change/parent train "
-                      f"{mine['train'] / theirs['train']:.3f}, eval "
-                      f"{mine['eval'] / theirs['eval']:.3f}", flush=True)
+                print(f"{workload} round {r + 1}: change/parent " + ", ".join(
+                    f"{phase} {mine[phase] / theirs[phase]:.3f}"
+                    for phase in AB_PHASES), flush=True)
         finally:
             for proc in procs.values():
                 proc.stdin.close()
                 proc.wait()
         mid = statistics.median
-        for phase in ("train", "eval"):
+        for phase in AB_PHASES:
             parent_s = [t[phase] for t in times["parent"]]
             change_s = [t[phase] for t in times["change"]]
             ratios = [c / p for c, p in zip(change_s, parent_s)]

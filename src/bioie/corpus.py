@@ -752,8 +752,9 @@ def _vector_row(parts: list[str], path, lineno: int) -> tuple[str, np.ndarray]:
 
 def normalize_length(doc: Document) -> Document:
     """Truncate to 150 tokens; shorter documents are kept as they are.
-    Mentions fully beyond the cut are dropped; spans crossing it are
-    clipped."""
+    Mentions fully beyond the cut are dropped and spans crossing it are
+    clipped; dependency edges touching a cut token are dropped. A
+    document that loses no token keeps every edge."""
     tokens = doc.tokens[:MAX_DOC_TOKENS]
     kept = len(tokens)
     mentions = []
@@ -762,7 +763,10 @@ def normalize_length(doc: Document) -> Document:
         if s >= kept:
             continue
         mentions.append(m if e < kept else replace(m, token_span=(s, kept - 1)))
-    edges = [(i, j, r) for i, j, r in doc.dep_edges if i < kept and j < kept]
+    if kept == len(doc.tokens):
+        edges = list(doc.dep_edges)
+    else:
+        edges = [(i, j, r) for i, j, r in doc.dep_edges if i < kept and j < kept]
     return Document(doc.id, doc.source, doc.text, tokens, mentions, edges)
 
 
@@ -787,8 +791,10 @@ def normalize_corpus(docs: list[Document], instances: list[RelationInstance]
     for inst in instances:
         mapping = remap.get(inst.doc_id, {})
         if inst.head in mapping and inst.tail in mapping:
-            out_instances.append(replace(
-                inst, head=mapping[inst.head], tail=mapping[inst.tail]))
+            head, tail = mapping[inst.head], mapping[inst.tail]
+            out_instances.append(
+                inst if (head, tail) == (inst.head, inst.tail)
+                else replace(inst, head=head, tail=tail))
     return out_docs, out_instances
 
 

@@ -15,13 +15,20 @@ of the nonzero weights.
 PAD and UNK ids never enter pair statistics; at projection they are
 isolated except for their self-loop.
 
+A set-up maps each document to ids, finds its distinct word types and
+forms its word pairs once (`WordTypes`): `build_corpus_graphs` makes
+one record per document and the three builders read them. Projection
+makes the same record from a document's ids, and looks its pairs up
+once, in a table of every kind's weights (`CorpusGraphs.pair_table`).
+
 A document's projection is kept at word-type level (`TypeAdjacency`):
 one (n,) index `inv` from token to the document's distinct ids, shared
 by the three kinds, and per kind the (u, u) weight matrix over those u
-types with the (n,) degree. A report has about 0.46 distinct ids per
-token, so this is about a fifth of the dense (n, n) token matrix it
-stands for; `matrix` expands that matrix on demand, and
-`pipeline._batch_adjacency` expands a whole batch at once.
+types with the (n,) degree, each kind's own 2-D row sum. A report has
+about 0.46 distinct ids per token, so this is about a fifth of the
+dense (n, n) token matrix it stands for; `matrix` expands that matrix
+on demand, and `pipeline._batch_adjacency` expands a whole batch at
+once.
 """
 
 from __future__ import annotations
@@ -98,6 +105,18 @@ class CorpusGraphs:
     def by_kind(self, kind: str) -> WordPairStats:
         return getattr(self, kind)
 
+    @cached_property
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted union of the kinds' pair keys, and each key's (K, 3)
+        edge weights in `GRAPH_KINDS` order, 0.0 where a kind did not
+        count the pair. Built on first use; never saved."""
+        stats = [self.by_kind(kind) for kind in GRAPH_KINDS]
+        keys = _distinct(np.concatenate([s.keys for s in stats]))
+        weights = np.zeros((len(keys), len(stats)))
+        for col, s in enumerate(stats):
+            weights[np.searchsorted(keys, s.keys), col] = s.edge_weight
+        return keys, weights
+
 
 @dataclass
 class DocumentAdjacency:
@@ -113,9 +132,11 @@ class DocumentAdjacency:
 class TypeAdjacency:
     """One graph kind's adjacency of one document, kept over the
     document's word types. Token i is type `inv[i]`; the token matrix is
-    `types[inv[:, None], inv]` with a unit diagonal. `degree` is that
-    matrix's row sums, taken from a fresh C-contiguous copy: sums over
-    another memory layout can differ in the last bit."""
+    `types[inv[:, None], inv]` with a unit diagonal, expanded by two 1-D
+    takes, `types.take(inv, 0).take(inv, 1)`, which give the same values
+    in a fresh C-contiguous array. `degree` is that matrix's row sums.
+    Sums over another memory layout, or over a stack of the kinds, can
+    differ in the last bit, so each kind keeps its own 2-D row sum."""
     inv: np.ndarray    # (n,) type of each token, shared by the kinds
     types: np.ndarray  # (u, u) symmetric weights, zero on PAD/UNK types
     degree: np.ndarray = field(init=False)  # (n,)
@@ -126,7 +147,7 @@ class TypeAdjacency:
     @property
     def matrix(self) -> np.ndarray:
         """The (n, n) token matrix, expanded anew on every access."""
-        a = self.types[self.inv[:, None], self.inv]
+        a = self.types.take(self.inv, 0).take(self.inv, 1)
         np.fill_diagonal(a, 1.0)
         return a
 
@@ -138,12 +159,6 @@ def token_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:
 
 def _is_word(ids: np.ndarray) -> np.ndarray:
     return (ids != PAD_ID) & (ids != UNK_ID)
-
-
-def _word_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:
-    """Token ids in document order with PAD and UNK dropped."""
-    ids = token_ids(doc, vocab)
-    return ids[_is_word(ids)]
 
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
@@ -187,14 +202,49 @@ class _PairCounter:
         return self.keys, self.counts
 
 
-def _pair_keys(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The key of every pair of the sorted unique ids `u`, as a matrix,
-    and the mask of its entries with a < b."""
-    return pair_key(u[:, None], u), u[:, None] < u
+@dataclass(eq=False)
+class WordTypes:
+    """One document's token ids, distinct ids and word pairs, as
+    `word_types` computes them once for the three builders and for
+    projection."""
+    ids: np.ndarray    # (n,) token ids, PAD and UNK included
+    inv: np.ndarray    # (n,) each token's index into the sorted distinct ids
+    skip: int          # distinct ids that are PAD or UNK; they sort first
+    words: np.ndarray  # (u,) sorted distinct word ids
+    upper: np.ndarray  # (u, u) mask of the word pairs a < b
+    pairs: np.ndarray  # the keys of those pairs, row by row
+    doc: Document | None = None  # the source; its edges feed the syntactic graph
+
+    @property
+    def word_inv(self) -> np.ndarray:
+        """Each word token's index into `words`, in document order."""
+        return self.inv[_is_word(self.ids)] - self.skip
 
 
-def build_semantic_graph(docs: list[Document], embeddings: EmbeddingTable,
-                         vocab: Vocabulary, theta: float) -> WordPairStats:
+def word_types(ids: np.ndarray, doc: Document | None = None) -> WordTypes:
+    """The `WordTypes` of token ids `ids`. `np.unique` sorts PAD_ID 0 and
+    UNK_ID 1 before every word id, so the word types are the distinct
+    ids after the first `skip`, and a word token's index into them is
+    its index into all distinct ids minus `skip`."""
+    uniq, inv = np.unique(ids, return_inverse=True)
+    skip = int(np.count_nonzero(~_is_word(uniq)))
+    words = uniq[skip:]
+    upper = words[:, None] < words
+    pairs = pair_key(words[:, None], words)[upper]
+    return WordTypes(ids, inv, skip, words, upper, pairs, doc)
+
+
+def _per_document(docs: list[Document] | list[WordTypes], vocab: Vocabulary
+                  ) -> list[WordTypes]:
+    """`docs` as `WordTypes` records: records pass through, and each
+    Document is mapped with `word_types`."""
+    return [d if isinstance(d, WordTypes) else word_types(token_ids(d, vocab), d)
+            for d in docs]
+
+
+def build_semantic_graph(docs: list[Document] | list[WordTypes],
+                         embeddings: EmbeddingTable, vocab: Vocabulary,
+                         theta: float) -> WordPairStats:
     """Edges between word types that share a document and whose vector
     cosine similarity reaches `theta`. A vector belongs to its word type,
     so a pair passes in every document it shares or in none: every edge
@@ -208,55 +258,53 @@ def build_semantic_graph(docs: list[Document], embeddings: EmbeddingTable,
         unit_rows = np.where(norms[:, None] > 0.0, vectors / norms[:, None], 0.0)
     checked = np.zeros(len(vectors), dtype=bool)
     passed = _PairCounter()
-    for doc in docs:
-        u = _distinct(_word_ids(doc, vocab))
+    for d in _per_document(docs, vocab):
+        u = d.words
         for w in u[~checked[u]].tolist():
             checked[w] = True
             if np.linalg.norm(vectors[w]) == 0.0:
                 log.warning("word id %d has a zero-norm vector; "
                             "skipping its semantic edges", w)
         # A zero-norm word has a zero unit row: cosine 0 < theta.
-        keys, upper = _pair_keys(u)
         rows = unit_rows[u]
-        cos = rows @ rows.T
-        ok = (cos >= theta) & upper
+        cos = (rows @ rows.T)[d.upper]
+        ok = cos >= theta
         # A matrix product can round differently from a 1-D dot product;
         # pairs this close to theta are decided by the dot product.
-        for i, j in zip(*np.nonzero((np.abs(cos - theta) <= 1e-9) & upper)):
-            ok[i, j] = float(unit_rows[u[i]] @ unit_rows[u[j]]) >= theta
-        passed.add(keys[ok])
+        for p in np.nonzero(np.abs(cos - theta) <= 1e-9)[0]:
+            a, b = pair_ids(d.pairs[p])
+            ok[p] = float(unit_rows[a] @ unit_rows[b]) >= theta
+        passed.add(d.pairs[ok])
     keys, counts = passed.result()
     return WordPairStats(keys, counts, np.ones(len(keys)))
 
 
-def build_syntactic_graph(docs: list[Document], vocab: Vocabulary
-                          ) -> WordPairStats:
+def build_syntactic_graph(docs: list[Document] | list[WordTypes],
+                          vocab: Vocabulary) -> WordPairStats:
     """Count documents in which a word pair is linked by a dependency
     edge; weight = count / documents where the pair co-occurs. A
     dependency edge index outside the document raises
     `CorpusFormatError`."""
+    records = _per_document(docs, vocab)
     linked = _PairCounter()
-    doc_words: list[np.ndarray] = []
-    for doc in docs:
-        ids = token_ids(doc, vocab)
-        edges = np.fromiter(chain.from_iterable(e[:2] for e in doc.dep_edges),
+    for d in records:
+        ids = d.ids
+        edges = np.fromiter(chain.from_iterable(e[:2] for e in d.doc.dep_edges),
                             np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= len(ids)):
             raise CorpusFormatError(
-                f"document {doc.id}: dependency edge index outside "
+                f"document {d.doc.id}: dependency edge index outside "
                 f"[0, {len(ids)})")
         a, b = ids[edges[:, 0]], ids[edges[:, 1]]
         keep = (a != b) & _is_word(a) & _is_word(b)
         a, b = a[keep], b[keep]
         linked.add(_distinct(pair_key(np.minimum(a, b), np.maximum(a, b))))
-        doc_words.append(_distinct(ids[_is_word(ids)]))
     keys, counts = linked.result()
     co_docs = np.zeros(len(keys))
-    for u in doc_words:
+    for d in records:
         # The linked pairs among the document's own pairs; each pair key
         # occurs once per document.
-        pair_keys, upper = _pair_keys(u)
-        slot, found = find_keys(keys, pair_keys[upper])
+        slot, found = find_keys(keys, d.pairs)
         co_docs[slot[found]] += 1.0
     return WordPairStats(keys, counts, counts / co_docs)
 
@@ -277,8 +325,8 @@ def _window_gram(inv: np.ndarray, types: int, window: int
     return present.T @ present, len(present)
 
 
-def build_sequence_graph(docs: list[Document], vocab: Vocabulary,
-                         window: int) -> WordPairStats:
+def build_sequence_graph(docs: list[Document] | list[WordTypes],
+                         vocab: Vocabulary, window: int) -> WordPairStats:
     """Sliding-window PMI over token sequences; windows shorter than
     `window` arise only from documents shorter than the window. Negative
     PMI is clipped to zero."""
@@ -287,17 +335,16 @@ def build_sequence_graph(docs: list[Document], vocab: Vocabulary,
     total_windows = 0
     word_windows = np.zeros(vocab.size)
     pair_windows = _PairCounter()
-    for doc in docs:
-        ids = _word_ids(doc, vocab)
-        if not len(ids):
+    for d in _per_document(docs, vocab):
+        u = d.words
+        if not len(u):
             continue
-        u, inv = np.unique(ids, return_inverse=True)
-        gram, windows = _window_gram(inv, len(u), window)
+        gram, windows = _window_gram(d.word_inv, len(u), window)
         total_windows += windows
         word_windows[u] += np.diagonal(gram)
-        keys, upper = _pair_keys(u)
-        hit = (gram > 0.0) & upper
-        pair_windows.add(keys[hit], gram[hit])
+        gram = gram[d.upper]
+        hit = gram > 0.0
+        pair_windows.add(d.pairs[hit], gram[hit])
     keys, n_ab = pair_windows.result()
     # Each float operation of `math.log(p_ab / (p_a * p_b))` on exact
     # integer counts, elementwise; `np.log` could differ in the last bit.
@@ -310,10 +357,15 @@ def build_sequence_graph(docs: list[Document], vocab: Vocabulary,
 def build_corpus_graphs(docs: list[Document], embeddings: EmbeddingTable,
                         vocab: Vocabulary, theta: float = 0.9,
                         window: int = 20) -> CorpusGraphs:
+    """The three graphs of `docs`, each document mapped to its
+    `WordTypes` once for all three builders. The records live only for
+    this call, which ends at the sequence builder's last read of them;
+    they keep each document's pairs a < b, not its (u, u) key matrix."""
+    records = _per_document(docs, vocab)
     return CorpusGraphs(
-        semantic=build_semantic_graph(docs, embeddings, vocab, theta),
-        syntactic=build_syntactic_graph(docs, vocab),
-        sequence=build_sequence_graph(docs, vocab, window),
+        semantic=build_semantic_graph(records, embeddings, vocab, theta),
+        syntactic=build_syntactic_graph(records, vocab),
+        sequence=build_sequence_graph(records, vocab, window),
         theta=theta,
         window=window,
     )
@@ -323,22 +375,21 @@ def project_adjacency(ids: np.ndarray, graphs: CorpusGraphs
                       ) -> dict[str, TypeAdjacency]:
     """Per-graph adjacency for one document's token ids: corpus weights
     looked up by word-type pair, unit self-loops, PAD/UNK isolated. The
-    kinds share one token-to-type index."""
-    uniq, inv = np.unique(ids, return_inverse=True)
-    # The document's own word-type pairs a < b, PAD and UNK left out,
-    # looked up in each graph as a weight matrix over the document's
-    # word types.
-    word = _is_word(uniq)
-    rows, cols = np.nonzero((uniq[:, None] < uniq) & word[:, None] & word)
-    keys = pair_key(uniq[rows], uniq[cols])
+    kinds share one token-to-type index, and one lookup of the
+    document's word pairs in `graphs.pair_table`."""
+    d = word_types(ids)
+    table, weights = graphs.pair_table
+    slot, found = find_keys(table, d.pairs)
+    rows, cols = np.nonzero(d.upper)
+    # Word type k is distinct id k + skip; PAD and UNK rows stay zero.
+    i, j = rows[found] + d.skip, cols[found] + d.skip
+    w = weights[slot[found]]
+    size = d.skip + len(d.words)
     out: dict[str, TypeAdjacency] = {}
-    for kind in GRAPH_KINDS:
-        stats = graphs.by_kind(kind)
-        slot, found = find_keys(stats.keys, keys)
-        i, j, w = rows[found], cols[found], stats.edge_weight[slot[found]]
-        types = np.zeros((len(uniq), len(uniq)))
-        types[i, j] = types[j, i] = w
-        out[kind] = TypeAdjacency(inv, types)
+    for col, kind in enumerate(GRAPH_KINDS):
+        types = np.zeros((size, size))
+        types[i, j] = types[j, i] = w[:, col]
+        out[kind] = TypeAdjacency(d.inv, types)
     return out
 
 

@@ -756,6 +756,35 @@ class TestNormalizeLength:
         assert len(docs[0].mentions) == 1
         assert instances == []
 
+    def test_truncation_remaps_instances_and_cuts_edges(self):
+        """A mention cut from the middle of the mention list shifts the
+        index of every later one; an untruncated document keeps its
+        instances as they are."""
+        text = " ".join(f"w{i}" for i in range(200))
+        tokens = tokenize(text)
+        mentions = [EntityMention("m0", "Type", (0, 0)),
+                    EntityMention("m1", "Size", (180, 181)),
+                    EntityMention("m2", "Size", (5, 5))]
+        edges = [(3, 4, "dep"), (149, 150, "dep"), (10, 2, "dep"),
+                 (170, 20, "dep"), (148, 149, "dep"), (160, 161, "dep")]
+        long_doc = Document("long", "synthetic", text, tokens, mentions, edges)
+        short_doc = Document("short", "synthetic", "w0 w1", tokenize("w0 w1"),
+                             [EntityMention("m0", "Type", (0, 0)),
+                              EntityMention("m1", "Size", (1, 1))],
+                             [(0, 1, "dep")])
+        labels = ("null", "Size")
+        moved = RelationInstance("long", 0, 2, 1, labels, "pathology:Size")
+        cut = RelationInstance("long", 0, 1, 1, labels, "pathology:Size")
+        kept = RelationInstance("short", 0, 1, 0, labels, "pathology:Size")
+        docs, instances = normalize_corpus([long_doc, short_doc],
+                                           [moved, cut, kept])
+        assert [m.id for m in docs[0].mentions] == ["m0", "m2"]
+        assert instances == [
+            RelationInstance("long", 0, 1, 1, labels, "pathology:Size"), kept]
+        assert docs[0].dep_edges == [(3, 4, "dep"), (10, 2, "dep"),
+                                     (148, 149, "dep")]
+        assert docs[1].dep_edges == short_doc.dep_edges
+
     @given(st.integers(1, 200))
     @settings(max_examples=40, deadline=None)
     def test_always_inside_bounds(self, n):

@@ -20,6 +20,7 @@ from bioie.corpus import (
     EmbeddingTable,
     attach_dependencies,
     build_vocabulary,
+    normalize_corpus,
     random_embeddings,
     tokenize,
 )
@@ -370,6 +371,15 @@ class TestSyntacticGraph:
         with pytest.raises(CorpusFormatError, match="doc-7"):
             build_syntactic_graph(docs, build_vocabulary(docs))
 
+    def test_edge_outside_an_uncut_document_still_named_after_normalizing(self):
+        """Length normalization cuts no token of a short document, so it
+        passes every edge on, and the builder names the bad one."""
+        docs = [doc_of(["a", "b", "c"], "ok", [(0, 1)]),
+                doc_of(["a", "b", "c"], "doc-7", [(0, 3)])]
+        docs, _ = normalize_corpus(docs, [])
+        with pytest.raises(CorpusFormatError, match="doc-7"):
+            build_syntactic_graph(docs, build_vocabulary(docs))
+
 
 class TestSequenceGraph:
     def test_negative_pmi_clipped(self):
@@ -561,6 +571,61 @@ class TestWordPairStatsInvariants:
         for (a, b), w in stats.weights.items():
             assert w >= 0
             assert stats.weight(a, b) == stats.weight(b, a)
+
+
+@st.composite
+def corpora_with_edge_cases(draw):
+    """`corpora`, plus documents of PAD and UNK ids alone, one-word
+    documents and a repeated-token document, in drawn order."""
+    docs, vocab = draw(corpora())
+    extra = [doc_of([PAD_TOKEN, "rare", PAD_TOKEN], "x0"), doc_of(["rare"], "x1"),
+             doc_of(["w0"], "x2"), doc_of(["w0", "w0", PAD_TOKEN, "w0"], "x3",
+                                          [(0, 1), (1, 3)])]
+    docs = draw(st.permutations(docs + draw(st.lists(st.sampled_from(extra),
+                                                     max_size=4))))
+    return docs, vocab
+
+
+class TestSharedPerDocumentData:
+    """`build_corpus_graphs` maps each document once for the three
+    builders, and projection looks every kind up in one table; both must
+    give bitwise what the builders and the token-matrix expansion give
+    one at a time."""
+
+    @given(corpora_with_edge_cases(), st.integers(0, 2 ** 32 - 1),
+           st.integers(2, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_corpus_graphs_equal_each_builder_alone(self, corpus, seed, window):
+        docs, vocab = corpus
+        embeddings = random_embeddings(vocab, 4, seed=seed)
+        graphs = build_corpus_graphs(docs, embeddings, vocab, theta=0.3,
+                                     window=window)
+        alone = {"semantic": build_semantic_graph(docs, embeddings, vocab, 0.3),
+                 "syntactic": build_syntactic_graph(docs, vocab),
+                 "sequence": build_sequence_graph(docs, vocab, window)}
+        for kind, stats in alone.items():
+            got = graphs.by_kind(kind)
+            for name in ("keys", "count", "edge_weight"):
+                x, y = getattr(got, name), getattr(stats, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (kind, name)
+
+    @given(corpora_with_edge_cases(), st.integers(0, 2 ** 32 - 1),
+           st.integers(2, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_degrees_equal_row_sums_of_the_expanded_matrix(self, corpus, seed,
+                                                           window):
+        """The oracle expands each kind by fancy indexing, sets the unit
+        diagonal and sums each row."""
+        docs, vocab = corpus
+        graphs = build_corpus_graphs(docs, random_embeddings(vocab, 4, seed=seed),
+                                     vocab, theta=0.3, window=window)
+        for doc in docs:
+            for adj in project_adjacency(token_ids(doc, vocab), graphs).values():
+                expanded = adj.types[adj.inv[:, None], adj.inv]
+                np.fill_diagonal(expanded, 1.0)
+                assert adj.matrix.tobytes() == expanded.tobytes()
+                assert adj.degree.dtype == np.float64
+                assert adj.degree.tobytes() == expanded.sum(axis=1).tobytes()
 
 
 def test_dump_graphs_sorted_and_diffable(tmp_path):
