@@ -28,11 +28,14 @@ BLAS on one thread. Then ROUNDS rounds alternate between the trees,
 the parent first in odd rounds: a round is one training epoch and one
 eval pass (`pipeline.predict` in 64-instance chunks) over the
 workload's training sample, then one more set-up of the workload from
-the same generated reports, timed and discarded. The script prints
-each round's change/parent time ratios, each side's median seconds, the
-median ratio and how many rounds each side was faster, per phase, and
-whether the two trees' epoch losses were equal in every round. The
-trees train from the same seed, so equal code gives equal losses.
+the same generated reports, timed and discarded. Each round also
+reports its process's peak resident memory so far (`ru_maxrss`). The
+script prints each round's change/parent time ratios, each side's
+median seconds, the median ratio and how many rounds each side was
+faster, per phase, each tree's final peak resident memory per
+workload, and whether the two trees' epoch losses were equal in every
+round. The trees train from the same seed, so equal code gives equal
+losses.
 """
 
 import argparse
@@ -41,6 +44,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -195,8 +199,9 @@ def ab_rounds(tree: Path, workload: str) -> int:
         t2 = time.perf_counter()
         bench.set_up(wl, docs, instances, AB_SEED)
         t3 = time.perf_counter()
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(json.dumps({"train": t1 - t0, "eval": t2 - t1, "setup": t3 - t2,
-                          "loss": loss}), flush=True)
+                          "loss": loss, "rss_mb": rss_mb}), flush=True)
     return 0
 
 
@@ -243,6 +248,9 @@ def ab(parent: Path, rounds: int) -> int:
             print(f"{workload} {phase}: median parent {mid(parent_s):.4f} s, "
                   f"change {mid(change_s):.4f} s; median ratio {mid(ratios):.3f}; "
                   f"change faster in {wins} of {rounds}, parent in {rounds - wins}")
+        parent_mb, change_mb = (times[tag][-1]["rss_mb"] for tag in trees)
+        print(f"{workload} peak RSS: parent {parent_mb:.1f} MB, change "
+              f"{change_mb:.1f} MB; ratio {change_mb / parent_mb:.3f}")
     print("epoch losses equal in every round" if equal
           else "epoch losses DIFFER between the trees")
     return 0

@@ -186,13 +186,10 @@ def write_resolved(cfg: RunConfig, outdir: Path) -> None:
 
 
 def model_config_from(cfg: RunConfig, label_count: int = 2) -> ModelConfig:
-    return ModelConfig(
-        d_w=cfg.d_w, d_p=cfg.d_p, max_dist=cfg.max_dist, hidden=cfg.hidden,
-        heads=cfg.heads, gcn_layers=cfg.gcn_layers, label_count=label_count,
-        attention=cfg.attention, use_pretrained=cfg.use_pretrained,
-        use_position=cfg.use_position, use_gcn=cfg.use_gcn,
-        dropout=cfg.dropout,
-    )
+    """The `ModelConfig` of every model field that `RunConfig` declares."""
+    return ModelConfig(label_count=label_count,
+                       **{f.name: getattr(cfg, f.name)
+                          for f in fields(ModelConfig) if f.name in _FIELDS})
 
 
 def plan_from(cfg: RunConfig) -> TrainPlan:

@@ -19,8 +19,10 @@ in the tests), recorded through this module's `make_op`:
   * `multi_head_attention`: all heads, keeping only the fused Q/K/V
     projection: its rule rebuilds each head's attention weights, and
     writes the projection gradients over the projection;
-  * `gcn_layer`: one whole GCN layer over all graph kinds, keeping each
-    kind's tanh output and normalized adjacency.
+  * `gcn_layer`: one whole GCN layer over all graph kinds. It takes each
+    kind's degree-normalized adjacency as an array, which
+    `textgraph.batch_adjacency` builds once per forward for every layer,
+    and keeps each kind's tanh output and a reference to its adjacency.
 No record keeps a copy of its weights: a rule stacks or concatenates
 them again, as they do not change before the optimizer step. Each rule
 frees what it saved at its last read: the BiLSTM's gates, cell states
@@ -101,6 +103,8 @@ class ModelConfig:
                              f"one head is heads=1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.head_dim is not None and self.head_dim < 1:
+            raise ValueError("head_dim must be positive")
         if self.head_dim is None and self.d_model % self.heads != 0:
             raise ValueError(
                 f"2*hidden ({self.d_model}) must be divisible by heads ({self.heads})")
@@ -478,20 +482,14 @@ def multi_head_attention(x: Tensor, heads, wo: Tensor,
 # ---------------------------------------------------------------------------
 # Graph convolution
 
-def _normalized_adjacency(h: Tensor, adj: DocumentAdjacency | None, w: Tensor,
-                          b: Tensor) -> np.ndarray:
-    """A/d for one graph kind, once the graph, weight and bias fit `h`."""
-    if adj is None:
-        raise ShapeError("gcn: fewer adjacencies than weights")
-    if adj.matrix.shape[:-1] != h.shape[:-1]:
+def _check_fit(h: Tensor, a: np.ndarray, w: Tensor, b: Tensor) -> None:
+    """Raise ShapeError unless one kind's graph, weight and bias fit `h`."""
+    if a.shape[:-1] != h.shape[:-1]:
         raise ShapeError(
-            f"gcn: adjacency {adj.matrix.shape} does not match features {h.shape}")
+            f"gcn: adjacency {a.shape} does not match features {h.shape}")
     if w.shape[0] != h.shape[-1] or b.shape != (1, w.shape[1]):
         raise ShapeError(
             f"gcn: weight {w.shape} / bias {b.shape} do not fit features {h.shape}")
-    if np.any(adj.degree <= 0.0):
-        raise ValueError("gcn: zero-degree node (self-loops missing)")
-    return adj.normalized
 
 
 def gcn_propagate(h: Tensor, adj: DocumentAdjacency, w: Tensor, b: Tensor,
@@ -500,8 +498,10 @@ def gcn_propagate(h: Tensor, adj: DocumentAdjacency, w: Tensor, b: Tensor,
     (n, n) graph with (n, d) features or a (B, n, n) batch of graphs with
     (B, n, d) features. Composed of primitive ops: with
     `inter_graph_mix`, the reference for `gcn_layer`."""
-    a_norm = Tensor(_normalized_adjacency(h, adj, w, b))
-    return activation(add_rowvec(matmul(a_norm, matmul(h, w)), b))
+    _check_fit(h, adj.matrix, w, b)
+    if not np.all(adj.degree > 0.0):
+        raise ValueError("gcn: zero-degree node (self-loops missing)")
+    return activation(add_rowvec(matmul(Tensor(adj.normalized), matmul(h, w)), b))
 
 
 def inter_graph_mix(states: list[Tensor]) -> Tensor:
@@ -515,23 +515,22 @@ def inter_graph_mix(states: list[Tensor]) -> Tensor:
 
 def gcn_layer(m: Tensor, adjacencies, ws, bs) -> Tensor:
     """mean_k tanh((A_k/d_k)(m W_k) + b_k) over graph kinds k as one tape
-    record, on (n, d) features or a (B, n, d) batch. `adjacencies` yields
-    each kind's `DocumentAdjacency`, in the order of `ws` and `bs`, and is
-    read one kind at a time: without a record, at most one is alive.
+    record, on (n, d) features or a (B, n, d) batch. `adjacencies` holds
+    each kind's degree-normalized A_k/d_k, (n, n) or (B, n, n), in the
+    order of the sequences `ws` and `bs`, such as
+    `textgraph.batch_adjacency` returns; the layer reads them and keeps
+    no copy.
 
     The record keeps each kind's output y_k and A_k/d_k, which its rule
     frees one kind at a time; it uses tanh' = 1 - y_k^2. The mean sums
     (y_0 + y_1) + y_2, and the input gradient adds kind 2's term, then
     kind 1's, then kind 0's: bitwise the values and gradients of
     separate affine, tanh and mean records."""
-    ws, bs, adjacencies = list(ws), list(bs), iter(adjacencies)
     m2 = m.data.reshape(-1, m.shape[-1])
     track = recording(m, *ws, *bs)
     kept, total = [], None
-    for w, b in zip(ws, bs, strict=True):
-        # Read here, not zipped: zip would hold the last kind's adjacency
-        # while it reads the next.
-        a_norm = _normalized_adjacency(m, next(adjacencies, None), w, b)
+    for a_norm, w, b in zip(adjacencies, ws, bs, strict=True):
+        _check_fit(m, a_norm, w, b)
         y = a_norm @ (m2 @ w.data).reshape(m.shape[:-1] + (w.shape[1],))
         y += b.data
         np.tanh(y, out=y)
@@ -543,7 +542,7 @@ def gcn_layer(m: Tensor, adjacencies, ws, bs) -> Tensor:
             total = total + y
         else:
             total += y
-        del a_norm, y  # unrecorded, freed before the next kind is built
+        del y  # unrecorded, freed before the next kind's product
     scale = 1.0 / len(ws)
     total *= scale
 

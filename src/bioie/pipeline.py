@@ -31,10 +31,12 @@ a (B, T) validity mask that is false on batch padding:
     direction starts at the row's last real token;
   * attention adds MASK_NEG to the scores of invalid keys, one head at
     a time over one reused (B, T, T) buffer of scores;
-  * each kind's (B, T, T) adjacency is gathered from the documents'
-    type matrices through one flat index per batch, shared by the kinds
-    and the layers; padded nodes keep only a unit self-loop, so no real
-    node aggregates from them;
+  * `textgraph.batch_adjacency` builds each kind's degree-normalized
+    (B, T, T) adjacency once per forward, recorded or not, from the
+    documents' type matrices through one gather index that the kinds
+    share; every GCN layer reads the same three arrays, and padded
+    nodes keep only a unit self-loop, so no real node aggregates from
+    them;
   * max-pooling adds MASK_NEG at invalid positions.
 An instance's logits therefore do not depend on the batch it runs in,
 up to summation order. Train-mode dropout draws one mask over the valid
@@ -81,8 +83,8 @@ from .layers import gcn_propagate, inter_graph_mix  # noqa: F401
 from .textgraph import (
     GRAPH_KINDS,
     CorpusGraphs,
-    DocumentAdjacency,
     TypeAdjacency,
+    batch_adjacency,
     project_adjacency,
     token_ids,
 )
@@ -270,38 +272,6 @@ def encode_instances(instances: list[RelationInstance],
 # ---------------------------------------------------------------------------
 # Forward
 
-def _adjacency_index(batch: list[EncodedInstance], steps: int) -> np.ndarray:
-    """Where each entry of a padded (B, steps, steps) adjacency comes
-    from: flat positions into a kind's `_batch_adjacency` buffer, which
-    holds 0.0, 1.0 and then every instance's raveled (u, u) type matrix
-    in batch order. The kinds share each document's token-to-type index
-    and type count, so one index serves them all. The diagonal points at
-    the 1.0, and batch padding off it at the 0.0."""
-    index = np.zeros((len(batch), steps, steps), dtype=np.intp)
-    offset = 2
-    for i, inst in enumerate(batch):
-        adj = inst.doc.adjacency[GRAPH_KINDS[0]]
-        inv, u = adj.inv, len(adj.types)
-        np.add.outer(inv * u + offset, inv, out=index[i, :len(inv), :len(inv)])
-        offset += u * u
-    index[:, np.arange(steps), np.arange(steps)] = 1
-    return index
-
-
-def _batch_adjacency(batch: list[EncodedInstance], kind: str,
-                     index: np.ndarray) -> DocumentAdjacency:
-    """One kind's adjacency for a padded batch, (B, T, T), gathered
-    through `_adjacency_index`'s (B, T, T) `index`. Padded nodes keep
-    only a unit self-loop, so no real node sees them."""
-    flat = np.concatenate([(0.0, 1.0)] + [inst.doc.adjacency[kind].types.ravel()
-                                          for inst in batch])
-    degree = np.ones(index.shape[:2])
-    for i, inst in enumerate(batch):
-        own = inst.doc.adjacency[kind].degree
-        degree[i, :len(own)] = own
-    return DocumentAdjacency(np.take(flat, index), degree)
-
-
 def _dropout_mask(rng: np.random.Generator, p: float, valid: np.ndarray,
                   width: int) -> np.ndarray:
     """Inverted-dropout multipliers for a padded batch: one draw over the
@@ -374,21 +344,12 @@ def _attention_features(model: ModelState, h: Tensor,
 
 def _gcn_features(model: ModelState, batch: list[EncodedInstance], h: Tensor,
                   key_bias: np.ndarray) -> Tensor:
-    # A recorded forward builds each kind's padded adjacency once and
-    # hands the same object, with its cached normalized matrix, to every
-    # layer: the tape keeps that matrix anyway. Without a record each
-    # layer rebuilds them one kind at a time, for the eval working set;
-    # only the gather index lives for the whole branch. At B = 8, T = 100
-    # on a 2-vCPU VM a rebuild took 0.09-0.17 ms per kind.
-    index = _adjacency_index(batch, key_bias.shape[1])
-    adjacency = functools.partial(_batch_adjacency, batch, index=index)
-    if ad.recording(h, *(t for name, t in model.params.items()
-                         if name.startswith("gcn."))):
-        adjacency = functools.cache(adjacency)
+    adjacency = batch_adjacency([inst.doc.adjacency for inst in batch],
+                                key_bias.shape[1])
     m = h
     for layer in range(model.config.gcn_layers):
         prefix = f"gcn.layer{layer}"
-        m = gcn_layer(m, (adjacency(kind) for kind in GRAPH_KINDS),
+        m = gcn_layer(m, adjacency,
                       [model.params[f"{prefix}.{kind}.w"] for kind in GRAPH_KINDS],
                       [model.params[f"{prefix}.{kind}.b"] for kind in GRAPH_KINDS])
     return _masked_max_pool(m, key_bias)

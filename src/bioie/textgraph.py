@@ -27,8 +27,9 @@ by the three kinds, and per kind the (u, u) weight matrix over those u
 types with the (n,) degree, each kind's own 2-D row sum. A report has
 about 0.46 distinct ids per token, so this is about a fifth of the
 dense (n, n) token matrix it stands for; `matrix` expands that matrix
-on demand, and `pipeline._batch_adjacency` expands a whole batch at
-once.
+on demand. `batch_adjacency` expands a whole padded batch at once, into
+each kind's degree-normalized matrix, through one gather index that the
+kinds share: this module alone knows the type-level layout.
 """
 
 from __future__ import annotations
@@ -150,6 +151,42 @@ class TypeAdjacency:
         a = self.types.take(self.inv, 0).take(self.inv, 1)
         np.fill_diagonal(a, 1.0)
         return a
+
+
+def batch_adjacency(adjacencies: list[dict[str, TypeAdjacency]], steps: int
+                    ) -> list[np.ndarray]:
+    """Each kind's degree-normalized adjacency A/d for a batch of
+    documents padded to `steps` tokens, (B, steps, steps), in
+    `GRAPH_KINDS` order. Padded nodes keep only a unit self-loop, so no
+    real node aggregates from them.
+
+    Every kind is gathered with one `np.take` through one flat index,
+    into a buffer holding 0.0, 1.0 and then each document's raveled
+    (u, u) type matrix in batch order: the kinds share each document's
+    token-to-type index and type count. The diagonal points at the 1.0,
+    and batch padding off it at the 0.0. Each gathered matrix is then
+    divided in place by its padded row sums, which gives the bits of
+    `DocumentAdjacency.normalized`. A degree that is not positive (a
+    missing self-loop, or NaN) raises ValueError."""
+    index = np.zeros((len(adjacencies), steps, steps), dtype=np.intp)
+    offset = 2
+    for i, adj in enumerate(doc[GRAPH_KINDS[0]] for doc in adjacencies):
+        inv, u = adj.inv, len(adj.types)
+        np.add.outer(inv * u + offset, inv, out=index[i, :len(inv), :len(inv)])
+        offset += u * u
+    index[:, np.arange(steps), np.arange(steps)] = 1
+    out = []
+    for kind in GRAPH_KINDS:
+        degree = np.ones((len(adjacencies), steps))
+        for i, doc in enumerate(adjacencies):
+            degree[i, :len(doc[kind].degree)] = doc[kind].degree
+        if not np.all(degree > 0.0):
+            raise ValueError("gcn: zero-degree node (self-loops missing)")
+        flat = np.concatenate([(0.0, 1.0)] + [doc[kind].types.ravel()
+                                              for doc in adjacencies])
+        out.append(np.take(flat, index))
+        out[-1] /= degree[..., None]
+    return out
 
 
 def token_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:

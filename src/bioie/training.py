@@ -80,6 +80,10 @@ class TrainPlan:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be a positive number, got {self.lr}")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
 
 
 @dataclass
@@ -359,10 +363,14 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
-def _read_array(fh) -> np.ndarray:
+def _read_array(fh, what: str) -> np.ndarray:
+    """The next array of the file. Every number a checkpoint stores is
+    finite: a NaN or an infinity raises CheckpointError naming `what`."""
     (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
     shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
     data = np.frombuffer(_read_exact(fh, math.prod(shape) * 8), dtype="<f8")
+    if not np.isfinite(data).all():
+        raise CheckpointError(f"checkpoint {what} holds a non-finite number")
     return data.reshape(shape).astype(np.float64)
 
 
@@ -381,9 +389,12 @@ def _write_graphs(fh, graphs: CorpusGraphs | None) -> None:
 
 def _read_graphs(fh) -> CorpusGraphs | None:
     def stats(kind: str) -> WordPairStats:
-        counts, weights = _read_array(fh), _read_array(fh)
+        counts, weights = (_read_array(fh, f"{kind} graph") for _ in range(2))
         if any(t.ndim != 2 or t.shape[1] != 3 for t in (counts, weights)):
             raise CheckpointError(f"{kind} graph table is not (pairs, 3)")
+        if not (np.all(counts[:, 2] >= 1.0) and np.all(weights[:, 2] >= 0.0)):
+            raise CheckpointError(f"{kind} graph has a count below 1 or a "
+                                  f"negative weight")
         keys = pair_key(counts[:, 0], counts[:, 1])
         slot, found = find_keys(keys, pair_key(weights[:, 0], weights[:, 1]))
         if np.any(keys[1:] <= keys[:-1]) or not found.all():
@@ -483,7 +494,8 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
         for _ in range(n_named):
             name = _read_block(fh).decode()
             (is_frozen,) = struct.unpack("<B", _read_exact(fh, 1))
-            params[name] = ad.Tensor(_read_array(fh), requires_grad=not is_frozen)
+            params[name] = ad.Tensor(_read_array(fh, f"tensor {name!r}"),
+                                     requires_grad=not is_frozen)
         vocab = Vocabulary(dict(vocab_map))
         _check_registry(params, init_model(config, vocab,
                                            label_set=tuple(blob["label_set"])))
@@ -495,8 +507,8 @@ def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
             names, ms, vs = [], [], []
             for _ in range(n_opt):
                 names.append(_read_block(fh).decode())
-                ms.append(_read_array(fh))
-                vs.append(_read_array(fh))
+                ms.append(_read_array(fh, f"optimizer moment for {names[-1]!r}"))
+                vs.append(_read_array(fh, f"optimizer moment for {names[-1]!r}"))
                 if not (names[-1] in params and params[names[-1]].requires_grad):
                     raise CheckpointError(f"optimizer moment for {names[-1]!r}, "
                                           f"which is not a trainable tensor")

@@ -7,10 +7,10 @@ type matrices and the per-batch gather must reproduce them bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bioie.pipeline as pipeline
 from bioie.corpus import (
     PAD_ID,
     PAD_TOKEN,
@@ -20,11 +20,12 @@ from bioie.corpus import (
     build_vocabulary,
     random_embeddings,
 )
-from bioie.pipeline import DocEncoding, EncodedInstance
 from bioie.textgraph import (
     GRAPH_KINDS,
     DocumentAdjacency,
+    TypeAdjacency,
     WordPairStats,
+    batch_adjacency,
     build_corpus_graphs,
     find_keys,
     pair_key,
@@ -109,32 +110,30 @@ class TestTypeLayout:
     @settings(max_examples=60, deadline=None)
     def test_batch_block_and_matrix_equal_dense_bitwise(self, corpus, special,
                                                         seed):
-        """For every kind, the gathered padded block equals the dense
-        layout's block bit for bit, matrix and degree, and each
-        document's expanded `matrix` equals its dense n x n matrix."""
+        """For every kind, `batch_adjacency`'s normalized padded block
+        equals the dense layout's block divided by its degrees, bit for
+        bit, and each document's expanded `matrix` and its degree equal
+        the dense n x n matrix and degree."""
         docs, vocab = corpus
         graphs = build_corpus_graphs(docs, random_embeddings(vocab, 4, seed=seed),
                                      vocab, theta=0.3, window=3)
         if special:
             graphs = with_special_edges(graphs, vocab)
-        batch, dense = [], []
+        typed, dense = [], []
         for doc in docs + docs[:1]:  # one document twice in the batch
             ids = token_ids(doc, vocab)
-            batch.append(EncodedInstance(
-                DocEncoding(doc.id, ids, project_adjacency(ids, graphs)),
-                0, 0, 0, doc.id))
+            typed.append(project_adjacency(ids, graphs))
             dense.append(dense_project_adjacency(ids, graphs))
-        steps = max(len(inst.doc.ids) for inst in batch)
-        index = pipeline._adjacency_index(batch, steps)
-        for kind in GRAPH_KINDS:
-            got = pipeline._batch_adjacency(batch, kind, index=index)
+        steps = max(len(doc[GRAPH_KINDS[0]].degree) for doc in dense)
+        got = batch_adjacency(typed, steps)
+        assert len(got) == len(GRAPH_KINDS)
+        for kind, a_norm in zip(GRAPH_KINDS, got):
             want = dense_batch_adjacency(dense, kind, steps)
-            assert got.matrix.tobytes() == want.matrix.tobytes(), kind
-            assert got.degree.tobytes() == want.degree.tobytes(), kind
-            for inst, oracle in zip(batch, dense):
-                adj = inst.doc.adjacency[kind]
-                assert adj.matrix.tobytes() == oracle[kind].matrix.tobytes()
-                assert adj.degree.tobytes() == oracle[kind].degree.tobytes()
+            assert a_norm.tobytes() == (want.matrix
+                                        / want.degree[..., None]).tobytes(), kind
+            for doc, oracle in zip(typed, dense):
+                assert doc[kind].matrix.tobytes() == oracle[kind].matrix.tobytes()
+                assert doc[kind].degree.tobytes() == oracle[kind].degree.tobytes()
 
     @given(corpora(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -152,6 +151,17 @@ class TestTypeLayout:
                 special = np.isin(np.unique(ids), (PAD_ID, UNK_ID))
                 assert not adj.types[special].any()
                 assert not adj.types[:, special].any()
+
+    def test_batch_rejects_a_degree_that_is_not_positive(self):
+        """A row whose weights cancel its self-loop, or a NaN weight, in
+        one kind of one document of the batch is refused."""
+        inv = np.array([0, 1])
+        good = {kind: TypeAdjacency(inv, np.zeros((2, 2))) for kind in GRAPH_KINDS}
+        for weight in (-1.0, np.nan):
+            bad = dict(good, syntactic=TypeAdjacency(
+                inv, np.array([[0.0, weight], [weight, 0.0]])))
+            with pytest.raises(ValueError, match="zero-degree"):
+                batch_adjacency([good, bad], 3)
 
     def test_matrix_is_expanded_on_every_access(self, tiny_task):
         ids = token_ids(next(iter(tiny_task.documents.values())), tiny_task.vocab)

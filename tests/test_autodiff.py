@@ -781,7 +781,7 @@ def run_jobs(leaves, x_data, x_trains=True, backward=backward):
 
     def convolve(h):
         for _ in range(3):
-            h = gcn_layer(h, [adj], [w], [b])
+            h = gcn_layer(h, [adj.normalized], [w], [b])
         return h
 
     reset_tape()

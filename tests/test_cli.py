@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,18 +11,22 @@ import bioie.cli as cli
 from bioie.cli import (
     ConfigError,
     RunConfig,
+    _coerce,
     _parse_grid,
     _single_task,
     assemble_tasks,
     config_text,
+    load_corpus,
     main,
+    model_config_from,
     parse_config_file,
     resolve_config,
 )
+from bioie.corpus import synth_corpus, write_records
 from bioie.layers import ModelConfig
 from bioie.pipeline import encode_instances, eval_logits, init_model, predict
 from bioie.textgraph import build_corpus_graphs
-from bioie.training import TrainPlan, apply_grid_point, save_checkpoint
+from bioie.training import _PLAN_KEYS, TrainPlan, apply_grid_point, save_checkpoint
 
 from conftest import CORRUPT_LENGTHS, assert_same_graphs, corrupt_checkpoint
 
@@ -89,6 +94,26 @@ class TestParseGrid:
                 _parse_grid(spec)
 
 
+class TestModelAndPlanSettings:
+    def test_defaults_agree_with_model_config_and_train_plan(self):
+        """Each model or plan field of `RunConfig` has the default of the
+        `ModelConfig` or `TrainPlan` field of its name."""
+        run = {f.name: f.default for f in fields(RunConfig)}
+        for cls, least in ((ModelConfig, 11), (TrainPlan, len(_PLAN_KEYS))):
+            shared = {f.name: f.default for f in fields(cls) if f.name in run}
+            assert len(shared) >= least, cls
+            assert shared == {name: run[name] for name in shared}, cls
+
+    def test_model_config_from_copies_every_shared_field(self):
+        values = {"d_w": "12", "d_p": "4", "max_dist": "9", "hidden": "6",
+                  "heads": "3", "gcn_layers": "3", "attention": "none",
+                  "use_pretrained": "false", "use_position": "false",
+                  "use_gcn": "false", "dropout": "0.25"}
+        config = model_config_from(resolve_config(None, values, env={}), 5)
+        assert config == ModelConfig(label_count=5, **{
+            key: _coerce(key, raw) for key, raw in values.items()})
+
+
 class TestResolveConfig:
     def test_empty_file_pure_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -126,6 +151,44 @@ class TestResolveConfig:
     def test_bad_boolean(self):
         with pytest.raises(ConfigError, match="boolean"):
             resolve_config(None, {"use_gcn": "maybe"}, env={})
+
+
+class TestNegativeSampling:
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        """12 synthetic reports, 8 of them written without their relation:
+        4 positives and 20 negatives for the Size task."""
+        corpus = synth_corpus({"Size": 12}, seed=1)
+        dropped = {doc.id for doc in corpus.documents[:8]}
+        path = tmp_path_factory.mktemp("negatives") / "records.jsonl"
+        write_records(corpus.documents, [inst for inst in corpus.instances
+                                         if inst.doc_id not in dropped], path)
+        return path
+
+    @staticmethod
+    def sample(records, ratio, seed=1):
+        """The Size task's (positive, negative) instance ids."""
+        cfg = resolve_config(None, {"dataset": "pathology", "data": str(records),
+                                    "negative_ratio": str(ratio),
+                                    "seed": str(seed)}, env={})
+        insts = load_corpus(cfg)[1]["pathology:Size"]
+        return ([i.iid for i in insts if i.label > 0],
+                [i.iid for i in insts if i.label == 0])
+
+    def test_zero_keeps_every_negative(self, records):
+        pos, neg = self.sample(records, 0)
+        assert (len(pos), len(neg)) == (4, 20)
+
+    def test_ratio_one_keeps_as_many_negatives_as_positives(self, records):
+        all_pos, all_neg = self.sample(records, 0)
+        pos, neg = self.sample(records, 1)
+        assert pos == all_pos
+        assert len(neg) == 4 and set(neg) <= set(all_neg)
+        assert self.sample(records, 1) == (pos, neg)
+
+    def test_ratio_beyond_the_negatives_keeps_them_all(self, records):
+        _, all_neg = self.sample(records, 0)
+        assert sorted(self.sample(records, 10)[1]) == sorted(all_neg)
 
 
 class TestExitCodes:
@@ -223,6 +286,20 @@ class TestExitCodes:
         code = main(["cv", "--config", str(bad)])
         assert code == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "0"), ("lr", "-0.001"), ("lr", "nan"), ("lr", "inf"),
+        ("patience", "-1"),
+    ])
+    def test_train_plan_value_out_of_range_exits_1(self, tmp_path, capsys,
+                                                   key, value):
+        """A learning rate that is not a positive number, or a negative
+        patience, stops `bioie train` before it trains, naming the key."""
+        out = tmp_path / "train"
+        assert main(["train"] + flags(out, {key: value, "epochs": "5"})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (out / "model.ckpt").exists()
+
     def test_unknown_synth_style_exits_1(self, tmp_path, capsys):
         out = tmp_path / "synth"
         assert main(["synth", "--outdir", str(out), "--synth_counts", "Size=4",
@@ -295,6 +372,16 @@ class TestCommands:
         assert len(records) == 12
         counts = json.loads((out / "counts.json").read_text())
         assert counts == {"Size": 12}
+
+    def test_synth_reports_beyond_the_positives(self, tmp_path):
+        out = tmp_path / "synth"
+        assert main(["synth", "--outdir", str(out), "--synth_reports", "12",
+                     "--synth_counts", "Size=5"]) == 0
+        records = [json.loads(line) for line in
+                   (out / "records.jsonl").read_text().splitlines()]
+        assert len(records) == 12
+        assert sum(len(r["relations"]) for r in records) == 5
+        assert json.loads((out / "counts.json").read_text()) == {"Size": 5}
 
     def test_ingest_reports_counts(self, tmp_path, capsys):
         out = tmp_path / "ing"

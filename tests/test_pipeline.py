@@ -471,28 +471,33 @@ class TestForward:
 
     def test_recorded_forward_builds_each_adjacency_once(self, tiny_task,
                                                          small_config, monkeypatch):
-        """A recorded two-layer forward builds one padded adjacency per
-        kind and shares it across layers; without a record each layer
-        rebuilds its own."""
+        """Every two-layer forward, recorded or not, calls
+        `batch_adjacency` once and hands the same arrays to both layers;
+        both forwards give bitwise equal logits."""
         cfg = replace(small_config, gcn_layers=2)
         model, enc = self.model_and_batch(tiny_task, cfg)
-        built = []
-        build = pipeline._batch_adjacency
+        built, read = [], []
+        build, layer = pipeline.batch_adjacency, pipeline.gcn_layer
 
-        def counting(batch, kind, index):
-            built.append(build(batch, kind, index))
+        def counting(adjacencies, steps):
+            built.append(build(adjacencies, steps))
             return built[-1]
 
-        monkeypatch.setattr(pipeline, "_batch_adjacency", counting)
+        def reading(m, adjacencies, ws, bs):
+            read.append(adjacencies)
+            return layer(m, adjacencies, ws, bs)
+
+        monkeypatch.setattr(pipeline, "batch_adjacency", counting)
+        monkeypatch.setattr(pipeline, "gcn_layer", reading)
         ad.reset_tape()
         recorded = forward(model, enc[:3], "eval").data
         ad.reset_tape()
-        assert len(built) == len(GRAPH_KINDS)
         with ad.no_grad():
             plain = forward(model, enc[:3], "eval").data
-        assert len(built) == 3 * len(GRAPH_KINDS)
+        assert len(built) == 2
+        assert [len(arrays) for arrays in built] == [len(GRAPH_KINDS)] * 2
+        assert [a is built[i // 2] for i, a in enumerate(read)] == [True] * 4
         assert recorded.tobytes() == plain.tobytes()
-        assert built[0].normalized is built[0].normalized
 
     def test_recorded_forward_one_record_per_gcn_layer_and_pool(
             self, tiny_task, monkeypatch):

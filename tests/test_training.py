@@ -1,5 +1,6 @@
 """Training-loop, cross-validation, checkpoint, and transfer tests."""
 
+import copy
 import hashlib
 import io
 import json
@@ -21,6 +22,7 @@ from bioie.training import (
     TrainingDiverged,
     TruncatedCheckpoint,
     VersionMismatch,
+    apply_grid_point,
     evaluate_model,
     fit,
     grid_search,
@@ -156,6 +158,14 @@ class TestGridSearch:
     def test_empty_grid_rejected(self, tiny_task, small_config):
         with pytest.raises(ValueError):
             grid_search(tiny_task, {}, small_config, TrainPlan(epochs=1))
+
+    @pytest.mark.parametrize("point", [{"lr": 0.0}, {"lr": float("nan")},
+                                       {"patience": -1}],
+                             ids=["zero_lr", "nan_lr", "negative_patience"])
+    def test_plan_point_out_of_range_rejected(self, small_config, point):
+        """A grid point makes its plan through `TrainPlan`'s own checks."""
+        with pytest.raises(ValueError, match=next(iter(point))):
+            apply_grid_point(small_config, TrainPlan(), point)
 
 
 class TestCheckpoint:
@@ -307,7 +317,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", [
         {"bogus": 1},
         {"attention": "single", "heads": 1, "head_dim": 8},
-    ], ids=["unknown_key", "single_attention"])
+        {"head_dim": 0},
+    ], ids=["unknown_key", "single_attention", "zero_head_dim"])
     def test_config_the_model_rejects_says_retrain(self, tiny_task, small_config,
                                                    tmp_path, edit):
         """A config block that passes its digest but that ModelConfig
@@ -326,6 +337,29 @@ class TestCheckpoint:
         path.write_bytes(raw[:at - 32] + digest + struct.pack("<Q", len(payload))
                          + payload + raw[at + 8 + n:])
         with pytest.raises(CheckpointError, match="retrain"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m.graphs.sequence.edge_weight.__setitem__(
+            np.flatnonzero(m.graphs.sequence.edge_weight)[0], np.nan),
+         "sequence graph"),
+        (lambda m: m.params["clf.b"].data.__setitem__((0, 0), np.inf),
+         "tensor 'clf.b'"),
+        (lambda m: m.optimizer.v[-1].__setitem__((0, 0), -np.inf),
+         "moment for 'clf.b'"),
+    ], ids=["nan_edge_weight", "inf_tensor", "inf_moment"])
+    def test_non_finite_number_named(self, tiny_task, small_config, tmp_path,
+                                     edit, named):
+        """A checkpoint that holds a NaN or an infinity in a graph, a
+        tensor or an Adam moment is refused, and the part is named; it
+        would give non-finite logits or updates."""
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        model.optimizer = opt
+        model.graphs = copy.deepcopy(tiny_task.graphs)
+        edit(model)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, opt, path)
+        with pytest.raises(CheckpointError, match=f"{named}.*non-finite"):
             load_checkpoint(path)
 
     def test_digest_mismatch_no_partial_load(self, tiny_task, small_config,
@@ -406,6 +440,20 @@ class TestGraphBlock:
                   good, good]
         with pytest.raises(CheckpointError,
                            match="syntactic graph.*no count row"):
+            training._read_graphs(graph_block(tables))
+
+    @pytest.mark.parametrize("at, value, message", [
+        (0, np.nan, "non-finite"), (1, np.inf, "non-finite"),
+        (0, 0.5, "count below 1"), (1, -0.25, "negative weight"),
+    ], ids=["nan_count", "inf_weight", "count_below_1", "negative_weight"])
+    def test_count_or_weight_no_builder_makes(self, at, value, message):
+        """Builders count a pair once per document or window at least, and
+        weigh it by a non-negative number: the syntactic kind's count or
+        weight `value` is refused, by kind."""
+        good = [[2, 3, 1.0]]
+        tables = [good, good, good, good, good, good]
+        tables[2 + at] = [[2, 3, value]]
+        with pytest.raises(CheckpointError, match=f"syntactic graph.*{message}"):
             training._read_graphs(graph_block(tables))
 
     def test_count_rows_out_of_pair_order(self):
