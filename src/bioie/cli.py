@@ -59,10 +59,6 @@ from .training import (
     transfer_finetune,
 )
 
-COMMANDS = ("ingest", "build-graphs", "train", "cv", "ablate", "transfer",
-            "eval", "predict", "synth")
-
-
 @dataclass
 class RunConfig:
     """Flat configuration; every key is settable from file or flags."""
@@ -503,7 +499,6 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
 
 
 _HANDLERS = {
-    "synth": cmd_synth,
     "ingest": cmd_ingest,
     "build-graphs": cmd_build_graphs,
     "train": cmd_train,
@@ -512,6 +507,7 @@ _HANDLERS = {
     "transfer": cmd_transfer,
     "eval": cmd_eval,
     "predict": cmd_predict,
+    "synth": cmd_synth,
 }
 
 
@@ -520,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bioie",
         description="Biomedical relation extraction harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command in _HANDLERS:
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="key = value config file")
         for f in fields(RunConfig):

@@ -151,15 +151,10 @@ def report_table(rows: list[tuple[str, EvalReport]],
 def machine_lines(report: EvalReport) -> list[str]:
     """One tab-separated line per class plus a macro line:
     class, P, R, F, CI_low, CI_high (blank CI fields when absent)."""
-    lines = []
-    for name, (p, r, f) in report.per_class.items():
-        lo, hi = report.ci.get(name, ("", ""))
-        lo_s = f"{lo:.1f}" if lo != "" else ""
-        hi_s = f"{hi:.1f}" if hi != "" else ""
-        lines.append(f"{name}\t{p:.1f}\t{r:.1f}\t{f:.1f}\t{lo_s}\t{hi_s}")
-    lo, hi = report.ci.get("macro", ("", ""))
-    lo_s = f"{lo:.1f}" if lo != "" else ""
-    hi_s = f"{hi:.1f}" if hi != "" else ""
-    lines.append(f"macro\t{report.macro_p:.1f}\t{report.macro_r:.1f}"
-                 f"\t{report.macro_f:.1f}\t{lo_s}\t{hi_s}")
-    return lines
+    def line(name, p, r, f):
+        ci = report.ci.get(name, ("", ""))
+        ci_s = "\t".join(f"{x:.1f}" if x != "" else "" for x in ci)
+        return f"{name}\t{p:.1f}\t{r:.1f}\t{f:.1f}\t{ci_s}"
+
+    return ([line(name, *prf) for name, prf in report.per_class.items()]
+            + [line("macro", report.macro_p, report.macro_r, report.macro_f)])

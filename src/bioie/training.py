@@ -1,5 +1,5 @@
 """Training loop, k-fold cross-validation, grid search, bit-exact
-checkpointing, and the cross-corpus transfer protocol."""
+checkpoints under one digest, and the cross-corpus transfer protocol."""
 
 from __future__ import annotations
 
@@ -37,10 +37,10 @@ from .pipeline import (
     predict,
 )
 from .textgraph import GRAPH_KINDS, CorpusGraphs, WordPairStats
-from .textgraph import find_keys, pair_ids, pair_key
+from .textgraph import pair_ids, pair_key
 
 CHECKPOINT_MAGIC = b"BIOIE"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -325,121 +325,155 @@ def grid_search(data: TaskData, grid: dict[str, list], config: ModelConfig,
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def _config_payload(model: ModelState) -> bytes:
-    blob = {
-        "config": asdict(model.config),
-        "label_set": list(model.label_set),
-        "seed": model.seed,
-    }
-    return json.dumps(blob, sort_keys=True).encode()
-
-
-def _write_block(fh, payload: bytes) -> None:
-    fh.write(struct.pack("<Q", len(payload)))
-    fh.write(payload)
-
-
-def _read_exact(fh, n: int) -> bytes:
-    """n bytes of the file; a corrupt length field beyond the file's end is
-    refused before it can ask for more memory than the file holds."""
-    here = fh.tell()
-    left = fh.seek(0, os.SEEK_END) - here
-    fh.seek(here)
-    buf = fh.read(n) if n <= left else b""
-    if len(buf) != n:
-        raise TruncatedCheckpoint("unexpected end of checkpoint")
-    return buf
-
-
-def _read_block(fh) -> bytes:
-    (n,) = struct.unpack("<Q", _read_exact(fh, 8))
-    return _read_exact(fh, n)
-
-
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(struct.pack("<I", arr.ndim))
-    for extent in arr.shape:
-        fh.write(struct.pack("<Q", extent))
-    fh.write(arr.astype("<f8", copy=False).tobytes())
-
-
-def _read_array(fh, what: str) -> np.ndarray:
-    """The next array of the file. Every number a checkpoint stores is
-    finite: a NaN or an infinity raises CheckpointError naming `what`."""
-    (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-    shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
-    data = np.frombuffer(_read_exact(fh, math.prod(shape) * 8), dtype="<f8")
-    if not np.isfinite(data).all():
-        raise CheckpointError(f"checkpoint {what} holds a non-finite number")
-    return data.reshape(shape).astype(np.float64)
-
-
-def _write_graphs(fh, graphs: CorpusGraphs | None) -> None:
-    """theta and window as JSON (null without graphs), then each kind's
-    counts and nonzero weights, (pairs, 3) rows (a, b, value) in pair order."""
-    header = None if graphs is None else {"theta": graphs.theta,
-                                          "window": graphs.window}
-    _write_block(fh, json.dumps(header).encode())
-    for kind in GRAPH_KINDS if graphs is not None else ():
-        s = graphs.by_kind(kind)
-        rows = np.column_stack((*pair_ids(s.keys), s.count, s.edge_weight))
-        _write_array(fh, rows[:, :3])
-        _write_array(fh, rows[s.edge_weight != 0.0][:, [0, 1, 3]])
-
-
-def _read_graphs(fh) -> CorpusGraphs | None:
-    def stats(kind: str) -> WordPairStats:
-        counts, weights = (_read_array(fh, f"{kind} graph") for _ in range(2))
-        if any(t.ndim != 2 or t.shape[1] != 3 for t in (counts, weights)):
-            raise CheckpointError(f"{kind} graph table is not (pairs, 3)")
-        if not (np.all(counts[:, 2] >= 1.0) and np.all(weights[:, 2] >= 0.0)):
-            raise CheckpointError(f"{kind} graph has a count below 1 or a "
-                                  f"negative weight")
-        keys = pair_key(counts[:, 0], counts[:, 1])
-        slot, found = find_keys(keys, pair_key(weights[:, 0], weights[:, 1]))
-        if np.any(keys[1:] <= keys[:-1]) or not found.all():
-            raise CheckpointError(f"{kind} graph rows are not sorted by pair, "
-                                  f"or a weight row has no count row")
-        edge_weight = np.zeros(len(keys))
-        edge_weight[slot] = weights[:, 2]
-        return WordPairStats(keys, counts[:, 2].copy(), edge_weight)
-
-    header = json.loads(_read_block(fh))
-    return None if header is None else CorpusGraphs(
-        **{k: stats(k) for k in GRAPH_KINDS}, **header)
+_HEADER = struct.Struct("<5sI32sQQ")
 
 
 def save_checkpoint(model: ModelState, optimizer: Adam | None, path) -> None:
-    """Versioned binary checkpoint: config digest, every named tensor as
-    little-endian float64 with a frozen flag (trainable tensors first,
-    then frozen ones, each in registry order), optimizer moments,
-    generator state and graphs."""
-    payload = _config_payload(model)
-    digest = hashlib.sha256(payload).digest()
+    """Version-3 checkpoint: a header of magic, version, the sha256 of the
+    body, and the manifest and body lengths; then the body, one JSON
+    manifest followed by every array as raw little-endian float64 in
+    manifest order. The arrays are the tensors (trainable first, then
+    frozen, each in registry order), each Adam tensor's m and v, and one
+    (pairs, 4) table per graph kind with rows (a, b, count, weight),
+    sorted by pair."""
+    named = sorted(model.params.items(), key=lambda kv: not kv[1].requires_grad)
+    arrays = [tensor.data for _, tensor in named]
+    manifest = {
+        "config": asdict(model.config),
+        "label_set": list(model.label_set),
+        "seed": model.seed,
+        "vocab": model.vocab.token_to_id,
+        "rng": model.rng.bit_generator.state,
+        "tensors": [[name, list(t.shape), not t.requires_grad] for name, t in named],
+        "adam": None,
+        "graphs": None,
+    }
+    if optimizer is not None:
+        manifest["adam"] = {"t": optimizer.t, "names": list(optimizer.names)}
+        arrays += [a for pair in zip(optimizer.m, optimizer.v) for a in pair]
+    if model.graphs is not None:
+        stats = [model.graphs.by_kind(kind) for kind in GRAPH_KINDS]
+        manifest["graphs"] = {"theta": model.graphs.theta,
+                              "window": model.graphs.window,
+                              "pairs": [len(s.keys) for s in stats]}
+        arrays += [np.column_stack((*pair_ids(s.keys), s.count, s.edge_weight))
+                   for s in stats]
+    head = json.dumps(manifest).encode()
+    body = b"".join([head, *(np.ascontiguousarray(a, "<f8") for a in arrays)])
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(digest)
-        _write_block(fh, payload)
-        _write_block(fh, json.dumps(model.vocab.token_to_id).encode())
-        named = sorted(model.params.items(), key=lambda kv: not kv[1].requires_grad)
-        fh.write(struct.pack("<I", len(named)))
-        for name, tensor in named:
-            _write_block(fh, name.encode())
-            fh.write(struct.pack("<B", 0 if tensor.requires_grad else 1))
-            _write_array(fh, tensor.data)
-        if optimizer is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            fh.write(struct.pack("<Q", optimizer.t))
-            fh.write(struct.pack("<I", len(optimizer.params)))
-            for name, m, v in zip(optimizer.names, optimizer.m, optimizer.v):
-                _write_block(fh, name.encode())
-                _write_array(fh, m)
-                _write_array(fh, v)
-        _write_block(fh, json.dumps(model.rng.bit_generator.state).encode())
-        _write_graphs(fh, model.graphs)
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                              hashlib.sha256(body).digest(), len(head), len(body)))
+        fh.write(body)
+
+
+def load_checkpoint(path) -> ModelState:
+    """Rebuild a ModelState (and its optimizer) bit-exactly. Magic,
+    version and lengths are checked first, then the digest over the whole
+    body, before anything in it is parsed. Malformed content raises a
+    CheckpointError, which names the first stored tensor that is missing,
+    misshapen or unexpected for the model its config makes."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if not head.startswith(CHECKPOINT_MAGIC):
+            raise BadMagic(f"bad checkpoint magic {head[:len(CHECKPOINT_MAGIC)]!r}")
+        if len(head) < _HEADER.size:
+            raise TruncatedCheckpoint("unexpected end of checkpoint")
+        _, version, digest, n_manifest, n_body = _HEADER.unpack(head)
+        if version != CHECKPOINT_VERSION:
+            raise VersionMismatch(f"checkpoint version {version}, expected "
+                                  f"{CHECKPOINT_VERSION}: retrain the model")
+        left = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if n_manifest > n_body or n_body > left:
+            raise TruncatedCheckpoint("unexpected end of checkpoint")
+        if n_body < left:
+            raise CheckpointError("checkpoint has bytes past the end of its body")
+        body = fh.read(n_body)
+    if hashlib.sha256(body).digest() != digest:
+        raise DigestMismatch("checkpoint digest does not verify")
+    try:
+        manifest = json.loads(body[:n_manifest].decode())
+        return _parse_body(manifest, memoryview(body)[n_manifest:])
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise CheckpointError(f"checkpoint manifest is not valid: {exc!r}; "
+                              f"retrain the model") from exc
+
+
+def _parse_body(manifest: dict, data: memoryview) -> ModelState:
+    """The model that a verified body holds; array sizes are summed as
+    Python integers and matched to the body before any array is made."""
+    config = ModelConfig(**manifest["config"])
+    vocab = Vocabulary(dict(manifest["vocab"]))
+    ids = list(vocab.token_to_id.values())
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
+        raise CheckpointError("checkpoint vocabulary ids are not 0..size-1")
+    tensors = manifest["tensors"]
+    trainable = {name: shape for name, shape, frozen in tensors if not frozen}
+    plan = [(f"tensor {name!r}", shape) for name, shape, _ in tensors]
+    adam, graphs = manifest["adam"], manifest["graphs"]
+    if adam is not None and not (type(adam["t"]) is int and adam["t"] >= 0):
+        raise CheckpointError(f"checkpoint Adam step {adam['t']!r} is not valid")
+    for name in adam["names"] if adam is not None else ():
+        if name not in trainable:
+            raise CheckpointError(f"optimizer moment for {name!r}, "
+                                  f"which is not a trainable tensor")
+        plan += [(f"optimizer moment for {name!r}", trainable[name])] * 2
+    if graphs is not None:
+        plan += [(f"{kind} graph", [n, 4])
+                 for kind, n in zip(GRAPH_KINDS, graphs["pairs"], strict=True)]
+    for what, shape in plan:
+        if not (isinstance(shape, list)
+                and all(type(e) is int and e >= 0 for e in shape)):
+            raise CheckpointError(f"checkpoint {what} has no valid shape")
+    sizes = [math.prod(shape) for _, shape in plan]
+    if 8 * sum(sizes) > len(data):
+        raise TruncatedCheckpoint("unexpected end of checkpoint")
+    if 8 * sum(sizes) < len(data):
+        raise CheckpointError("checkpoint body has bytes past its last array")
+    arrays, at = [], 0
+    for (what, shape), size in zip(plan, sizes):
+        array = np.frombuffer(data, "<f8", size, at).reshape(shape)
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"checkpoint {what} holds a non-finite number")
+        arrays.append(array.astype(np.float64))
+        at += 8 * size
+    stored = iter(arrays)
+    params = {name: ad.Tensor(next(stored), requires_grad=not frozen)
+              for name, _, frozen in tensors}
+    label_set = tuple(manifest["label_set"])
+    _check_registry(params, init_model(config, vocab, label_set=label_set))
+    opt = None
+    if adam is not None:
+        names = adam["names"]
+        opt = Adam([params[n] for n in names], names=names)
+        moments = [next(stored) for _ in range(2 * len(names))]
+        opt.load_state(adam["t"], moments[0::2], moments[1::2])
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = manifest["rng"]
+    if graphs is not None:
+        graphs = CorpusGraphs(*(_graph_stats(kind, next(stored), vocab.size)
+                                for kind in GRAPH_KINDS),
+                              theta=graphs["theta"], window=graphs["window"])
+    return ModelState(config, params, vocab, label_set, manifest["seed"], rng,
+                      opt, graphs)
+
+
+def _graph_stats(kind: str, rows: np.ndarray, n_words: int) -> WordPairStats:
+    """One kind's (a, b, count, weight) rows: pairs of word ids 0 <= a < b <
+    n_words, counted at least once, weighed non-negatively, in order."""
+    a, b, count, weight = rows.T
+    if not (np.all(rows[:, :2] == np.trunc(rows[:, :2]))
+            and np.all((0 <= a) & (a < b) & (b < n_words))):
+        raise CheckpointError(f"{kind} graph has a pair that is not word ids "
+                              f"0 <= a < b < {n_words}")
+    if not (np.all(count >= 1.0) and np.all(weight >= 0.0)):
+        raise CheckpointError(f"{kind} graph has a count below 1 or a "
+                              f"negative weight")
+    keys = pair_key(a, b)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise CheckpointError(f"{kind} graph rows are not sorted by pair")
+    return WordPairStats(keys, count.copy(), weight.copy())
 
 
 def _check_registry(params: dict[str, ad.Tensor], model: ModelState) -> None:
@@ -456,70 +490,6 @@ def _check_registry(params: dict[str, ad.Tensor], model: ModelState) -> None:
         if name not in model.params:
             raise CheckpointError(f"checkpoint tensor {name!r} is not in the "
                                   f"model its config makes")
-
-
-def load_checkpoint(path, expect_model: ModelState | None = None) -> ModelState:
-    """Rebuild a ModelState (and its optimizer) bit-exactly. When
-    `expect_model` is given, its config digest must match the stored one;
-    nothing is loaded on mismatch. The stored tensors must be those, by
-    name and shape, that `init_model` makes for the stored config,
-    vocabulary and label set; otherwise a CheckpointError names the
-    first that is missing, misshapen or unexpected."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise BadMagic(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise VersionMismatch(
-                f"checkpoint version {version}, expected {CHECKPOINT_VERSION}: "
-                f"retrain the model to store its corpus graphs with it")
-        digest = _read_exact(fh, 32)
-        payload = _read_block(fh)
-        if hashlib.sha256(payload).digest() != digest:
-            raise DigestMismatch("checkpoint config digest does not verify")
-        blob = json.loads(payload)
-        if expect_model is not None and _config_payload(expect_model) != payload:
-            raise DigestMismatch(
-                "checkpoint config digest does not match the expected model")
-        vocab_map = json.loads(_read_block(fh))
-
-        try:
-            config = ModelConfig(**blob["config"])
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint config is not valid: {exc}; "
-                                  f"retrain the model") from exc
-        (n_named,) = struct.unpack("<I", _read_exact(fh, 4))
-        params: dict[str, ad.Tensor] = {}
-        for _ in range(n_named):
-            name = _read_block(fh).decode()
-            (is_frozen,) = struct.unpack("<B", _read_exact(fh, 1))
-            params[name] = ad.Tensor(_read_array(fh, f"tensor {name!r}"),
-                                     requires_grad=not is_frozen)
-        vocab = Vocabulary(dict(vocab_map))
-        _check_registry(params, init_model(config, vocab,
-                                           label_set=tuple(blob["label_set"])))
-        (has_opt,) = struct.unpack("<B", _read_exact(fh, 1))
-        opt = None
-        if has_opt:
-            (t,) = struct.unpack("<Q", _read_exact(fh, 8))
-            (n_opt,) = struct.unpack("<I", _read_exact(fh, 4))
-            names, ms, vs = [], [], []
-            for _ in range(n_opt):
-                names.append(_read_block(fh).decode())
-                ms.append(_read_array(fh, f"optimizer moment for {names[-1]!r}"))
-                vs.append(_read_array(fh, f"optimizer moment for {names[-1]!r}"))
-                if not (names[-1] in params and params[names[-1]].requires_grad):
-                    raise CheckpointError(f"optimizer moment for {names[-1]!r}, "
-                                          f"which is not a trainable tensor")
-            opt = Adam([params[n] for n in names], names=names)
-            opt.load_state(t, ms, vs)
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = json.loads(_read_block(fh))
-        graphs = _read_graphs(fh)
-
-    return ModelState(config, params, vocab,
-                      tuple(blob["label_set"]), blob["seed"], rng, opt, graphs)
 
 
 # ---------------------------------------------------------------------------

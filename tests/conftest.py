@@ -1,5 +1,7 @@
 """Shared fixtures: small synthetic task data and model configs."""
 
+import hashlib
+import json
 import struct
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +14,7 @@ from bioie.corpus import build_vocabulary, normalize_corpus, random_embeddings, 
 from bioie.layers import ModelConfig
 from bioie.pipeline import loss
 from bioie.textgraph import GRAPH_KINDS, build_corpus_graphs, pair_ids
-from bioie.training import CHECKPOINT_MAGIC, TaskData
+from bioie.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TaskData
 
 
 @pytest.fixture(autouse=True)
@@ -105,32 +107,48 @@ def assert_same_graphs(got, expected):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (kind, name)
 
 
-# Length fields a corrupt checkpoint may carry: the config block's length,
-# and the dims of the first named array (a 64 GiB array, and one whose
-# element count overflows int64).
+# A version-3 checkpoint's header: magic, version, the sha256 of the body,
+# and the lengths of the manifest and of the whole body.
+CHECKPOINT_HEADER = struct.Struct("<5sI32sQQ")
+
+
+def split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    """The JSON manifest of a checkpoint, and the array bytes after it."""
+    *_, n_manifest, _ = CHECKPOINT_HEADER.unpack_from(raw)
+    body = raw[CHECKPOINT_HEADER.size:]
+    return json.loads(body[:n_manifest]), body[n_manifest:]
+
+
+def join_checkpoint(manifest: dict, arrays: bytes) -> bytes:
+    """The checkpoint of `manifest` and `arrays`, under a digest made
+    afresh, so that a reader's checks behind the digest see the edit."""
+    head = json.dumps(manifest).encode()
+    body = head + arrays
+    return CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                  hashlib.sha256(body).digest(), len(head),
+                                  len(body)) + body
+
+
+# Sizes a corrupt checkpoint may claim: a 1 TiB manifest (the block that
+# holds the config) or body in the header, and, re-hashed, a first tensor
+# of 64 GiB or one whose element count overflows int64.
 CORRUPT_LENGTHS = {
-    "config_block_2^40": ("config", (2 ** 40,)),
-    "array_dims_2^36x1": ("dims", (2 ** 36, 1)),
-    "array_dims_2^32x2^32": ("dims", (2 ** 32, 2 ** 32)),
+    "config_block_2^40": ("manifest", 2 ** 40),
+    "body_2^40": ("body", 2 ** 40),
+    "array_dims_2^36x1": ("shape", [2 ** 36, 1]),
+    "array_dims_2^32x2^32": ("shape", [2 ** 32, 2 ** 32]),
 }
 
 
 def corrupt_checkpoint(raw: bytes, name: str) -> bytes:
-    """`raw` with one length field replaced as `CORRUPT_LENGTHS[name]`
-    says. Walks the layout `save_checkpoint` writes: magic, version,
-    digest, config block, vocabulary block, named-array count, then the
-    first array's name block, frozen flag, ndim and dims."""
-    field, values = CORRUPT_LENGTHS[name]
-    at = len(CHECKPOINT_MAGIC) + 4 + 32
-    if field != "config":
-        for _ in range(2):  # config and vocabulary blocks
-            at += 8 + struct.unpack_from("<Q", raw, at)[0]
-        at += 4
-        at += 8 + struct.unpack_from("<Q", raw, at)[0] + 1
-        assert struct.unpack_from("<I", raw, at)[0] == len(values)
-        at += 4
-    patch = struct.pack(f"<{len(values)}Q", *values)
-    return raw[:at] + patch + raw[at + len(patch):]
+    """`raw` with one size replaced as `CORRUPT_LENGTHS[name]` says."""
+    field, value = CORRUPT_LENGTHS[name]
+    if field == "shape":
+        manifest, arrays = split_checkpoint(raw)
+        manifest["tensors"][0][1] = value
+        return join_checkpoint(manifest, arrays)
+    at = CHECKPOINT_HEADER.size - (16 if field == "manifest" else 8)
+    return raw[:at] + struct.pack("<Q", value) + raw[at + 8:]
 
 
 SMALL_CONFIG_KWARGS = dict(d_w=24, d_p=8, max_dist=60, hidden=16, heads=4,

@@ -1,17 +1,17 @@
 """Training-loop, cross-validation, checkpoint, and transfer tests."""
 
 import copy
-import hashlib
-import io
-import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bioie.autodiff as ad
 import bioie.training as training
 from bioie.corpus import Document, build_vocabulary, tokenize
+from bioie.layers import ModelConfig
 from bioie.pipeline import encode_instances, init_model, make_variant, predict
 from bioie.textgraph import GRAPH_KINDS, CorpusGraphs, build_sequence_graph
 from bioie.training import (
@@ -37,11 +37,14 @@ from bioie.training import (
 )
 
 from conftest import (
+    CHECKPOINT_HEADER,
     CORRUPT_LENGTHS,
     assert_same_graphs,
     build_synth_task,
     corrupt_checkpoint,
     counts_of,
+    join_checkpoint,
+    split_checkpoint,
 )
 
 
@@ -272,16 +275,30 @@ class TestCheckpoint:
         with pytest.raises(VersionMismatch, match="version 1.*retrain"):
             load_checkpoint(path)
 
-    def test_moment_for_absent_tensor_named(self, tiny_task, small_config,
-                                            tmp_path):
-        """The optimizer section's second "clf.w" renamed "clf.x": a
-        named CheckpointError, not a KeyError."""
+    def test_version_2_file_says_retrain(self, tiny_task, small_config,
+                                         tmp_path):
+        """A version-2 file, whose digest covers only its config, is
+        refused before its layout is read."""
         model, opt, _ = self.trained(tiny_task, small_config, steps=1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, opt, path)
-        raw = path.read_bytes()
-        at = raw.index(b"clf.w", raw.index(b"clf.w") + 1)
-        path.write_bytes(raw[:at] + b"clf.x" + raw[at + 5:])
+        raw = bytearray(path.read_bytes())
+        raw[5:9] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VersionMismatch, match="version 2.*retrain"):
+            load_checkpoint(path)
+
+    def test_moment_for_absent_tensor_named(self, tiny_task, small_config,
+                                            tmp_path):
+        """The optimizer's "clf.w" renamed "clf.x" in a re-hashed manifest:
+        a named CheckpointError, not a KeyError."""
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, opt, path)
+        manifest, arrays = split_checkpoint(path.read_bytes())
+        names = manifest["adam"]["names"]
+        names[names.index("clf.w")] = "clf.x"
+        path.write_bytes(join_checkpoint(manifest, arrays))
         with pytest.raises(CheckpointError, match="'clf.x'"):
             load_checkpoint(path)
 
@@ -321,21 +338,15 @@ class TestCheckpoint:
     ], ids=["unknown_key", "single_attention", "zero_head_dim"])
     def test_config_the_model_rejects_says_retrain(self, tiny_task, small_config,
                                                    tmp_path, edit):
-        """A config block that passes its digest but that ModelConfig
+        """A config that passes its digest but that ModelConfig
         rejects, such as a single-head checkpoint from before `attention`
         lost its "single" value."""
         model, opt, _ = self.trained(tiny_task, small_config, steps=1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, opt, path)
-        raw = path.read_bytes()
-        at = len(training.CHECKPOINT_MAGIC) + 4 + 32
-        (n,) = struct.unpack_from("<Q", raw, at)
-        blob = json.loads(raw[at + 8:at + 8 + n])
-        blob["config"].update(edit)
-        payload = json.dumps(blob, sort_keys=True).encode()
-        digest = hashlib.sha256(payload).digest()
-        path.write_bytes(raw[:at - 32] + digest + struct.pack("<Q", len(payload))
-                         + payload + raw[at + 8 + n:])
+        manifest, arrays = split_checkpoint(path.read_bytes())
+        manifest["config"].update(edit)
+        path.write_bytes(join_checkpoint(manifest, arrays))
         with pytest.raises(CheckpointError, match="retrain"):
             load_checkpoint(path)
 
@@ -364,37 +375,122 @@ class TestCheckpoint:
 
     def test_digest_mismatch_no_partial_load(self, tiny_task, small_config,
                                              tmp_path):
-        from dataclasses import replace
+        """One flipped bit in the manifest, in the middle of the arrays or
+        in the last byte fails the digest, before anything is parsed."""
         model, opt, _ = self.trained(tiny_task, small_config, steps=1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, opt, path)
-        other = fresh_model(tiny_task, replace(small_config, hidden=8))
-        with pytest.raises(DigestMismatch):
-            load_checkpoint(path, expect_model=other)
+        raw = path.read_bytes()
+        for at in (CHECKPOINT_HEADER.size, (CHECKPOINT_HEADER.size + len(raw)) // 2,
+                   len(raw) - 1):
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:])
+            with pytest.raises(DigestMismatch):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("adam"),
+        lambda m: m["tensors"][0].pop(),
+        lambda m: m.update(label_set=5),
+        lambda m: m["adam"].update(names=[["clf.w"]]),
+        lambda m: m.update(rng={"bit_generator": "PCG64"}),
+        lambda m: m.update(graphs={"theta": 0.9, "window": 5, "pairs": [0, 0]}),
+        lambda m: m["adam"].update(t=2.9),
+        lambda m: m["adam"].update(t=-4),
+    ], ids=["no_adam", "short_tensor_entry", "label_set_not_list",
+            "unhashable_moment_name", "rng_state_incomplete", "two_graph_kinds",
+            "fractional_adam_step", "negative_adam_step"])
+    def test_malformed_manifest_is_a_checkpoint_error(self, tiny_task,
+                                                      small_config, tmp_path,
+                                                      edit):
+        """A re-hashed manifest of the wrong structure is refused as a
+        CheckpointError, never a KeyError or a TypeError."""
+        model, opt, _ = self.trained(tiny_task, small_config, steps=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, opt, path)
+        manifest, arrays = split_checkpoint(path.read_bytes())
+        edit(manifest)
+        path.write_bytes(join_checkpoint(manifest, arrays))
+        with pytest.raises(CheckpointError, match="is not valid"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda vocab, word: vocab.update({word: 2}),
+        lambda vocab, word: vocab.update({word: len(vocab) + 5}),
+        lambda vocab, word: vocab.update({word: float(vocab[word])}),
+    ], ids=["duplicate_id", "id_past_the_table", "float_id"])
+    def test_vocabulary_ids_not_0_to_size(self, tiny_task, small_config,
+                                          tmp_path, edit):
+        """A re-hashed vocabulary whose ids are not exactly 0..size-1 is
+        refused: a duplicate id would map two words to one row, and an id
+        past the word table would index out of it."""
+        model = fresh_model(tiny_task, small_config)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, None, path)
+        manifest, arrays = split_checkpoint(path.read_bytes())
+        word = next(w for w, i in manifest["vocab"].items() if i == 7)
+        edit(manifest["vocab"], word)
+        path.write_bytes(join_checkpoint(manifest, arrays))
+        with pytest.raises(CheckpointError, match="vocabulary ids"):
+            load_checkpoint(path)
 
 
-def dict_write_graphs(fh, graphs):
-    """Format oracle: the graph block written from dicts keyed by pair, in
-    key order, as version-2 checkpoints were first written."""
-    header = None if graphs is None else {"theta": graphs.theta,
-                                          "window": graphs.window}
-    training._write_block(fh, json.dumps(header).encode())
-    for kind in GRAPH_KINDS if graphs is not None else ():
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_damage_is_refused(small_checkpoint, tmp_path_factory, data):
+    """Any single-byte change, truncation or appended bytes raise a
+    CheckpointError subclass, whichever field they hit."""
+    raw = small_checkpoint
+    kind = data.draw(st.sampled_from(["change", "truncate", "append"]))
+    if kind == "change":
+        at = data.draw(st.integers(0, CHECKPOINT_HEADER.size + 64)
+                       | st.integers(0, len(raw) - 1))
+        flip = data.draw(st.integers(1, 255))
+        damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+    elif kind == "truncate":
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        damaged = raw + data.draw(st.binary(min_size=1, max_size=16))
+    path = tmp_path_factory.getbasetemp() / "damaged.ckpt"
+    path.write_bytes(damaged)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tiny_task, tmp_path_factory):
+    """A checkpoint with every section: a narrow model, its Adam state
+    after one step and the tiny task's graphs."""
+    config = ModelConfig(label_count=len(tiny_task.label_set), d_w=24, d_p=2,
+                         max_dist=4, hidden=2, heads=1, gcn_layers=1)
+    model = fresh_model(tiny_task, config)
+    model.graphs = tiny_task.graphs
+    opt = make_optimizer(model, lr=1e-3)
+    train_epoch(model, encode_all(tiny_task, config)[:4], opt, model.rng, 4)
+    path = tmp_path_factory.mktemp("small") / "model.ckpt"
+    save_checkpoint(model, opt, path)
+    return path.read_bytes()
+
+
+def dict_graph_tables(graphs) -> bytes:
+    """Format oracle: each kind's (a, b, count, weight) rows built from
+    dicts keyed by pair, in key order, as little-endian float64."""
+    out = []
+    for kind in GRAPH_KINDS:
         stats = graphs.by_kind(kind)
-        for table in (counts_of(stats), stats.weights):
-            rows = [(a, b, v) for (a, b), v in table.items()]
-            training._write_array(fh, np.array(rows).reshape(-1, 3))
+        out += [(a, b, c, stats.weights.get((a, b), 0.0))
+                for (a, b), c in sorted(counts_of(stats).items())]
+    return np.array(out, dtype="<f8").reshape(-1, 4).tobytes()
 
 
-def graph_block(tables):
-    """A graph block with a header and these (a, b, value) tables, in
-    kind order, counts then weights."""
-    fh = io.BytesIO()
-    training._write_block(fh, json.dumps({"theta": 0.9, "window": 5}).encode())
-    for table in tables:
-        training._write_array(fh, np.array(table, dtype=np.float64))
-    fh.seek(0)
-    return fh
+def with_graph_tables(raw, tables):
+    """Checkpoint `raw`, saved without graphs, given theta 0.9, window 5
+    and these (a, b, count, weight) tables, in kind order, re-hashed."""
+    manifest, arrays = split_checkpoint(raw)
+    assert manifest["graphs"] is None
+    manifest["graphs"] = {"theta": 0.9, "window": 5,
+                          "pairs": [len(t) for t in tables]}
+    rows = b"".join(np.array(t, dtype="<f8").tobytes() for t in tables)
+    return join_checkpoint(manifest, arrays + rows)
 
 
 def sequence_only_graphs():
@@ -409,59 +505,84 @@ def sequence_only_graphs():
 
 
 class TestGraphBlock:
+    GOOD = [[2, 3, 1.0, 0.5]]
+
+    @pytest.fixture
+    def bare(self, tiny_task, small_config, tmp_path):
+        """A checkpoint path, and the bytes of a model saved there
+        without optimizer or graphs."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(fresh_model(tiny_task, small_config), None, path)
+        return path, path.read_bytes()
+
+    def refused(self, bare, tables, message):
+        path, raw = bare
+        path.write_bytes(with_graph_tables(raw, tables))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("make", [lambda task: task.graphs,
                                       lambda task: sequence_only_graphs(),
                                       lambda task: None],
                              ids=["tiny", "sequence_only", "none"])
-    def test_writer_matches_the_dict_oracle(self, tiny_task, make):
+    def test_writer_matches_the_dict_oracle(self, tiny_task, small_config,
+                                            tmp_path, make):
         graphs = make(tiny_task)
-        got, expected = io.BytesIO(), io.BytesIO()
-        training._write_graphs(got, graphs)
-        dict_write_graphs(expected, graphs)
-        assert got.getvalue() == expected.getvalue()
-        got.seek(0)
-        loaded = training._read_graphs(got)
+        model = fresh_model(tiny_task, small_config)
+        model.graphs = graphs
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, None, path)
+        manifest, arrays = split_checkpoint(path.read_bytes())
+        loaded = load_checkpoint(path)
         if graphs is None:
-            assert loaded is None
-        else:
-            assert_same_graphs(loaded, graphs)
+            assert manifest["graphs"] is None and loaded.graphs is None
+            return
+        oracle = dict_graph_tables(graphs)
+        assert arrays[len(arrays) - len(oracle):] == oracle
+        assert manifest["graphs"]["pairs"] == [
+            len(graphs.by_kind(kind).keys) for kind in GRAPH_KINDS]
+        assert_same_graphs(loaded.graphs, graphs)
 
-    def test_table_not_pairs_by_3(self):
-        good = [[2, 3, 1.0]]
-        for bad in ([[2, 3, 1.0, 0.0]], [2, 3, 1.0]):
-            tables = [good, bad] + [good, good] * 2
+    def test_table_not_pairs_by_4(self, bare):
+        """A kind's row count that is not a count gives no (pairs, 4)
+        table: refused by kind."""
+        path, raw = bare
+        manifest, arrays = split_checkpoint(with_graph_tables(raw, [self.GOOD] * 3))
+        for pairs in (-1, 1.0, [1, 4], None):
+            manifest["graphs"]["pairs"][0] = pairs
+            path.write_bytes(join_checkpoint(manifest, arrays))
             with pytest.raises(CheckpointError,
-                               match="semantic graph table is not"):
-                training._read_graphs(graph_block(tables))
-
-    def test_weight_row_without_count_row(self):
-        good = [[2, 3, 1.0]]
-        tables = [good, good, [[2, 3, 1.0], [2, 5, 1.0]], [[2, 4, 0.5]],
-                  good, good]
-        with pytest.raises(CheckpointError,
-                           match="syntactic graph.*no count row"):
-            training._read_graphs(graph_block(tables))
+                               match="semantic graph has no valid shape"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("at, value, message", [
-        (0, np.nan, "non-finite"), (1, np.inf, "non-finite"),
-        (0, 0.5, "count below 1"), (1, -0.25, "negative weight"),
+        (2, np.nan, "non-finite"), (3, np.inf, "non-finite"),
+        (2, 0.5, "count below 1"), (3, -0.25, "negative weight"),
     ], ids=["nan_count", "inf_weight", "count_below_1", "negative_weight"])
-    def test_count_or_weight_no_builder_makes(self, at, value, message):
+    def test_count_or_weight_no_builder_makes(self, bare, at, value, message):
         """Builders count a pair once per document or window at least, and
         weigh it by a non-negative number: the syntactic kind's count or
         weight `value` is refused, by kind."""
-        good = [[2, 3, 1.0]]
-        tables = [good, good, good, good, good, good]
-        tables[2 + at] = [[2, 3, value]]
-        with pytest.raises(CheckpointError, match=f"syntactic graph.*{message}"):
-            training._read_graphs(graph_block(tables))
+        row = [2, 3, 1.0, 0.5]
+        row[at] = value
+        self.refused(bare, [self.GOOD, [row], self.GOOD],
+                     f"syntactic graph.*{message}")
 
-    def test_count_rows_out_of_pair_order(self):
-        good = [[2, 3, 1.0]]
-        tables = [good, good, good, good, [[2, 5, 1.0], [2, 3, 1.0]], good]
-        with pytest.raises(CheckpointError,
-                           match="sequence graph rows are not sorted"):
-            training._read_graphs(graph_block(tables))
+    def test_count_rows_out_of_pair_order(self, bare):
+        self.refused(bare, [self.GOOD, self.GOOD,
+                            [[2, 5, 1.0, 0.0], [2, 3, 1.0, 0.0]]],
+                     "sequence graph rows are not sorted")
+
+    @pytest.mark.parametrize("a, b", [(2.7, 3.2), (3, 2), (-1, 2 ** 40),
+                                      (2, "size")],
+                             ids=["fractional", "a_above_b", "negative_and_huge",
+                                  "b_past_the_vocabulary"])
+    def test_pair_ids_not_word_ids_a_below_b(self, bare, tiny_task, a, b):
+        """A pair is two word ids a < b of the stored vocabulary; any other
+        row would be truncated, never matched or out of range."""
+        b = tiny_task.vocab.size if b == "size" else b
+        self.refused(bare, [self.GOOD, [[a, b, 1.0, 0.5]], self.GOOD],
+                     "syntactic graph has a pair that is not word ids")
 
 
 class TestFitAndTransfer:
