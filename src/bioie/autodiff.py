@@ -42,8 +42,11 @@ the GIL for most of its time, and when the process may run on two or
 more CPUs; otherwise it runs in order on the calling thread. Either way
 every array op is the same call on the same operands, and every sum is
 taken in the order a serial run takes it, so results are bitwise equal
-to a one-thread run. Pin BLAS to one thread (`OPENBLAS_NUM_THREADS=1`):
-a second BLAS thread then competes with the worker for the same cores.
+to a one-thread run. Pin BLAS to one thread (`pin_blas_threads`, which
+`bioie`'s command line calls, or `OPENBLAS_NUM_THREADS=1`): a second
+BLAS thread competes with the worker for the same cores, and OpenBLAS
+splits some products by its thread count, which changes their last
+bits.
 
 Only rank-preserving elementwise broadcasting with scalars is supported;
 everything else requires exactly matching shapes.
@@ -58,6 +61,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -135,6 +139,42 @@ def keep_freed_arrays() -> bool:
 
 
 keep_freed_arrays()
+
+
+# OpenBLAS's thread-count setter and getter under the names its builds
+# export: numpy's wheels, other 64-bit integer builds, the plain build.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def pin_blas_threads() -> int | None:
+    """Set the OpenBLAS that numpy loaded to one thread, and return the
+    thread count read back from it; None where numpy has no bundled
+    OpenBLAS (`numpy.libs/*openblas*`) that exports a setter.
+
+    OpenBLAS splits a large product between its threads, and the split
+    changes the product's last bits, so a fixed seed gives fixed bits
+    only for a fixed thread count. By default that count is the caller's
+    `OPENBLAS_NUM_THREADS`, or else the number of CPUs. `bioie`'s command
+    line calls this before any work; importing the library does not, so
+    embedding code keeps control of its own threads."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREADS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+                set_threads(1)
+                return get_threads()
+    return None
 
 
 class ShapeError(ValueError):

@@ -5,6 +5,10 @@ driven by a flat key=value config file with flag overrides.
 Precedence: built-in defaults < BIOIE_SEED (seed only) < config file <
 flags. Every run writes its fully resolved config beside its outputs so
 a run directory is self-describing.
+
+`main` first pins numpy's OpenBLAS to one thread
+(`autodiff.pin_blas_threads`), so a fixed seed gives the same bits
+whatever `OPENBLAS_NUM_THREADS` the caller set.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import pin_blas_threads
 from .corpus import (
     CorpusFormatError,
     attach_dependencies,
@@ -525,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = {

@@ -20,10 +20,12 @@ the attention weights.
 
 Encoding maps each document's tokens to ids once and projects the
 corpus graphs onto those ids. Documents are never padded, so an encoded
-document is exactly as long as its text. Its adjacency is kept at
-word-type level (`textgraph.TypeAdjacency`): a token-to-type index
-shared by the three kinds and, per kind, a (u, u) matrix over the
-document's u distinct ids, about a fifth of the (n, n) token matrix.
+document is exactly as long as its text. Its adjacency is held at the
+size of its edges (`textgraph.TypeAdjacency`): a token-to-type index,
+the positions of the document's weighted word pairs and their places in
+the corpus pair table, all shared by the three kinds, and per kind the
+(n,) degree; about 6 KiB for a 100-token report, where three dense
+(u, u) type matrices over its u distinct ids held about 52 KiB.
 
 `forward` pads each batch to its longest document (T steps) and carries
 a (B, T) validity mask that is false on batch padding:
@@ -33,7 +35,7 @@ a (B, T) validity mask that is false on batch padding:
     a time over one reused (B, T, T) buffer of scores;
   * `textgraph.batch_adjacency` builds each kind's degree-normalized
     (B, T, T) adjacency once per forward, recorded or not, from the
-    documents' type matrices through one gather index that the kinds
+    documents' weighted pairs through one gather index that the kinds
     share; every GCN layer reads the same three arrays, and padded
     nodes keep only a unit self-loop, so no real node aggregates from
     them;
@@ -54,8 +56,8 @@ takes the layers' weight-gradient products (see `layers`) and half of
 each `Adam.step`, and `eval_logits` shares the chunks of one call
 between the two threads, all under `autodiff`'s size rule. Every way
 gives bitwise the same logits, gradients and updates. Pin BLAS to one
-thread (`OPENBLAS_NUM_THREADS=1`) so that it does not compete with the
-worker.
+thread (`autodiff.pin_blas_threads`, which the command line calls) so
+that it does not compete with the worker.
 """
 
 from __future__ import annotations

@@ -19,26 +19,30 @@ A set-up maps each document to ids, finds its distinct word types and
 forms its word pairs once (`WordTypes`): `build_corpus_graphs` makes
 one record per document and the three builders read them. Projection
 makes the same record from a document's ids, and looks its pairs up
-once, in a table of every kind's weights (`CorpusGraphs.pair_table`).
+once, in one table of the pairs that weigh nonzero in some kind, with
+every kind's weights (`CorpusGraphs.pair_table`).
 
-A document's projection is kept at word-type level (`TypeAdjacency`):
-one (n,) index `inv` from token to the document's distinct ids, shared
-by the three kinds, and per kind the (u, u) weight matrix over those u
-types with the (n,) degree, each kind's own 2-D row sum. A report has
-about 0.46 distinct ids per token, so this is about a fifth of the
-dense (n, n) token matrix it stands for; `matrix` expands that matrix
+A document's projection is held at the size of its edges
+(`TypeAdjacency`): one (n,) index `inv` from token to the document's u
+distinct ids, and the int32 positions, in the (u, u) type matrix, of
+its word pairs found in that table, with the int32 places of those
+pairs in the table. The three kinds share these arrays and the table
+itself; each kind adds only its (n,) degree, its own 2-D row sum of the
+token matrix, taken once at projection from a dense expansion that is
+then dropped. `types` and `matrix` build the (u, u) and (n, n) matrices
 on demand. `batch_adjacency` expands a whole padded batch at once, into
 each kind's degree-normalized matrix, through one gather index that the
-kinds share: this module alone knows the type-level layout.
+kinds share: this module alone knows the layout.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -108,14 +112,16 @@ class CorpusGraphs:
 
     @cached_property
     def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted union of the kinds' pair keys, and each key's (K, 3)
-        edge weights in `GRAPH_KINDS` order, 0.0 where a kind did not
-        count the pair. Built on first use; never saved."""
+        """The sorted keys of the K pairs that weigh nonzero in some kind,
+        and their edge weights, one row of K per kind in `GRAPH_KINDS`
+        order. Built on first use; never saved."""
         stats = [self.by_kind(kind) for kind in GRAPH_KINDS]
-        keys = _distinct(np.concatenate([s.keys for s in stats]))
-        weights = np.zeros((len(keys), len(stats)))
-        for col, s in enumerate(stats):
-            weights[np.searchsorted(keys, s.keys), col] = s.edge_weight
+        keys = _distinct(np.concatenate([s.keys[s.edge_weight != 0.0]
+                                         for s in stats]))
+        weights = np.zeros((len(stats), len(keys)))
+        for row, s in zip(weights, stats):
+            slot, found = find_keys(keys, s.keys)
+            row[slot[found]] = s.edge_weight[found]
         return keys, weights
 
 
@@ -129,28 +135,50 @@ class DocumentAdjacency:
         return self.matrix / self.degree[..., None]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TypeAdjacency:
-    """One graph kind's adjacency of one document, kept over the
-    document's word types. Token i is type `inv[i]`; the token matrix is
-    `types[inv[:, None], inv]` with a unit diagonal, expanded by two 1-D
-    takes, `types.take(inv, 0).take(inv, 1)`, which give the same values
-    in a fresh C-contiguous array. `degree` is that matrix's row sums.
-    Sums over another memory layout, or over a stack of the kinds, can
-    differ in the last bit, so each kind keeps its own 2-D row sum."""
-    inv: np.ndarray    # (n,) type of each token, shared by the kinds
-    types: np.ndarray  # (u, u) symmetric weights, zero on PAD/UNK types
-    degree: np.ndarray = field(init=False)  # (n,)
+    """One graph kind's adjacency of one document, held at the size of
+    its edges. Token i is type `inv[i]` of the document's `size` distinct
+    ids. The (u, u) symmetric type matrix is zero but at the flat
+    positions `positions` (i * u + j, i < j) and their mirrors, which
+    hold `weights[row, slots]`: `positions` lists the document's word
+    pairs that have a weight in any kind, `slots` their places in
+    `CorpusGraphs.pair_table`, and `weights` is that table's weights,
+    shared by every document, of which this kind reads `row`. The kinds
+    share `inv`, `positions` and `slots`.
 
-    def __post_init__(self):
-        self.degree = self.matrix.sum(axis=1)
+    `types` and `matrix` build that matrix, and the (n, n) token matrix
+    with a unit diagonal, anew on every access; `matrix` expands it by
+    two 1-D takes, `types.take(inv, 0).take(inv, 1)`. `degree` is that
+    token matrix's 2-D row sum, which `project_adjacency` takes once.
+    Sums over another memory layout, or over a stack of the kinds, can
+    differ in the last bit, so each kind keeps its own."""
+    inv: np.ndarray        # (n,) type of each token
+    size: int              # u, the distinct ids; PAD and UNK types stay zero
+    positions: np.ndarray  # (m,) int32 flat upper-triangle positions
+    slots: np.ndarray      # (m,) int32 places of those pairs in `weights`
+    weights: np.ndarray    # (len(GRAPH_KINDS), K) pair-table weights
+    row: int               # this kind's row of `weights`
+    degree: np.ndarray     # (n,)
+
+    @property
+    def types(self) -> np.ndarray:
+        """The (u, u) type matrix."""
+        types = np.zeros((self.size, self.size))
+        rows, cols = np.divmod(self.positions, self.size)
+        types[rows, cols] = types[cols, rows] = self.weights[self.row, self.slots]
+        return types
 
     @property
     def matrix(self) -> np.ndarray:
-        """The (n, n) token matrix, expanded anew on every access."""
-        a = self.types.take(self.inv, 0).take(self.inv, 1)
-        np.fill_diagonal(a, 1.0)
-        return a
+        """The (n, n) token matrix."""
+        return _token_matrix(self.types, self.inv)
+
+
+def _token_matrix(types: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    a = types.take(inv, 0).take(inv, 1)
+    np.fill_diagonal(a, 1.0)
+    return a
 
 
 def batch_adjacency(adjacencies: list[dict[str, TypeAdjacency]], steps: int
@@ -158,40 +186,64 @@ def batch_adjacency(adjacencies: list[dict[str, TypeAdjacency]], steps: int
     """Each kind's degree-normalized adjacency A/d for a batch of
     documents padded to `steps` tokens, (B, steps, steps), in
     `GRAPH_KINDS` order. Padded nodes keep only a unit self-loop, so no
-    real node aggregates from them.
+    real node aggregates from them. The documents must share one
+    corpus graph's weights; otherwise ValueError.
 
-    Every kind is gathered with one `np.take` through one flat index,
-    into a buffer holding 0.0, 1.0 and then each document's raveled
-    (u, u) type matrix in batch order: the kinds share each document's
-    token-to-type index and type count. The diagonal points at the 1.0,
-    and batch padding off it at the 0.0. Each gathered matrix is then
-    divided in place by its padded row sums, which gives the bits of
+    Every kind is gathered with one `np.take` through one flat index
+    into a buffer holding 0.0, 1.0 and then, in batch order, each
+    document's raveled type matrix with one more type, all zeros, that
+    the batch padding takes: the kinds share each document's
+    token-to-type index and type count. So the index is one broadcast
+    sum over the batch's padded (B, steps) types, after which the
+    diagonal points at the 1.0. The batch's pair positions in the
+    buffer, upper and mirrored, and their slots are concatenated once
+    for the kinds; each kind gathers its weights through the slots and
+    scatters them into a zeroed buffer. Each gathered matrix is divided
+    in place by its padded row sums, which gives the bits of
     `DocumentAdjacency.normalized`. A degree that is not positive (a
-    missing self-loop, or NaN) raises ValueError."""
-    index = np.zeros((len(adjacencies), steps, steps), dtype=np.intp)
-    offset = 2
-    for i, adj in enumerate(doc[GRAPH_KINDS[0]] for doc in adjacencies):
-        inv, u = adj.inv, len(adj.types)
-        np.add.outer(inv * u + offset, inv, out=index[i, :len(inv), :len(inv)])
-        offset += u * u
+    missing self-loop, or NaN) raises ValueError. No numpy call is made
+    per document."""
+    docs = [doc[GRAPH_KINDS[0]] for doc in adjacencies]
+    weights = docs[0].weights
+    if any(adj.weights is not weights for adj in docs):
+        raise ValueError("gcn: a batch's documents were projected from "
+                         "different corpus graphs")
+    valid = np.arange(steps) < np.array([len(adj.inv) for adj in docs])[:, None]
+    degree = np.ones((len(GRAPH_KINDS), len(docs), steps))
+    for kind, kind_degree in zip(GRAPH_KINDS, degree):
+        kind_degree[valid] = np.concatenate([doc[kind].degree for doc in adjacencies])
+    if not np.all(degree > 0.0):
+        raise ValueError("gcn: zero-degree node (self-loops missing)")
+    size = np.array([adj.size for adj in docs])
+    width = size + 1  # type `size` is the padding type
+    start = np.cumsum(np.concatenate(([2], width * width)))
+    types = np.repeat(size, steps).reshape(valid.shape)
+    types[valid] = np.concatenate([adj.inv for adj in docs])
+    index = ((types * width[:, None] + start[:-1, None])[:, :, None]
+             + types[:, None, :])
     index[:, np.arange(steps), np.arange(steps)] = 1
+    counts = [len(adj.positions) for adj in docs]
+    i, j = np.divmod(np.concatenate([adj.positions for adj in docs], dtype=np.intp),
+                     np.repeat(size, counts))
+    width, first = np.repeat(width, counts), np.repeat(start[:-1], counts)
+    positions = np.concatenate((i * width + j + first, j * width + i + first))
+    slots = np.concatenate([adj.slots for adj in docs] * 2)
     out = []
-    for kind in GRAPH_KINDS:
-        degree = np.ones((len(adjacencies), steps))
-        for i, doc in enumerate(adjacencies):
-            degree[i, :len(doc[kind].degree)] = doc[kind].degree
-        if not np.all(degree > 0.0):
-            raise ValueError("gcn: zero-degree node (self-loops missing)")
-        flat = np.concatenate([(0.0, 1.0)] + [doc[kind].types.ravel()
-                                              for doc in adjacencies])
+    for row, kind_degree in enumerate(degree):
+        flat = np.zeros(start[-1])
+        flat[1] = 1.0
+        flat[positions] = weights[row].take(slots)
         out.append(np.take(flat, index))
-        out[-1] /= degree[..., None]
+        out[-1] /= kind_degree[:, :, None]
     return out
 
 
 def token_ids(doc: Document, vocab: Vocabulary) -> np.ndarray:
-    """The vocabulary id of every token, PAD and UNK included."""
-    return np.array([vocab.id(t.surface) for t in doc.tokens], dtype=np.int64)
+    """The vocabulary id of every token, PAD and UNK included: `vocab.id`
+    of each surface, looked up by C-level `map`s."""
+    surfaces = map(attrgetter("surface"), doc.tokens)
+    return np.fromiter(map(vocab.token_to_id.get, surfaces, repeat(UNK_ID)),
+                       np.int64, len(doc.tokens))
 
 
 def _is_word(ids: np.ndarray) -> np.ndarray:
@@ -326,8 +378,9 @@ def build_syntactic_graph(docs: list[Document] | list[WordTypes],
     linked = _PairCounter()
     for d in records:
         ids = d.ids
-        edges = np.fromiter(chain.from_iterable(e[:2] for e in d.doc.dep_edges),
-                            np.int64).reshape(-1, 2)
+        edges = d.doc.dep_edges
+        edges = np.fromiter(chain.from_iterable(map(itemgetter(0, 1), edges)),
+                            np.int64, 2 * len(edges)).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= len(ids)):
             raise CorpusFormatError(
                 f"document {d.doc.id}: dependency edge index outside "
@@ -413,21 +466,22 @@ def project_adjacency(ids: np.ndarray, graphs: CorpusGraphs
     """Per-graph adjacency for one document's token ids: corpus weights
     looked up by word-type pair, unit self-loops, PAD/UNK isolated. The
     kinds share one token-to-type index, and one lookup of the
-    document's word pairs in `graphs.pair_table`."""
+    document's word pairs in `graphs.pair_table`; only the pairs with a
+    weight in some kind are kept."""
     d = word_types(ids)
     table, weights = graphs.pair_table
     slot, found = find_keys(table, d.pairs)
+    slots = slot[found].astype(np.int32)
     rows, cols = np.nonzero(d.upper)
     # Word type k is distinct id k + skip; PAD and UNK rows stay zero.
     i, j = rows[found] + d.skip, cols[found] + d.skip
-    w = weights[slot[found]]
     size = d.skip + len(d.words)
-    out: dict[str, TypeAdjacency] = {}
-    for col, kind in enumerate(GRAPH_KINDS):
-        types = np.zeros((size, size))
-        types[i, j] = types[j, i] = w[:, col]
-        out[kind] = TypeAdjacency(d.inv, types)
-    return out
+    types = np.zeros((len(GRAPH_KINDS), size, size))
+    types[:, i, j] = types[:, j, i] = weights.take(slots, axis=1)
+    positions = (i * size + j).astype(np.int32)
+    return {kind: TypeAdjacency(d.inv, size, positions, slots, weights, row,
+                                _token_matrix(types[row], d.inv).sum(axis=1))
+            for row, kind in enumerate(GRAPH_KINDS)}
 
 
 def dump_graphs(graphs: CorpusGraphs, vocab: Vocabulary, path) -> None:

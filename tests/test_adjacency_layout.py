@@ -1,10 +1,13 @@
-"""The word-type adjacency layout against the dense layout it replaced.
+"""The held adjacency layout against the dense layout it replaced.
 
 `dense_project_adjacency` and `dense_batch_adjacency` are the earlier
 dense implementations, kept here as oracles: one (n, n) float64 matrix
-per kind and document, copied into the padded batch block. The stored
-type matrices and the per-batch gather must reproduce them bit for bit.
+per kind and document, copied into the padded batch block. The matrices
+expanded from each document's held pairs, its degrees and the per-batch
+gather must reproduce them bit for bit.
 """
+
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from bioie.corpus import (
 )
 from bioie.textgraph import (
     GRAPH_KINDS,
+    CorpusGraphs,
     DocumentAdjacency,
     TypeAdjacency,
     WordPairStats,
@@ -77,12 +81,19 @@ def doc_of(surfaces, doc_id):
 @st.composite
 def corpora(draw):
     """1-6 documents of uneven length over a small word pool with
-    repeats, `<pad>` tokens and a word left out of the vocabulary (UNK).
-    Returns (docs, vocab)."""
+    repeats, `<pad>` tokens and a word left out of the vocabulary (UNK),
+    then three with no word pair: one word type among PAD and UNK, PAD
+    and UNK only, and a single token. Returns (docs, vocab)."""
     pool = [f"w{i}" for i in range(draw(st.integers(1, 8)))]
+    special = st.sampled_from([PAD_TOKEN, "rare"])
     words = st.sampled_from(pool + [PAD_TOKEN, "rare"])
     docs = [doc_of(draw(st.lists(words, min_size=1, max_size=40)), f"d{k}")
             for k in range(draw(st.integers(1, 6)))]
+    one_type = st.sampled_from([pool[-1], PAD_TOKEN, "rare"])
+    docs += [doc_of(surfaces, f"e{k}") for k, surfaces in enumerate((
+        [pool[-1]] + draw(st.lists(one_type, max_size=12)),
+        draw(st.lists(special, min_size=1, max_size=12)),
+        [draw(words)]))]
     vocab = build_vocabulary([doc_of(pool + [PAD_TOKEN], "pool")])
     return docs, vocab
 
@@ -156,15 +167,37 @@ class TestTypeLayout:
         """A row whose weights cancel its self-loop, or a NaN weight, in
         one kind of one document of the batch is refused."""
         inv = np.array([0, 1])
-        good = {kind: TypeAdjacency(inv, np.zeros((2, 2))) for kind in GRAPH_KINDS}
+        none = np.zeros(0, dtype=np.int32)
+        # Pair (0, 1) at flat position 1, in the table's slot 0.
+        pair = np.array([1], dtype=np.int32), np.array([0], dtype=np.int32)
         for weight in (-1.0, np.nan):
-            bad = dict(good, syntactic=TypeAdjacency(
-                inv, np.array([[0.0, weight], [weight, 0.0]])))
+            table = np.array([[0.0], [weight], [0.0]])
+            good, bad = ({kind: TypeAdjacency(inv, 2, *pairs, table, row, None)
+                          for row, kind in enumerate(GRAPH_KINDS)}
+                         for pairs in ((none, none), pair))
+            for adj in chain(good.values(), bad.values()):
+                adj.degree = adj.matrix.sum(axis=1)
             with pytest.raises(ValueError, match="zero-degree"):
                 batch_adjacency([good, bad], 3)
+
+    def test_batch_rejects_documents_of_two_corpus_graphs(self, tiny_task):
+        """The documents of one batch share one pair table's weights; a
+        document projected from another corpus graph is refused, not
+        read through the wrong table."""
+        graphs = tiny_task.graphs
+        other = CorpusGraphs(graphs.semantic, graphs.syntactic,
+                             graphs.sequence, graphs.theta, graphs.window)
+        ids = token_ids(next(iter(tiny_task.documents.values())), tiny_task.vocab)
+        docs = [project_adjacency(ids, graphs), project_adjacency(ids, other)]
+        batch_adjacency(docs[:1] * 2, len(ids))
+        with pytest.raises(ValueError, match="different corpus graphs"):
+            batch_adjacency(docs, len(ids))
 
     def test_matrix_is_expanded_on_every_access(self, tiny_task):
         ids = token_ids(next(iter(tiny_task.documents.values())), tiny_task.vocab)
         adj = project_adjacency(ids, tiny_task.graphs)["sequence"]
         assert adj.matrix is not adj.matrix
-        assert sorted(vars(adj)) == ["degree", "inv", "types"]
+        assert adj.types is not adj.types
+        assert not hasattr(adj, "__dict__")
+        assert TypeAdjacency.__slots__ == (
+            "inv", "size", "positions", "slots", "weights", "row", "degree")

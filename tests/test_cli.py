@@ -1,13 +1,20 @@
 """Command-line surface tests: config resolution, exit codes, outputs."""
 
+import ctypes
 import json
 import os
+import subprocess
+import sys
+import types
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bioie
 import bioie.cli as cli
+from bioie import autodiff
 from bioie.cli import (
     ConfigError,
     RunConfig,
@@ -22,7 +29,7 @@ from bioie.cli import (
     parse_config_file,
     resolve_config,
 )
-from bioie.corpus import synth_corpus, write_records
+from bioie.corpus import PATHOLOGY_KINDS, synth_corpus, write_records
 from bioie.layers import ModelConfig
 from bioie.pipeline import encode_instances, eval_logits, init_model, predict
 from bioie.textgraph import build_corpus_graphs
@@ -565,3 +572,49 @@ class TestCommands:
         m1 = (out1 / "cv_metrics.txt").read_bytes()
         m2 = (out2 / "cv_metrics.txt").read_bytes()
         assert m1 == m2
+
+
+class TestBlasThreads:
+    def test_checkpoint_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        """`main` pins numpy's OpenBLAS to one thread before any work: a
+        default-model `train` on all-kinds reports writes the same
+        checkpoint bytes with OPENBLAS_NUM_THREADS at 1, at 2 and unset.
+        At these shapes OpenBLAS splits products between two threads,
+        which changes their last bits."""
+        counts = ",".join(f"{kind}=4" for kind in PATHOLOGY_KINDS)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(bioie.__file__).resolve().parent.parent)
+        written = {}
+        for threads in ("1", "2", None):
+            out = tmp_path / f"threads_{threads}"
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from bioie.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "train", "--dataset", "synthetic", "--synth_counts", counts,
+                 "--task", "pathology:Size", "--epochs", "1", "--seed", "1",
+                 "--outdir", str(out)],
+                env=dict(env, **({"OPENBLAS_NUM_THREADS": threads} if threads else {})),
+                check=True, capture_output=True, timeout=120)
+            written[threads] = (out / "model.ckpt").read_bytes()
+        assert written["1"] == written["2"] == written[None]
+
+    def test_no_openblas_symbol_leaves_the_run_alone(self, tmp_path, monkeypatch):
+        """A library that exports no thread setter gives None, and a run
+        goes on as it would have: FAST's products are too small for
+        OpenBLAS to split, so its checkpoint does not depend on threads."""
+        loaded = []
+
+        def no_symbols(path):
+            loaded.append(path)
+            return types.SimpleNamespace()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ctypes, "CDLL", no_symbols)
+            assert autodiff.pin_blas_threads() is None
+            assert main(["train"] + flags(tmp_path / "stub")) == 0
+        assert all("openblas" in Path(p).name for p in loaded)
+        assert autodiff.pin_blas_threads() in (1, None)
+        assert main(["train"] + flags(tmp_path / "pinned")) == 0
+        assert ((tmp_path / "stub" / "model.ckpt").read_bytes()
+                == (tmp_path / "pinned" / "model.ckpt").read_bytes())

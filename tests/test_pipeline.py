@@ -5,7 +5,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from bioie.pipeline import (
 )
 from bioie.textgraph import (
     GRAPH_KINDS,
-    TypeAdjacency,
     project_adjacency,
     token_ids,
 )
@@ -44,11 +43,16 @@ def encode_all(task, config):
 
 
 def cut(inst, n):
-    """The instance with its document cut to its first n tokens."""
+    """The instance with its document cut to its first n tokens: its
+    pairs and their weights stay, and each kind's degree is the row sum
+    of its cut token matrix."""
     doc = inst.doc
     inv = doc.adjacency[GRAPH_KINDS[0]].inv[:n].copy()
-    adjacency = {kind: TypeAdjacency(inv, a.types)
-                 for kind, a in doc.adjacency.items()}
+    adjacency = {}
+    for kind, a in doc.adjacency.items():
+        matrix = a.types.take(inv, 0).take(inv, 1)
+        np.fill_diagonal(matrix, 1.0)
+        adjacency[kind] = replace(a, inv=inv, degree=matrix.sum(axis=1))
     return replace(inst, doc=DocEncoding(doc.doc_id, doc.ids[:n], adjacency))
 
 
@@ -208,24 +212,61 @@ class TestEncoding:
 
     def test_adjacency_matrices_own_their_memory(self, tiny_task, small_config):
         """Every stored array is C-contiguous and owns its memory, not a
-        view that keeps a larger array alive. Per kind, the float arrays
-        are the (u, u) type matrix and the (n,) degree, with u the
-        document's distinct ids, and the kinds share one index `inv`."""
+        view that keeps a larger array alive. The kinds share the index
+        `inv`, the int32 pair positions and slots, and the corpus
+        pair table's weights, by reference; a kind's only float array of
+        its own is its (n,) degree. The positions are the document's
+        word pairs i < j of the (u, u) type matrix, u its distinct ids,
+        in ascending order, each with a weight in some kind, and no such
+        pair is left out."""
+        table = tiny_task.graphs.pair_table[1]
         for e in encode_all(tiny_task, small_config):
             n, u = len(e.doc.ids), len(np.unique(e.doc.ids))
-            inv = e.doc.adjacency[GRAPH_KINDS[0]].inv
+            first = e.doc.adjacency[GRAPH_KINDS[0]]
+            inv, positions, slots = first.inv, first.positions, first.slots
             # np.unique returns the inverse as a view of an array of its
             # own size.
             assert inv.base is None or inv.base.nbytes == inv.nbytes
             assert inv.shape == (n,) and inv.flags["C_CONTIGUOUS"]
-            for adj in e.doc.adjacency.values():
-                assert adj.inv is inv
-                for arr, shape in ((adj.types, (u, u)), (adj.degree, (n,))):
-                    assert arr.shape == shape
-                    assert arr.flags["C_CONTIGUOUS"]
-                    assert arr.base is None
-                floats = [a for a in vars(adj).values() if a.dtype.kind == "f"]
-                assert max(a.size for a in floats) <= max(u * u, n)
+            m = len(positions)
+            for arr in (positions, slots):
+                assert arr.dtype == np.int32 and arr.shape == (m,)
+                assert arr.flags["C_CONTIGUOUS"] and arr.base is None
+            assert np.all(np.diff(positions) > 0)
+            rows, cols = np.divmod(positions, u)
+            assert np.all(rows < cols)
+            assert table[:, slots].any(axis=0).all()
+            weighted = sum(a.types != 0.0 for a in e.doc.adjacency.values())
+            assert np.count_nonzero(np.triu(weighted, 1)) == m
+            for row, kind in enumerate(GRAPH_KINDS):
+                adj = e.doc.adjacency[kind]
+                assert adj.row == row and adj.size == u
+                assert adj.inv is inv and adj.weights is table
+                assert adj.positions is positions and adj.slots is slots
+                assert adj.degree.shape == (n,)
+                assert adj.degree.flags["C_CONTIGUOUS"] and adj.degree.base is None
+                assert not hasattr(adj, "__dict__")
+
+    def test_held_adjacency_is_the_size_of_its_edges(self):
+        """The adjacency held per document, on the benchmark's tiny
+        `train_long` set-up (12 all-kinds reports, the CLI default model,
+        theta 0.25, window 20): every distinct array the kinds hold,
+        apart from the corpus pair table they share, is 8 KiB or less on
+        average. Three dense (u, u) float64 type matrices per document
+        held about 52 KiB."""
+        task = build_synth_task({kind: 12 for kind in PATHOLOGY_KINDS}, seed=0,
+                                d_w=100, theta=0.25, window=20)
+        encoded = encode_all(task, ModelConfig(label_count=len(task.label_set)))
+        shared = task.graphs.pair_table[1]
+        docs = {id(e.doc): e.doc for e in encoded}.values()
+        held = []
+        for doc in docs:
+            arrays = {id(a): a for adj in doc.adjacency.values()
+                      for a in (getattr(adj, f.name) for f in fields(adj))
+                      if isinstance(a, np.ndarray) and a is not shared}
+            held.append(sum(a.nbytes for a in arrays.values()))
+        assert len(held) == 12
+        assert sum(held) / len(held) <= 8 << 10
 
     def test_gcn_without_graphs_names_them(self, tiny_task, small_config):
         with pytest.raises(ValueError, match="corpus graphs"):
