@@ -4,10 +4,10 @@ configuration set up once at each of several report counts.
 
 Usage, from the repository root:
 
-    python3 scripts/setup_growth.py [--sizes 400 1600 6400] [--seed 3]
-                                    [--tree DIR]
+    python3 scripts/setup_growth.py [--tree DIR]
 
-Each size runs in a fresh subprocess that imports `bioie` from the
+It sets up 400, 1,600 and 6,400 reports, generated with seed 3. Each
+size runs in a fresh subprocess that imports `bioie` from the
 `src/` of `--tree` (default: this checkout) and generates its reports
 with that tree's `perfbench/worker.py`, with BLAS on one thread. So each
 size's peak memory is its own, and another checkout, for example one
@@ -34,11 +34,16 @@ from pathlib import Path
 from time import perf_counter
 
 HERE = Path(__file__).resolve().parent.parent
+SIZES = (400, 1600, 6400)
+SEED = 3
 PHASES = ("prepare", "graphs", "encode", "model")
 
 
 def held_bytes(adjacency: dict, shared) -> int:
-    """Bytes of the distinct arrays held by one document's adjacency."""
+    """Bytes of the distinct arrays held by one document's adjacency,
+    apart from `shared`, the corpus pair table's weights. The tier-1
+    guard on held adjacency (`tests/test_pipeline.py`) uses this same
+    measure."""
     import numpy as np
     arrays = {}
     for adj in adjacency.values():
@@ -48,19 +53,19 @@ def held_bytes(adjacency: dict, shared) -> int:
     return sum(a.nbytes for a in arrays.values())
 
 
-def measure(tree: Path, reports: int, seed: int) -> dict:
+def measure(tree: Path, reports: int) -> dict:
     """Set `train_long` up at `reports` reports; runs in the child."""
     sys.path.insert(0, str(tree / "perfbench"))
     import worker as bench
     from bioie import corpus, pipeline, textgraph
 
     wl = replace(bench.WORKLOADS["train_long"], reports=reports)
-    docs, instances = bench.generate(wl, seed)
+    docs, instances = bench.generate(wl, SEED)
     cfg = wl.config()
     stamps = [perf_counter()]
     docs, instances = corpus.normalize_corpus(docs, instances)
     vocab = corpus.build_vocabulary(docs)
-    embeddings = corpus.random_embeddings(vocab, cfg.d_w, seed=seed)
+    embeddings = corpus.random_embeddings(vocab, cfg.d_w, seed=SEED)
     stamps.append(perf_counter())
     graphs = textgraph.build_corpus_graphs(docs, embeddings, vocab,
                                            theta=wl.theta, window=wl.window)
@@ -69,7 +74,7 @@ def measure(tree: Path, reports: int, seed: int) -> dict:
     encoded = pipeline.encode_instances(task, {d.id: d for d in docs}, vocab,
                                         graphs, cfg)
     stamps.append(perf_counter())
-    pipeline.init_model(cfg, vocab, embeddings, seed=seed,
+    pipeline.init_model(cfg, vocab, embeddings, seed=SEED,
                         label_set=task[0].label_set)
     stamps.append(perf_counter())
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -85,14 +90,12 @@ def measure(tree: Path, reports: int, seed: int) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[400, 1600, 6400])
-    parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--tree", type=Path, default=HERE)
     parser.add_argument("--one", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     tree = args.tree.resolve()
     if args.one is not None:
-        print(json.dumps(measure(tree, args.one, args.seed)))
+        print(json.dumps(measure(tree, args.one)))
         return 0
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
@@ -100,9 +103,9 @@ def main() -> int:
         env[var] = "1"
     print("reports  documents  " + "  ".join(f"{p:>8}" for p in PHASES)
           + "  set-up s  held KiB/doc  held MiB  peak RSS MB")
-    for size in args.sizes:
+    for size in SIZES:
         out = subprocess.run([sys.executable, __file__, "--one", str(size),
-                              "--seed", str(args.seed), "--tree", str(tree)],
+                              "--tree", str(tree)],
                              cwd=tree, env=env, check=True, capture_output=True,
                              text=True)
         r = json.loads(out.stdout.splitlines()[-1])

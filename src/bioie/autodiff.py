@@ -150,17 +150,11 @@ _OPENBLAS_THREADS = (
 )
 
 
-def pin_blas_threads() -> int | None:
-    """Set the OpenBLAS that numpy loaded to one thread, and return the
-    thread count read back from it; None where numpy has no bundled
-    OpenBLAS (`numpy.libs/*openblas*`) that exports a setter.
-
-    OpenBLAS splits a large product between its threads, and the split
-    changes the product's last bits, so a fixed seed gives fixed bits
-    only for a fixed thread count. By default that count is the caller's
-    `OPENBLAS_NUM_THREADS`, or else the number of CPUs. `bioie`'s command
-    line calls this before any work; importing the library does not, so
-    embedding code keeps control of its own threads."""
+def openblas_threads():
+    """The thread-count setter and getter, as `ctypes` functions, of the
+    OpenBLAS that numpy's wheel bundles (`numpy.libs/*openblas*`); None
+    where numpy has none that exports them (a conda, MKL or distribution
+    numpy, for example)."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:
@@ -172,9 +166,27 @@ def pin_blas_threads() -> int | None:
                 set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
                 set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
                 get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-                set_threads(1)
-                return get_threads()
+                return set_threads, get_threads
     return None
+
+
+def pin_blas_threads() -> int | None:
+    """Set the OpenBLAS that numpy loaded to one thread, and return the
+    thread count read back from it; None, changing nothing, where
+    `openblas_threads` finds no such OpenBLAS.
+
+    OpenBLAS splits a large product between its threads, and the split
+    changes the product's last bits, so a fixed seed gives fixed bits
+    only for a fixed thread count. By default that count is the caller's
+    `OPENBLAS_NUM_THREADS`, or else the number of CPUs. `bioie`'s command
+    line calls this before any work; importing the library does not, so
+    embedding code keeps control of its own threads."""
+    found = openblas_threads()
+    if found is None:
+        return None
+    set_threads, get_threads = found
+    set_threads(1)
+    return get_threads()
 
 
 class ShapeError(ValueError):

@@ -6,9 +6,11 @@ Precedence: built-in defaults < BIOIE_SEED (seed only) < config file <
 flags. Every run writes its fully resolved config beside its outputs so
 a run directory is self-describing.
 
-`main` first pins numpy's OpenBLAS to one thread
+`main` first pins the OpenBLAS that numpy's wheel bundles to one thread
 (`autodiff.pin_blas_threads`), so a fixed seed gives the same bits
-whatever `OPENBLAS_NUM_THREADS` the caller set.
+whatever `OPENBLAS_NUM_THREADS` the caller set. A numpy without that
+library (conda, MKL, a distribution's build) is left alone, with a
+warning on stderr: pin its BLAS through its own environment variable.
 """
 
 from __future__ import annotations
@@ -530,7 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    pin_blas_threads()
+    if pin_blas_threads() is None:
+        print("warning: BLAS threads not pinned: numpy bundles no OpenBLAS;"
+              " fixed-seed bits may depend on the BLAS thread count",
+              file=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = {

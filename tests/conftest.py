@@ -41,6 +41,26 @@ def branch_worker_left_idle(monkeypatch):
     assert not left, f"{len(left)} job(s) left on the branch worker"
 
 
+@pytest.fixture(scope="session")
+def blas_threads():
+    """numpy's OpenBLAS thread setter and getter, found once, or None."""
+    return ad.openblas_threads()
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_restored(blas_threads):
+    """`cli.main` pins numpy's OpenBLAS to one thread for the rest of its
+    process. Give each test back the count it started with, so that no
+    test runs on the threads an earlier test left."""
+    if blas_threads is None:
+        yield
+        return
+    set_threads, get_threads = blas_threads
+    threads = get_threads()
+    yield
+    set_threads(threads)
+
+
 @pytest.fixture(params=["worker", "inline"])
 def job_mode(request, monkeypatch):
     """Hand every `Deferred` job, `Adam.step` half, `concat_branches`

@@ -599,10 +599,21 @@ class TestBlasThreads:
             written[threads] = (out / "model.ckpt").read_bytes()
         assert written["1"] == written["2"] == written[None]
 
-    def test_no_openblas_symbol_leaves_the_run_alone(self, tmp_path, monkeypatch):
+    def test_main_pins_its_own_process(self, tmp_path, blas_threads):
+        """In process, `main` leaves numpy's OpenBLAS on one thread."""
+        if blas_threads is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        set_threads, get_threads = blas_threads
+        set_threads(2)
+        assert main(["train"] + flags(tmp_path)) == 0
+        assert get_threads() == 1
+
+    def test_no_openblas_symbol_leaves_the_run_alone(self, tmp_path, monkeypatch,
+                                                     capsys):
         """A library that exports no thread setter gives None, and a run
-        goes on as it would have: FAST's products are too small for
-        OpenBLAS to split, so its checkpoint does not depend on threads."""
+        goes on as it would have, warning that BLAS is not pinned: FAST's
+        products are too small for OpenBLAS to split, so its checkpoint
+        does not depend on threads."""
         loaded = []
 
         def no_symbols(path):
@@ -613,6 +624,7 @@ class TestBlasThreads:
             patch.setattr(ctypes, "CDLL", no_symbols)
             assert autodiff.pin_blas_threads() is None
             assert main(["train"] + flags(tmp_path / "stub")) == 0
+        assert "warning: BLAS threads not pinned" in capsys.readouterr().err
         assert all("openblas" in Path(p).name for p in loaded)
         assert autodiff.pin_blas_threads() in (1, None)
         assert main(["train"] + flags(tmp_path / "pinned")) == 0

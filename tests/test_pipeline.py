@@ -1,11 +1,13 @@
 """Model-assembly tests: init, variants, forward, loss, parameter counts."""
 
 import math
+import runpy
 import threading
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,11 @@ from bioie.textgraph import (
 from bioie.training import make_optimizer
 
 from conftest import build_synth_task, traced_step
+
+# The growth table's measure of the adjacency a document holds.
+HELD_BYTES = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "scripts" / "setup_growth.py")
+)["held_bytes"]
 
 
 def encode_all(task, config):
@@ -259,12 +266,7 @@ class TestEncoding:
         encoded = encode_all(task, ModelConfig(label_count=len(task.label_set)))
         shared = task.graphs.pair_table[1]
         docs = {id(e.doc): e.doc for e in encoded}.values()
-        held = []
-        for doc in docs:
-            arrays = {id(a): a for adj in doc.adjacency.values()
-                      for a in (getattr(adj, f.name) for f in fields(adj))
-                      if isinstance(a, np.ndarray) and a is not shared}
-            held.append(sum(a.nbytes for a in arrays.values()))
+        held = [HELD_BYTES(doc.adjacency, shared) for doc in docs]
         assert len(held) == 12
         assert sum(held) / len(held) <= 8 << 10
 
